@@ -15,7 +15,7 @@ from .germ import (DifferentialSample, MixedGerm, differential_sample,
                    evaluate, format_germ, jacobian_rank_margin, parse_germ,
                    real_gradients, real_hessians, wirtinger_gradient,
                    wirtinger_hessian)
-from .pencil import (AxisProbeResult, BlowupPoint, FiberSample,
+from .pencil import (AxisProbeResult, FiberSample,
                      PencilClassification, axis_accumulation_probe,
                      blowup_residual, classify, h_theta, phase,
                      projective_phase, sample_fiber, side_indicator,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxisApproach", "AxisProbeResult", "AxisProximity", "BallExit",
-    "BlowupPoint", "CompletenessViolation", "DegenerateAfterRetries",
+    "CompletenessViolation", "DegenerateAfterRetries",
     "DegenerateGradient", "DifferentialSample", "DoubleFiberReport",
     "FiberSample", "FlowKind", "FlowSpec", "GermSyntaxError", "GramSingular",
     "LambdaDiagnostic", "MilnorNumberResult", "MixedGerm", "MonodromyReturn",

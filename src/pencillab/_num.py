@@ -126,8 +126,27 @@ def map_chunks(fn: Callable[[np.ndarray], object], rows: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# batched Gauss-Newton projection onto {g(x) = 0}
+# batched linear solves and Gauss-Newton projection onto {g(x) = 0}
 # ---------------------------------------------------------------------------
+
+def solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A[i] y[i] = b[i] for a stack of square systems.
+
+    One stacked solve when every system is regular; otherwise each row is
+    solved alone and the rows whose matrix is singular come back NaN, so
+    they fail without touching the rest of the batch.
+    """
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        y = np.full(b.shape, np.nan)
+        for i in range(len(A)):
+            try:
+                y[i] = np.linalg.solve(A[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return y
+
 
 def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
                  x0: np.ndarray,
@@ -139,8 +158,9 @@ def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
 
     system(X) must return (R, J) with R of shape (N, m) and J of shape
     (N, m, d); the minimum-norm update dx = J^T (J J^T)^{-1} R is applied
-    until max_i |R_i| / scale_i < tol. Returns (X, ok) where ok marks rows
-    that converged.
+    until max_i |R_i| / scale_i < tol. A row whose update is singular or not
+    finite stops where it is. Returns (X, ok) where ok marks rows that
+    converged.
     """
     X = np.array(x0, dtype=float, copy=True)
     N = X.shape[0]
@@ -160,13 +180,7 @@ def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
             continue
         Rm, Jm = R[~good], J[~good]
         G = Jm @ np.swapaxes(Jm, -1, -2)
-        try:
-            y = np.linalg.solve(G, Rm[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            y = np.linalg.lstsq(
-                G.reshape(-1, G.shape[-1], G.shape[-1])[0], Rm[0], rcond=None)[0][None]
-            y = np.broadcast_to(y, Rm.shape).copy()
-        dx = np.einsum("nmd,nm->nd", Jm, y)
+        dx = np.einsum("nmd,nm->nd", Jm, solve_rows(G, Rm))
         if step_cap is not None:
             nrm = norm_rows(dx)
             big = nrm > step_cap

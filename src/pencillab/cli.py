@@ -43,37 +43,42 @@ COMMANDS = ("info", "dreg", "milnor-diag", "strong-milnor", "tube-check",
 FLOW_KINDS = {"monodromy": FlowKind.MONODROMY, "radial": FlowKind.RADIAL,
               "tube": FlowKind.TUBE_EQUIVALENCE}
 
-# every job field with its materialized default; config files may set any
-# of these, explicit flags win over file values
-DEFAULTS = {
-    "command": None,
-    "germ": None,
-    "n": None,
-    "exponents": None,
-    "radius": 0.5,
-    "eta": None,
-    "theta": 0.0,
-    "budget": 10000,
-    "polish": 20,
-    "count": 50,
-    "revolutions": 1.0,
-    "kind": "monodromy",
-    "start": None,
-    "direction": None,
-    "t0": 0.0,
-    "t1": None,
-    "seed": 0,
-    "newton_tol": 1e-10,
-    "rtol": 1e-10,
-    "atol": 1e-12,
-    "batch": 200,
-    "stability": 20,
-    "redraws": 10,
-    "metric": None,
-    "pole": None,
-    "report": None,
-    "out": None,
-}
+# every job field as (name, default, flag type, flag help); config files may
+# set any of them, explicit flags win over file values, and the report lists
+# the resolved config in this order
+FIELDS = (
+    ("command", None, None, "job command (may also come from --config)"),
+    ("germ", None, None, "expression like 'z1^2+z2^3' (zbar1 = conjugate) "
+                         "or inline germ JSON"),
+    ("n", None, int, "number of complex variables (inferred when omitted)"),
+    ("exponents", None, None, "comma separated power-sum exponents, e.g. "
+                              "2,3,5"),
+    ("radius", 0.5, float, "sphere radius (default 0.5)"),
+    ("eta", None, float, "tube level |f| = eta (default 1e-3 of the germ "
+                         "scale at the radius)"),
+    ("theta", 0.0, None, "pencil angle; accepts 'pi/2' style expressions"),
+    ("budget", 10000, int, "sample or seed budget (default 10000)"),
+    ("polish", 20, int, "local polish runs for dreg (default 20)"),
+    ("count", 50, int, "starts or output points (default 50)"),
+    ("revolutions", 1.0, float, "phase revolutions for monodromy (default 1)"),
+    ("kind", "monodromy", None, "field kind for the flow command"),
+    ("start", None, None, "start point, 2n reals: real parts then imaginary"),
+    ("direction", None, None, "scan direction, 2n reals (milnor-diag)"),
+    ("t0", 0.0, float, "flow start time"),
+    ("t1", None, float, "flow end time (default depends on the kind)"),
+    ("seed", 0, int, "64-bit job seed (default 0)"),
+    ("newton_tol", 1e-10, float, "projection tolerance (default 1e-10)"),
+    ("rtol", 1e-10, float, "integrator relative tolerance (default 1e-10)"),
+    ("atol", 1e-12, float, "integrator absolute tolerance (default 1e-12)"),
+    ("batch", 200, int, "seed batch size for euler (default 200)"),
+    ("stability", 20, int, "quiet batches required by euler (default 20)"),
+    ("redraws", 10, int, "functional redraw limit for euler (default 10)"),
+    ("metric", None, None, "JSON 2n x 2n positive definite matrix for dreg"),
+    ("pole", None, None, "stereographic pole, 2n reals (sample-link)"),
+    ("report", None, None, "report JSON path (stdout when omitted)"),
+    ("out", None, None, "point-cloud or trace base path"),
+)
+DEFAULTS = {name: default for name, default, _, _ in FIELDS}
 
 
 class UsageError(Exception):
@@ -94,63 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="numerical pencil, transversality, flow and link "
                     "topology checks for polynomial map-germs",
         epilog="commands: " + ", ".join(COMMANDS))
-    p.add_argument("command", nargs="?", default=None,
-                   help="job command (may also come from --config)")
+    p.add_argument("command", nargs="?", default=None, help=FIELDS[0][3])
     p.add_argument("--config", default=None,
                    help="JSON job file; explicit flags override its values")
-    p.add_argument("--germ", default=None,
-                   help="expression like 'z1^2+z2^3' (zbar1 = conjugate) "
-                        "or inline germ JSON")
-    p.add_argument("--n", type=int, default=None,
-                   help="number of complex variables (inferred when omitted)")
-    p.add_argument("--exponents", default=None,
-                   help="comma separated power-sum exponents, e.g. 2,3,5")
-    p.add_argument("--radius", type=float, default=None,
-                   help="sphere radius (default 0.5)")
-    p.add_argument("--eta", type=float, default=None,
-                   help="tube level |f| = eta (default 1e-3 of the germ "
-                        "scale at the radius)")
-    p.add_argument("--theta", default=None,
-                   help="pencil angle; accepts 'pi/2' style expressions")
-    p.add_argument("--budget", type=int, default=None,
-                   help="sample or seed budget (default 10000)")
-    p.add_argument("--polish", type=int, default=None,
-                   help="local polish runs for dreg (default 20)")
-    p.add_argument("--count", type=int, default=None,
-                   help="starts or output points (default 50)")
-    p.add_argument("--revolutions", type=float, default=None,
-                   help="phase revolutions for monodromy (default 1)")
-    p.add_argument("--kind", default=None, choices=sorted(FLOW_KINDS),
-                   help="field kind for the flow command")
-    p.add_argument("--start", default=None,
-                   help="start point, 2n reals: real parts then imaginary")
-    p.add_argument("--direction", default=None,
-                   help="scan direction, 2n reals (milnor-diag)")
-    p.add_argument("--t0", type=float, default=None, help="flow start time")
-    p.add_argument("--t1", type=float, default=None,
-                   help="flow end time (default depends on the kind)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="64-bit job seed (default 0)")
-    p.add_argument("--newton-tol", dest="newton_tol", type=float,
-                   default=None, help="projection tolerance (default 1e-10)")
-    p.add_argument("--rtol", type=float, default=None,
-                   help="integrator relative tolerance (default 1e-10)")
-    p.add_argument("--atol", type=float, default=None,
-                   help="integrator absolute tolerance (default 1e-12)")
-    p.add_argument("--batch", type=int, default=None,
-                   help="seed batch size for euler (default 200)")
-    p.add_argument("--stability", type=int, default=None,
-                   help="quiet batches required by euler (default 20)")
-    p.add_argument("--redraws", type=int, default=None,
-                   help="functional redraw limit for euler (default 10)")
-    p.add_argument("--metric", default=None,
-                   help="JSON 2n x 2n positive definite matrix for dreg")
-    p.add_argument("--pole", default=None,
-                   help="stereographic pole, 2n reals (sample-link)")
-    p.add_argument("--report", default=None,
-                   help="report JSON path (stdout when omitted)")
-    p.add_argument("--out", default=None,
-                   help="point-cloud or trace base path")
+    for name, _, kind, text in FIELDS[1:]:
+        choices = sorted(FLOW_KINDS) if name == "kind" else None
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                       default=None, choices=choices, help=text)
     p.add_argument("--version", action="version",
                    version=f"pencillab {__version__}")
     return p
@@ -189,32 +144,16 @@ def parse_angle(text) -> float:
     return ev(node)
 
 
-def _float_list(value, field: str) -> List[float]:
+def _number_list(value, field: str, cast) -> list:
     if isinstance(value, (list, tuple)):
         items = list(value)
     else:
         items = [s for s in str(value).split(",") if s.strip()]
     try:
-        return [float(v) for v in items]
+        return [cast(v) for v in items]
     except (TypeError, ValueError) as exc:
-        raise UsageError(field, f"expected a list of reals, got {value!r}") \
-            from exc
-
-
-def _int_list(value, field: str) -> List[int]:
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-    else:
-        items = [s for s in str(value).split(",") if s.strip()]
-    out = []
-    for v in items:
-        try:
-            iv = int(v)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(field,
-                             f"expected integers, got {value!r}") from exc
-        out.append(iv)
-    return out
+        kind = "integers" if cast is int else "a list of reals"
+        raise UsageError(field, f"expected {kind}, got {value!r}") from exc
 
 
 def load_job(args: argparse.Namespace
@@ -261,31 +200,24 @@ def _normalize(cfg: dict) -> None:
     except ValueError as exc:
         raise UsageError("theta", str(exc))
     if cfg["exponents"] is not None:
-        cfg["exponents"] = _int_list(cfg["exponents"], "exponents")
+        cfg["exponents"] = _number_list(cfg["exponents"], "exponents", int)
     for key in ("start", "direction", "pole"):
         if cfg[key] is not None:
-            cfg[key] = _float_list(cfg[key], key)
+            cfg[key] = _number_list(cfg[key], key, float)
     if cfg["metric"] is not None and not isinstance(cfg["metric"], list):
         try:
             cfg["metric"] = json.loads(str(cfg["metric"]))
         except json.JSONDecodeError as exc:
             raise UsageError("metric", f"invalid JSON: {exc}")
-    for key in ("radius", "eta", "revolutions", "t0", "newton_tol", "rtol",
-                "atol"):
-        if cfg[key] is not None:
+    for key, _, kind, _ in FIELDS:
+        if kind is float and cfg[key] is not None:
             cfg[key] = float(cfg[key])
-    if cfg["t1"] is not None:
-        cfg["t1"] = float(cfg["t1"])
-    for key in ("budget", "polish", "count", "seed", "batch", "stability",
-                "redraws"):
-        if cfg[key] is not None:
+        elif kind is int and cfg[key] is not None:
             try:
                 cfg[key] = int(cfg[key])
             except (TypeError, ValueError):
                 raise UsageError(key, f"expected an integer, "
                                       f"got {cfg[key]!r}")
-    if cfg["n"] is not None:
-        cfg["n"] = int(cfg["n"])
 
 
 def _validate(cfg: dict) -> None:
@@ -577,11 +509,7 @@ def _cmd_milnor_diag(cfg, germ, warnings):
             {"radius": e.radius, "colinearity": e.colinearity,
              "arg": e.arg_lambda_prime, "error": e.error}
             for e in entries]
-        for e in entries:
-            if (e.error is None and e.colinearity is not None
-                    and e.colinearity < 0.01
-                    and abs(e.arg_lambda_prime) >= math.pi / 4 - 0.05):
-                ok = False
+        ok = ok and all(e.condition_ok is not False for e in entries)
     return result, bool(ok)
 
 

@@ -49,7 +49,8 @@ from ._num import to_complex, to_real
 from .errors import (AxisApproach, AxisProximity, BallExit,
                      CompletenessViolation, DegenerateGradient, GramSingular,
                      PencilLabError, PositivityViolation, StepCollapse)
-from .germ import MixedGerm, differential_sample, evaluate, real_gradients
+from .germ import MixedGerm, differential_sample, evaluate
+from .pencil import member_gradient
 
 TWO_PI = 2.0 * math.pi
 
@@ -259,16 +260,13 @@ def _project_sphere(x: np.ndarray, r0: float) -> np.ndarray:
 def _project_member(germ: MixedGerm, theta0: float, x: np.ndarray,
                     rounds: int = 2) -> np.ndarray:
     """Newton steps onto {Im(exp(-i*theta0) f) = 0} along its gradient."""
-    ct, st = math.cos(theta0), math.sin(theta0)
     for _ in range(rounds):
-        z = to_complex(x)
-        f, ga, gb = real_gradients(germ, z[None, :])
-        g = float(f[0].imag * ct - f[0].real * st)
-        grad = ct * gb[0] - st * ga[0]
+        h, gh, _ = member_gradient(germ, theta0, x[None, :])
+        grad = gh[0]
         denom = float(grad @ grad)
         if denom == 0.0:
             return x
-        x = x - (g / denom) * grad
+        x = x - (float(h[0]) / denom) * grad
     return x
 
 
@@ -316,21 +314,27 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float],
     thetas = [theta0]
     drift = {"norm": 0.0, "absf_rel": 0.0, "theta": 0.0, "affine": 0.0}
 
-    span = t1 - t0
-    if span == 0.0:
+    n_acc = 0
+    n_rej = 0
+
+    def trace(termination: str) -> FlowTrace:
         return FlowTrace(kind=spec.kind.value, t=np.array(ts),
                          points=np.array(pts), norms=np.array(norms),
                          abs_f=np.array(absf), theta=np.array(thetas),
-                         n_accepted=0, n_rejected=0, fallback_steps=0,
-                         corrected_steps=0, max_cond=0.0, drift=drift,
-                         termination="empty-span")
+                         n_accepted=n_acc, n_rejected=n_rej,
+                         fallback_steps=diag_counters["fallback"],
+                         corrected_steps=diag_counters["corrected"],
+                         max_cond=diag_counters["max_cond"],
+                         drift=dict(drift), termination=termination)
+
+    span = t1 - t0
+    if span == 0.0:
+        return trace("empty-span")
     direction = 1.0 if span > 0 else -1.0
     h = direction * min(spec.max_step, abs(span) / 10.0)
     h_floor = max(abs(span), 1.0) * 1e-14
     t = t0
     k1 = rhs(y)
-    n_acc = 0
-    n_rej = 0
     f_prev = f0
     theta_unwrapped = theta0
     max_reject_run = 60
@@ -414,14 +418,7 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float],
         h_next = h * min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
         h = direction * min(abs(h_next), spec.max_step)
 
-    return FlowTrace(kind=spec.kind.value, t=np.array(ts),
-                     points=np.array(pts), norms=np.array(norms),
-                     abs_f=np.array(absf), theta=np.array(thetas),
-                     n_accepted=n_acc, n_rejected=n_rej,
-                     fallback_steps=diag_counters["fallback"],
-                     corrected_steps=diag_counters["corrected"],
-                     max_cond=diag_counters["max_cond"], drift=dict(drift),
-                     termination="completed")
+    return trace("completed")
 
 
 # ---------------------------------------------------------------------------

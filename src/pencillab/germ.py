@@ -10,18 +10,29 @@ path p(t) the chain rule reads df/dt = <dp/dt, grad f> under the Hermitian
 product <u, v> = sum u_j * conj(v_j). The stacked-real picture (_num.to_real)
 turns Re<.,.> into the plain dot product, so grad f realizes as the real
 gradient of Re f and i*grad f as the real gradient of Im f.
+
+Kernel contract: every value and derivative comes from one private kernel,
+_derivatives(germ, z, orders). It loops over the terms once and returns the
+requested orders: f (0), the first Wirtinger derivatives (1), the second
+ones (2). Each power z_j^k and conj(z_j)^k is computed at most once per call
+and shared between terms and slots. A term adds only into the slots where
+its derivative is nonzero. Each slot is a product formed in a fixed factor
+order that does not depend on which other orders were requested, so f from
+evaluate and f from value_and_gradient agree bit for bit. evaluate,
+value_and_gradient, wirtinger_gradient, wirtinger_hessian, real_gradients,
+real_hessians and the rank margins are thin wrappers around it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._num import rotate_block, to_real
+from ._num import to_real
 from .errors import AxisProximity, GermSyntaxError
 
 Exponents = Tuple[int, ...]
@@ -40,7 +51,6 @@ class MixedGerm:
 
     n: int
     terms: Tuple[Tuple[complex, Exponents, Exponents], ...]
-    weights: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -81,21 +91,9 @@ class MixedGerm:
     def f_floor(self, radius: float) -> float:
         return 1e-6 * self.scale(radius)
 
-    # -- cached dense views used by the evaluators ------------------------
-
     @cached_property
     def _coef(self) -> np.ndarray:
         return np.array([c for c, _, _ in self.terms], dtype=complex)
-
-    @cached_property
-    def _P(self) -> np.ndarray:
-        return np.array([p for _, p, _ in self.terms], dtype=np.int64).reshape(
-            len(self.terms), self.n)
-
-    @cached_property
-    def _Q(self) -> np.ndarray:
-        return np.array([q for _, _, q in self.terms], dtype=np.int64).reshape(
-            len(self.terms), self.n)
 
     # -- serialization -----------------------------------------------------
 
@@ -123,15 +121,14 @@ def _term_sort_key(item):
     return (sum(p) + sum(q), p, q)
 
 
-def _germ_from_dict(n: int, terms: Dict[TermKey, complex],
-                    weights: Optional[Tuple[int, ...]] = None) -> MixedGerm:
+def _germ_from_dict(n: int, terms: Dict[TermKey, complex]) -> MixedGerm:
     pruned = {k: c for k, c in terms.items() if c != 0}
     const_key = ((0,) * n, (0,) * n)
     if const_key in pruned:
         raise ValueError("constant term nonzero: germ must vanish at 0")
     ordered = tuple((c, p, q) for (p, q), c in sorted(pruned.items(),
                                                       key=_term_sort_key))
-    return MixedGerm(n=n, terms=ordered, weights=weights)
+    return MixedGerm(n=n, terms=ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +387,107 @@ def _as_points(z, n: int) -> np.ndarray:
     return z
 
 
+@lru_cache(maxsize=4096)
+def _term_plan(P: Exponents, Q: Exponents):
+    """Slots of the term z^P * conj(z)^Q and the powers each one multiplies.
+
+    A power is (bar, j, k): z_j^k for bar 0, conj(z_j)^k for bar 1. Returns
+    the powers of the value, the first-derivative slots (bar, j, factor,
+    powers) and the second-derivative slots (block, j, k, factor, powers),
+    block 0/1/2 for A/B/C; of the symmetric A and C only k >= j is listed.
+    """
+    n, E = len(P), (P, Q)
+
+    def powers(drop, lead=None):
+        # powers in variable order; a first derivative puts its variable
+        # first, led by the differentiated power even when that is z^0.
+        # This order keeps the recorded golden reports bit for bit.
+        e = [list(P), list(Q)]
+        for bar, j in drop:
+            e[bar][j] -= 1
+        keys = [(bar, j) for j in range(n) for bar in (0, 1)]
+        if lead is not None:
+            keys = [lead, (1 - lead[0], lead[1])] + [
+                key for key in keys if key[1] != lead[1]]
+        return tuple((bar, j, e[bar][j]) for bar, j in keys
+                     if e[bar][j] or (bar, j) == lead)
+
+    first = tuple((bar, j, E[bar][j], powers([(bar, j)], (bar, j)))
+                  for j in range(n) for bar in (0, 1) if E[bar][j])
+    second = []
+    for j in range(n):
+        for k in range(n):
+            for block, (b, c) in enumerate(((0, 0), (0, 1), (1, 1))):
+                fac = E[b][j] * (E[c][k] - (b == c and j == k))
+                if fac and (block == 1 or k >= j):
+                    second.append((block, j, k, fac, powers([(b, j), (c, k)])))
+    return powers(()), first, tuple(second)
+
+
+def _derivatives(germ: MixedGerm, z, orders):
+    """The germ kernel: f and its exact Wirtinger derivatives at z.
+
+    orders is a subset of (0, 1, 2), in increasing order; the requested
+    slots come back in that order: f for 0, (d_z, d_zbar) for 1 and
+    (A, B, C) for 2.
+    """
+    z = _as_points(z, germ.n)
+    n, base = germ.n, z.shape[:-1]
+    conj = []
+    table = {}
+    # Products over more than one point are formed in place in one scratch
+    # row, which saves an allocation per factor. One point keeps the
+    # out-of-place path: numpy's one-element in-place multiply goes through
+    # its reduction loop, which rounds differently.
+    scratch = np.empty(base, dtype=complex) if z.size > n else None
+
+    def power(bar, j, k):
+        if bar and not conj:
+            conj.append(np.conj(z))
+        zj = (conj[0] if bar else z)[..., j]
+        if k > 1:
+            return zj ** k
+        # z^1 = z and z^0 = 1 exactly; numpy's general complex power is slow
+        return (zj if k else np.ones_like(zj))[()]
+
+    def mul(out, factor):
+        if scratch is None:
+            return out * factor
+        out *= factor
+        return out
+
+    def product(coef, powers):
+        if scratch is None:
+            # np.array is the cheap np.full for a single point
+            out = np.full(base, coef) if base else np.array(coef)
+        else:
+            out = scratch
+            out.fill(coef)
+        for w in powers:
+            if w not in table:
+                table[w] = power(*w)
+            out = mul(out, table[w])
+        return out
+
+    slots = {order: [np.zeros(base + (n,) * order, dtype=complex)
+                     for _ in range((1, 2, 3)[order])] for order in orders}
+    for c, (_, P, Q) in zip(germ._coef, germ.terms):
+        value, first, second = _term_plan(P, Q)
+        if 0 in slots:
+            slots[0][0] += product(c, value)
+        for bar, j, fac, powers in first if 1 in slots else ():
+            slots[1][bar][..., j] += product(c * fac, powers)
+        for block, j, k, fac, powers in second if 2 in slots else ():
+            term = mul(product(c, powers), fac)
+            slots[2][block][..., j, k] += term
+            if block != 1 and k != j:
+                slots[2][block][..., k, j] += term
+    return tuple(s for order in orders for s in slots[order])
+
+
 def evaluate(germ: MixedGerm, z) -> np.ndarray:
     """Evaluate sum c * z^p * conj(z)^q at one point or a batch."""
-    z = _as_points(z, germ.n)
-    out = np.zeros(z.shape[:-1], dtype=complex)
-    zc = np.conj(z)
-    for t in range(len(germ.terms)):
-        term = np.full(z.shape[:-1], germ._coef[t])
-        for j in range(germ.n):
-            pj = int(germ._P[t, j])
-            qj = int(germ._Q[t, j])
-            if pj:
-                term = term * z[..., j] ** pj
-            if qj:
-                term = term * zc[..., j] ** qj
-        out += term
-    return out
+    return _derivatives(germ, z, (0,))[0]
 
 
 def value_and_gradient(germ: MixedGerm, z):
@@ -413,72 +495,12 @@ def value_and_gradient(germ: MixedGerm, z):
 
     d_z[j] = df/dz_j, d_zbar[j] = df/dzbar_j; no finite differences.
     """
-    z = _as_points(z, germ.n)
-    base = z.shape[:-1]
-    f = np.zeros(base, dtype=complex)
-    dz = np.zeros(base + (germ.n,), dtype=complex)
-    dzb = np.zeros(base + (germ.n,), dtype=complex)
-    zc = np.conj(z)
-    for t in range(len(germ.terms)):
-        c = germ._coef[t]
-        holo = []
-        anti = []
-        for j in range(germ.n):
-            pj = int(germ._P[t, j])
-            qj = int(germ._Q[t, j])
-            holo.append(z[..., j] ** pj if pj else None)
-            anti.append(zc[..., j] ** qj if qj else None)
-        term = np.full(base, c)
-        for j in range(germ.n):
-            if holo[j] is not None:
-                term = term * holo[j]
-            if anti[j] is not None:
-                term = term * anti[j]
-        f += term
-        for j in range(germ.n):
-            pj = int(germ._P[t, j])
-            qj = int(germ._Q[t, j])
-            if pj:
-                g = np.full(base, c * pj)
-                g = g * z[..., j] ** (pj - 1)
-                if anti[j] is not None:
-                    g = g * anti[j]
-                for k in range(germ.n):
-                    if k == j:
-                        continue
-                    if holo[k] is not None:
-                        g = g * holo[k]
-                    if anti[k] is not None:
-                        g = g * anti[k]
-                dz[..., j] += g
-            if qj:
-                g = np.full(base, c * qj)
-                g = g * zc[..., j] ** (qj - 1)
-                if holo[j] is not None:
-                    g = g * holo[j]
-                for k in range(germ.n):
-                    if k == j:
-                        continue
-                    if holo[k] is not None:
-                        g = g * holo[k]
-                    if anti[k] is not None:
-                        g = g * anti[k]
-                dzb[..., j] += g
-    return f, dz, dzb
+    return _derivatives(germ, z, (0, 1))
 
 
 def wirtinger_gradient(germ: MixedGerm, z):
     """Exact first Wirtinger derivatives (d_z, d_zbar) at z."""
-    _, dz, dzb = value_and_gradient(germ, z)
-    return dz, dzb
-
-
-def _pow_drop(zj, e: int, drop: int):
-    """zj**(e - drop) with the convention that e < drop never occurs."""
-    k = e - drop
-    if k == 0:
-        return None
-    return zj ** k
+    return _derivatives(germ, z, (1,))
 
 
 def wirtinger_hessian(germ: MixedGerm, z):
@@ -487,56 +509,7 @@ def wirtinger_hessian(germ: MixedGerm, z):
     A[j,k] = d2f/dz_j dz_k, B[j,k] = d2f/dz_j dzbar_k,
     C[j,k] = d2f/dzbar_j dzbar_k; batched over leading axes of z.
     """
-    z = _as_points(z, germ.n)
-    base = z.shape[:-1]
-    n = germ.n
-    A = np.zeros(base + (n, n), dtype=complex)
-    B = np.zeros(base + (n, n), dtype=complex)
-    C = np.zeros(base + (n, n), dtype=complex)
-    zc = np.conj(z)
-
-    def monomial(t, dp, dq):
-        # product z^(P[t]-dp) * conj(z)^(Q[t]-dq); None entries in dp/dq mean 0
-        out = np.full(base, germ._coef[t])
-        for j in range(n):
-            pj = int(germ._P[t, j]) - dp[j]
-            qj = int(germ._Q[t, j]) - dq[j]
-            if pj:
-                out = out * z[..., j] ** pj
-            if qj:
-                out = out * zc[..., j] ** qj
-        return out
-
-    for t in range(len(germ.terms)):
-        P = germ._P[t]
-        Q = germ._Q[t]
-        for j in range(n):
-            for k in range(n):
-                pj, pk = int(P[j]), int(P[k])
-                qj, qk = int(Q[j]), int(Q[k])
-                # A: d/dz_j d/dz_k
-                fac = pj * (pj - 1) if j == k else pj * pk
-                if fac:
-                    dp = [0] * n
-                    dp[j] += 1
-                    dp[k] += 1
-                    A[..., j, k] += fac * monomial(t, dp, [0] * n)
-                # B: d/dz_j d/dzbar_k
-                fac = pj * qk
-                if fac:
-                    dp = [0] * n
-                    dq = [0] * n
-                    dp[j] += 1
-                    dq[k] += 1
-                    B[..., j, k] += fac * monomial(t, dp, dq)
-                # C: d/dzbar_j d/dzbar_k
-                fac = qj * (qj - 1) if j == k else qj * qk
-                if fac:
-                    dq = [0] * n
-                    dq[j] += 1
-                    dq[k] += 1
-                    C[..., j, k] += fac * monomial(t, [0] * n, dq)
-    return A, B, C
+    return _derivatives(germ, z, (2,))
 
 
 def real_hessians(germ: MixedGerm, z):
@@ -545,7 +518,7 @@ def real_hessians(germ: MixedGerm, z):
     Assembled exactly from the second Wirtinger derivatives in the stacked
     [Re ; Im] coordinate layout.
     """
-    A, B, C = wirtinger_hessian(germ, z)
+    A, B, C = _derivatives(germ, z, (2,))
     Bt = np.swapaxes(B, -1, -2)
     uu = A + B + Bt + C
     uv = 1j * (A + Bt - B - C)
@@ -559,7 +532,7 @@ def real_hessians(germ: MixedGerm, z):
 
 def real_gradients(germ: MixedGerm, z):
     """Return (f, grad_a, grad_b) with gradients in the stacked real layout."""
-    f, dz, dzb = value_and_gradient(germ, z)
+    f, dz, dzb = _derivatives(germ, z, (0, 1))
     gu = dz + dzb
     gv = 1j * (dz - dzb)
     gf = np.concatenate([gu, gv], axis=-1)   # complex-valued real gradient of f
@@ -621,11 +594,7 @@ def jacobian_rank_margin(germ: MixedGerm, z) -> float:
     Positive means the point is a submersion point of the pair map; the
     value is 0 at genuinely critical points.
     """
-    z = _as_points(z, germ.n)
-    _, ga, gb = real_gradients(germ, z)
-    J = np.stack([ga, gb], axis=-2)
-    s = np.linalg.svd(J, compute_uv=False)
-    return float(s[..., 1])
+    return float(jacobian_rank_margin_batch(germ, _as_points(z, germ.n)))
 
 
 def jacobian_rank_margin_batch(germ: MixedGerm, Z) -> np.ndarray:

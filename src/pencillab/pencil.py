@@ -114,14 +114,6 @@ def spherefication_batch(germ: MixedGerm, Z) -> np.ndarray:
     return r * f / np.abs(f)
 
 
-@dataclass(frozen=True)
-class BlowupPoint:
-    """A point of the incidence set {(x, (t1:t2)) : Re(f) t2 - Im(f) t1 = 0}."""
-
-    x: Tuple[complex, ...]
-    t: Tuple[float, float]
-
-
 def blowup_residual(germ: MixedGerm, x, t: Sequence[float]) -> float:
     """Incidence residual Re(f(x)) * t2 - Im(f(x)) * t1 for normalized t."""
     t1, t2 = float(t[0]), float(t[1])
@@ -152,16 +144,24 @@ class FiberSample:
         return len(self.points)
 
 
-def _sphere_member_system(germ: MixedGerm, theta: float, radius: float):
+def member_gradient(germ: MixedGerm, theta: float, X: np.ndarray):
+    """(h_theta, its real gradient, f) at stacked-real points X; batched.
+
+    h_theta = cos(theta) Im f - sin(theta) Re f, so its gradient is the same
+    combination of the real gradients of Im f and Re f.
+    """
     ct, st = math.cos(theta), math.sin(theta)
+    f, ga, gb = real_gradients(germ, to_complex(X))
+    return f.imag * ct - f.real * st, ct * gb - st * ga, f
+
+
+def sphere_member_system(germ: MixedGerm, theta: float, radius: float):
+    """Gauss-Newton system of {|x|^2 = radius^2, h_theta = 0}."""
 
     def system(X):
-        Z = to_complex(X)
-        f, ga, gb = real_gradients(germ, Z)
-        r2 = np.sum(X * X, axis=-1)
-        R = np.stack([r2 - radius * radius,
-                      f.imag * ct - f.real * st], axis=-1)
-        J = np.stack([2.0 * X, ct * gb - st * ga], axis=-2)
+        h, gh, _ = member_gradient(germ, theta, X)
+        R = np.stack([np.sum(X * X, axis=-1) - radius * radius, h], axis=-1)
+        J = np.stack([2.0 * X, gh], axis=-2)
         return R, J
 
     return system
@@ -185,7 +185,7 @@ def sample_fiber(germ: MixedGerm, theta: float, radius: float, count: int,
     dim = 2 * germ.n
     seeds = radius * sobol_unit_sphere(seed, (0x0F1B, 0), count, dim)
     scale = np.array([radius * radius, max(germ.scale(radius), 1e-300)])
-    X, ok = gauss_newton(_sphere_member_system(germ, theta, radius), seeds,
+    X, ok = gauss_newton(sphere_member_system(germ, theta, radius), seeds,
                          scale, tol=newton_tol, step_cap=0.5 * radius)
     converged = int(np.count_nonzero(ok))
     if converged < count * (1.0 - max_fail_fraction):

@@ -187,20 +187,13 @@ def d_regularity_search(germ: MixedGerm, radius: float,
             "axis_cut": axis_cut, "degen_cut": degen_cut,
         }
         if collect_milnor:
-            fz, dz, _ = value_and_gradient(germ, Zc)
-            grad = np.conj(dz)
-            gnorm = norm_rows(np.abs(grad))
-            znorm = norm_rows(np.abs(Zc))
-            inner = np.sum(grad * np.conj(Zc), axis=-1)
-            lam = fz * np.conj(np.sum(dz * Zc, axis=-1))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                colin = 1.0 - np.abs(inner) / (gnorm * znorm)
-            argl = np.abs(np.angle(lam))
+            _, colin, _, arg, violated = colinearity_condition(
+                germ, Zc, colinearity_tol, angle_margin)
             flagged = usable & (colin < colinearity_tol)
+            argl = np.abs(arg)
             st["milnor_checked"] = int(np.count_nonzero(usable))
             st["milnor_flagged"] = int(np.count_nonzero(flagged))
-            st["milnor_violations"] = int(np.count_nonzero(
-                flagged & (argl >= math.pi / 4.0 - angle_margin)))
+            st["milnor_violations"] = int(np.count_nonzero(usable & violated))
             st["milnor_max_arg_flagged"] = float(
                 np.max(argl[flagged])) if np.any(flagged) else 0.0
         return st
@@ -240,12 +233,15 @@ def d_regularity_search(germ: MixedGerm, radius: float,
     witness = Z[best_idx]
 
     # local polishing from the worst (smallest-defect) usable samples
-    def objective(y: np.ndarray) -> float:
+    def on_sphere(y: np.ndarray) -> Optional[np.ndarray]:
         nq = (math.sqrt(float(y @ (Qm @ y))) if Qm is not None
               else float(np.linalg.norm(y)))
-        if nq == 0.0 or not np.isfinite(nq):
+        return radius * y / nq if nq > 0.0 and np.isfinite(nq) else None
+
+    def objective(y: np.ndarray) -> float:
+        xp = on_sphere(y)
+        if xp is None:
             return 1.0
-        xp = radius * y / nq
         zp = to_complex(xp)
         rho, ga, gb, gts = _phase_fields(germ, zp[None, :])
         if rho[0] <= f_floor or norm_rows(gts)[0] == 0.0:
@@ -262,16 +258,12 @@ def d_regularity_search(germ: MixedGerm, radius: float,
                                 options={"maxiter": 60, "gtol": 1e-12})
         polished += 1
         val = float(res.fun)
-        if val < min_defect:
-            y = np.asarray(res.x, dtype=float)
-            nq = (math.sqrt(float(y @ (Qm @ y))) if Qm is not None
-                  else float(np.linalg.norm(y)))
-            if nq > 0.0 and np.isfinite(nq):
-                xp = radius * y / nq
-                zp = to_complex(xp)
-                if abs(complex(evaluate(germ, zp))) > f_floor:
-                    min_defect = val
-                    witness = zp
+        xp = on_sphere(np.asarray(res.x, dtype=float))
+        if val < min_defect and xp is not None:
+            zp = to_complex(xp)
+            if abs(complex(evaluate(germ, zp))) > f_floor:
+                min_defect = val
+                witness = zp
 
     hist, _ = np.histogram(defects[usable_mask], bins=HIST_BINS,
                            range=(0.0, 1.0))
@@ -308,29 +300,44 @@ class LambdaDiagnostic:
     angle_margin: float
 
 
+def colinearity_condition(germ: MixedGerm, Z, colinearity_tol: float = 0.01,
+                          angle_margin: float = 0.05):
+    """Batched phase-colinearity test at points Z of a holomorphic germ.
+
+    Returns (f, colinearity, lambda_prime, arg lambda_prime, violated); a row
+    violates the condition when colinearity < colinearity_tol and
+    |arg lambda_prime| >= pi/4 - angle_margin. Colinearity is 1 where the
+    gradient or the point vanishes.
+    """
+    f, dz, _ = value_and_gradient(germ, Z)
+    grad = np.conj(dz)
+    norms = norm_rows(np.abs(grad)) * norm_rows(np.abs(Z))
+    inner = np.sum(grad * np.conj(Z), axis=-1)
+    lam = f * np.conj(np.sum(dz * Z, axis=-1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        colin = np.where(norms > 0, 1.0 - np.abs(inner) / norms, 1.0)
+    arg = np.angle(lam)
+    violated = (colin < colinearity_tol) & (
+        np.abs(arg) >= math.pi / 4.0 - angle_margin)
+    return f, colin, lam, arg, violated
+
+
 def lambda_diagnostic(germ: MixedGerm, x,
                       colinearity_tol: float = 0.01,
                       angle_margin: float = 0.05,
                       axis_floor: Optional[float] = None) -> LambdaDiagnostic:
     """Diagnostic at one ray point of a holomorphic germ."""
     z = np.asarray(x, dtype=complex)
-    f, dz, _ = value_and_gradient(germ, z)
-    fv = complex(f)
     if axis_floor is None:
         axis_floor = germ.axis_floor(float(np.linalg.norm(z)))
-    if abs(fv) <= axis_floor:
+    f, colin, lam, arg, violated = colinearity_condition(
+        germ, z[None, :], colinearity_tol, angle_margin)
+    if abs(complex(f[0])) <= axis_floor:
         raise AxisProximity("diagnostic undefined on the axis")
-    grad = np.conj(dz)
-    gnorm = float(np.linalg.norm(grad))
-    znorm = float(np.linalg.norm(z))
-    inner = complex(np.sum(grad * np.conj(z)))
-    colinearity = 1.0 - abs(inner) / (gnorm * znorm) if gnorm * znorm > 0 else 1.0
-    lam = fv * complex(np.sum(dz * z)).conjugate()
-    arg = math.atan2(lam.imag, lam.real)
-    violated = (colinearity < colinearity_tol
-                and abs(arg) >= math.pi / 4.0 - angle_margin)
-    return LambdaDiagnostic(colinearity=colinearity, lambda_prime=lam,
-                            arg_lambda_prime=arg, condition_ok=not violated,
+    return LambdaDiagnostic(colinearity=float(colin[0]),
+                            lambda_prime=complex(lam[0]),
+                            arg_lambda_prime=float(arg[0]),
+                            condition_ok=not violated[0],
                             colinearity_tol=colinearity_tol,
                             angle_margin=angle_margin)
 
@@ -341,6 +348,7 @@ class RadialScanEntry:
     colinearity: Optional[float]
     arg_lambda_prime: Optional[float]
     error: Optional[str] = None
+    condition_ok: Optional[bool] = None   # None on axis hits
 
 
 def radial_lambda_scan(germ: MixedGerm, direction, radii: Sequence[float],
@@ -362,7 +370,8 @@ def radial_lambda_scan(germ: MixedGerm, direction, radii: Sequence[float],
             continue
         out.append(RadialScanEntry(radius=float(t),
                                    colinearity=diag.colinearity,
-                                   arg_lambda_prime=diag.arg_lambda_prime))
+                                   arg_lambda_prime=diag.arg_lambda_prime,
+                                   condition_ok=diag.condition_ok))
     return out
 
 
@@ -420,6 +429,23 @@ class ScanReport:
         return d
 
 
+def _scan_report(kind: str, radius: float, budget: int, seed: int,
+                 usable: int, conclusive: bool, values, Z, threshold: float,
+                 extra: Optional[dict] = None) -> ScanReport:
+    """The minimum of values over the rows of Z with its witness, or an
+    inconclusive report when too few rows were usable."""
+    common = dict(kind=kind, radius=radius, budget=budget, seed=seed,
+                  usable=usable, excluded=budget - usable,
+                  threshold=threshold, extra=extra or {})
+    if not conclusive:
+        return ScanReport(min_value=float("inf"), witness=(),
+                          verdict="inconclusive", **common)
+    best = int(np.argmin(values))
+    return ScanReport(min_value=float(values[best]),
+                      witness=tuple(np.atleast_1d(Z[best])),
+                      verdict=bool(values[best] > threshold), **common)
+
+
 def strong_milnor_check(germ: MixedGerm, radius: float, budget: int = 10000,
                         seed: int = 0,
                         newton_tol: float = DEFAULT_NEWTON_TOL) -> ScanReport:
@@ -451,21 +477,9 @@ def strong_milnor_check(germ: MixedGerm, radius: float, budget: int = 10000,
 
     parts = map_chunks(chunk_min, Z)
     margins = np.concatenate([p[0] for p in parts])
-    usable_mask = np.concatenate([p[1] for p in parts])
-    usable = int(np.count_nonzero(usable_mask))
-    if usable < max(1, budget // 10):
-        return ScanReport(kind="phase-submersion", radius=radius,
-                          budget=budget, seed=seed, usable=usable,
-                          excluded=budget - usable, min_value=float("inf"),
-                          witness=(), threshold=threshold,
-                          verdict="inconclusive")
-    best = int(np.argmin(margins))
-    return ScanReport(kind="phase-submersion", radius=radius, budget=budget,
-                      seed=seed, usable=usable, excluded=budget - usable,
-                      min_value=float(margins[best]),
-                      witness=tuple(np.atleast_1d(Z[best])),
-                      threshold=threshold,
-                      verdict=bool(margins[best] > threshold))
+    usable = int(np.count_nonzero(np.concatenate([p[1] for p in parts])))
+    return _scan_report("phase-submersion", radius, budget, seed, usable,
+                        usable >= max(1, budget // 10), margins, Z, threshold)
 
 
 def tube_sphere_transversality(germ: MixedGerm, radius: float, eta: float,
@@ -501,11 +515,8 @@ def tube_sphere_transversality(germ: MixedGerm, radius: float, eta: float,
     converged = int(np.count_nonzero(ok))
     threshold = default_pass_threshold(max(newton_tol, 1e-12))
     if converged < max(1, budget // 10):
-        return ScanReport(kind="tube-boundary", radius=radius, budget=budget,
-                          seed=seed, usable=converged,
-                          excluded=budget - converged, min_value=float("inf"),
-                          witness=(), threshold=threshold,
-                          verdict="inconclusive", extra={"eta": eta})
+        return _scan_report("tube-boundary", radius, budget, seed, converged,
+                            False, None, None, threshold, {"eta": eta})
     Xok = X[ok]
     Zok = to_complex(Xok)
     _, ga, gb = real_gradients(germ, Zok)
@@ -515,15 +526,8 @@ def tube_sphere_transversality(germ: MixedGerm, radius: float, eta: float,
     Qs, _ = np.linalg.qr(span)
     proj = np.einsum("nik,nk->ni", Qs, np.einsum("nik,ni->nk", Qs, xu))
     resid = norm_rows(xu - proj)
-    best = int(np.argmin(resid))
-    return ScanReport(kind="tube-boundary", radius=radius, budget=budget,
-                      seed=seed, usable=converged,
-                      excluded=budget - converged,
-                      min_value=float(resid[best]),
-                      witness=tuple(np.atleast_1d(Zok[best])),
-                      threshold=threshold,
-                      verdict=bool(resid[best] > threshold),
-                      extra={"eta": eta})
+    return _scan_report("tube-boundary", radius, budget, seed, converged,
+                        True, resid, Zok, threshold, {"eta": eta})
 
 
 def critical_value_isolation_scan(germ: MixedGerm, radius: float,
@@ -557,22 +561,8 @@ def critical_value_isolation_scan(germ: MixedGerm, radius: float,
 
     parts = map_chunks(chunk_vals, Z)
     margins = np.concatenate([p[0] for p in parts])
-    usable_mask = np.concatenate([p[1] for p in parts])
-    usable = int(np.count_nonzero(usable_mask))
-    if usable == 0:
-        return ScanReport(kind="critical-value-isolation", radius=radius,
-                          budget=budget, seed=seed, usable=0, excluded=budget,
-                          min_value=float("inf"), witness=(),
-                          threshold=threshold, verdict="inconclusive",
-                          extra={"f_floor": f_floor,
-                                 "excluded_fraction": 1.0})
-    best = int(np.argmin(margins))
-    return ScanReport(kind="critical-value-isolation", radius=radius,
-                      budget=budget, seed=seed, usable=usable,
-                      excluded=budget - usable,
-                      min_value=float(margins[best]),
-                      witness=tuple(np.atleast_1d(Z[best])),
-                      threshold=threshold,
-                      verdict=bool(margins[best] > threshold),
-                      extra={"f_floor": f_floor,
-                             "excluded_fraction": 1.0 - usable / budget})
+    usable = int(np.count_nonzero(np.concatenate([p[1] for p in parts])))
+    return _scan_report("critical-value-isolation", radius, budget, seed,
+                        usable, usable > 0, margins, Z, threshold,
+                        {"f_floor": f_floor,
+                         "excluded_fraction": 1.0 - usable / budget})

@@ -19,9 +19,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._num import gauss_newton, sobol_unit_sphere, stream, to_complex
+from ._num import (gauss_newton, sobol_unit_sphere, solve_rows, stream,
+                   to_complex)
 from .errors import DegenerateAfterRetries, Unstable
-from .germ import MixedGerm, real_gradients, real_hessians
+from .germ import MixedGerm, real_hessians
+from .pencil import member_gradient, sphere_member_system
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,16 +111,6 @@ class MorseInventory:
         }
 
 
-def _member_gradient(germ: MixedGerm, theta: float, X: np.ndarray):
-    """(h, grad h, f) for the member function at stacked-real points."""
-    ct, st = math.cos(theta), math.sin(theta)
-    Z = to_complex(X)
-    f, ga, gb = real_gradients(germ, Z)
-    h = f.imag * ct - f.real * st
-    gh = ct * gb - st * ga
-    return h, gh, f
-
-
 def _member_hessian(germ: MixedGerm, theta: float, X: np.ndarray):
     ct, st = math.cos(theta), math.sin(theta)
     Ha, Hb = real_hessians(germ, to_complex(X))
@@ -132,12 +124,13 @@ def _lagrange_newton(germ: MixedGerm, theta: float, radius: float,
 
         ell - 2*l1*x - l2*grad h = 0,  |x|^2 - r^2 = 0,  h = 0
 
-    Unknowns (x, l1, l2); returns (X, L, ok).
+    Unknowns (x, l1, l2); returns (X, L, ok). A row with a singular or
+    non-finite Newton step stops; the other rows go on.
     """
     N = X0.shape[0]
     X = X0.copy()
     # least-squares init of the multipliers from the stationarity rows
-    _, gh, _ = _member_gradient(germ, theta, X)
+    _, gh, _ = member_gradient(germ, theta, X)
     L = np.zeros((N, 2))
     for i in range(N):
         Amat = np.stack([2.0 * X[i], gh[i]], axis=1)
@@ -151,7 +144,7 @@ def _lagrange_newton(germ: MixedGerm, theta: float, radius: float,
             break
         Xi = X[idx]
         Li = L[idx]
-        h, gh, _ = _member_gradient(germ, theta, Xi)
+        h, gh, _ = member_gradient(germ, theta, Xi)
         H = _member_hessian(germ, theta, Xi)
         F = np.concatenate([
             ell[None, :] - 2.0 * Li[:, 0:1] * Xi - Li[:, 1:2] * gh,
@@ -175,12 +168,7 @@ def _lagrange_newton(germ: MixedGerm, theta: float, radius: float,
         J[:, :4, 5] = -gh[sel]
         J[:, 4, :4] = 2.0 * Xi[sel]
         J[:, 5, :4] = gh[sel]
-        F6 = F[sel]
-        try:
-            step = np.linalg.solve(J, F6[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            alive[move] = False
-            continue
+        step = solve_rows(J, F[sel])
         bad = ~np.isfinite(step).all(axis=-1)
         step[bad] = 0.0
         X[move] -= step[:, :4]
@@ -252,15 +240,9 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
             U = sobol_unit_sphere(seed, (0x5EED, draw, b), batch, 4)
             seeds0 = radius * U
             # project onto the link before polishing the full system
-            def member_system(Xc):
-                h, gh, _ = _member_gradient(germ, theta, Xc)
-                R = np.stack([np.sum(Xc * Xc, axis=-1) - r2, h], axis=-1)
-                J = np.stack([2.0 * Xc, gh], axis=-2)
-                return R, J
-
-            Xp, okp = gauss_newton(member_system, seeds0,
-                                   np.array([r2, scale_h]), tol=1e-12,
-                                   step_cap=0.5 * radius)
+            Xp, okp = gauss_newton(
+                sphere_member_system(germ, theta, radius), seeds0,
+                np.array([r2, scale_h]), tol=1e-12, step_cap=0.5 * radius)
             seeds_used += batch
             batches += 1
             if not np.any(okp):
@@ -282,7 +264,7 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
                     dists = np.linalg.norm(np.stack(points) - x, axis=-1)
                     if float(np.min(dists)) <= dedup_tol:
                         continue
-                h, gh, _ = _member_gradient(germ, theta, x[None, :])
+                h, gh, _ = member_gradient(germ, theta, x[None, :])
                 # verified residual of the full system at the stored point
                 F_top = ell - 2.0 * candL[i, 0] * x - candL[i, 1] * gh[0]
                 res = max(float(np.max(np.abs(F_top))),
@@ -312,25 +294,21 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
         if degenerate:
             last_error = "degenerate critical point"
             continue
-        if stable_run < stability_batches:
-            inv = _inventory(points, values, mults, signs, resids, ell, theta,
-                             radius, seeds_used, batches, stable_run, draw + 1,
-                             "budget-exhausted")
+        chi = int(sum(signs))
+        termination = ("budget-exhausted" if stable_run < stability_batches
+                       else "odd-chi" if chi % 2 != 0 else "stable")
+        inv = _inventory(points, values, mults, signs, resids, ell, theta,
+                         radius, seeds_used, batches, stable_run, draw + 1,
+                         termination)
+        if termination == "budget-exhausted":
             raise Unstable(
                 f"no stability after {seeds_used} seeds "
                 f"({stable_run}/{stability_batches} quiet batches)",
                 inventory=inv)
-        chi = int(sum(signs))
-        if chi % 2 != 0:
-            inv = _inventory(points, values, mults, signs, resids, ell, theta,
-                             radius, seeds_used, batches, stable_run, draw + 1,
-                             "odd-chi")
+        if termination == "odd-chi":
             raise Unstable(
                 f"odd Euler characteristic {chi}: inventory incomplete",
                 inventory=inv)
-        inv = _inventory(points, values, mults, signs, resids, ell, theta,
-                         radius, seeds_used, batches, stable_run, draw + 1,
-                         "stable")
         return inv, chi
 
     raise DegenerateAfterRetries(

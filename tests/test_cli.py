@@ -2,10 +2,12 @@
 
 import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
-from pencillab.cli import main
+from pencillab.cli import build_parser, load_job, main, resolve_germ
 
 
 def run(capsys, *argv):
@@ -200,3 +202,17 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_readme_command_lines_load():
+    # every example of the README's command line block parses, validates
+    # and resolves its germ; none of the jobs is run
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = [ln for ln in block.split("```", 1)[0].splitlines()
+             if ln.startswith("pencillab ")]
+    assert len(lines) >= 10
+    for line in lines:
+        cfg, _, _ = load_job(build_parser().parse_args(shlex.split(line)[1:]))
+        if cfg["command"] != "mu":
+            resolve_germ(cfg)

@@ -135,14 +135,25 @@ def test_wirtinger_gradient_matches_finite_differences(text, n):
         np.testing.assert_allclose(dzb, fdzb, atol=5e-8)
 
 
-def test_wirtinger_hessian_matches_finite_differences():
-    g = parse_germ("z1^2*zbar2 + z2^3 + z1*zbar1", 2)
+# off-diagonal entries need n >= 2, the mixed A/B/C blocks conjugates
+HESSIAN_GERMS = [
+    ("z1^2*zbar2 + z2^3 + z1*zbar1", 2),
+    ("z1^2 + z2^3 + z3^5", 3),
+    ("z1^2*zbar2 + z2^2*zbar1", 2),
+    ("z1*zbar2", 2),
+    ("z1^3 + z1*z2^3", 2),
+]
+
+
+@pytest.mark.parametrize("text,n", HESSIAN_GERMS)
+def test_wirtinger_hessian_matches_finite_differences(text, n):
+    g = parse_germ(text, n)
     rng = np.random.default_rng(9)
-    z = rng.normal(size=2) + 1j * rng.normal(size=2)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
     A, B, C = wirtinger_hessian(g, z)
     h = 1e-5
-    for j in range(2):
-        e = np.zeros(2, dtype=complex)
+    for j in range(n):
+        e = np.zeros(n, dtype=complex)
         e[j] = 1.0
         dzp, dzbp = _fd_wirtinger(g, z + h * e, h=1e-5)
         dzm, dzbm = _fd_wirtinger(g, z - h * e, h=1e-5)
@@ -176,18 +187,20 @@ def test_real_gradients_match_finite_differences():
         assert abs(gb[0][k] - (fp.imag - fm.imag) / (2 * h)) < 5e-8
 
 
-def test_real_hessians_match_gradient_differences():
-    g = parse_germ("z1^3 + z1*zbar2^2", 2)
+@pytest.mark.parametrize("text,n", [("z1^3 + z1*zbar2^2", 2)]
+                         + HESSIAN_GERMS[1:])
+def test_real_hessians_match_gradient_differences(text, n):
+    g = parse_germ(text, n)
     rng = np.random.default_rng(11)
-    z = rng.normal(size=2) + 1j * rng.normal(size=2)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
     Ha, Hb = real_hessians(g, z[None, :])
     y = to_real(z[None, :])[0]
     h = 1e-6
-    for k in range(4):
-        e = np.zeros(4)
+    for k in range(2 * n):
+        e = np.zeros(2 * n)
         e[k] = h
-        zp = (y + e)[:2] + 1j * (y + e)[2:]
-        zm = (y - e)[:2] + 1j * (y - e)[2:]
+        zp = (y + e)[:n] + 1j * (y + e)[n:]
+        zm = (y - e)[:n] + 1j * (y - e)[n:]
         _, gap, gbp = real_gradients(g, zp[None, :])
         _, gam, gbm = real_gradients(g, zm[None, :])
         np.testing.assert_allclose(Ha[0][:, k], (gap[0] - gam[0]) / (2 * h),

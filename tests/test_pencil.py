@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pencillab._num import gauss_newton
 from pencillab.errors import AxisProximity
 from pencillab.germ import evaluate, parse_germ
 from pencillab.pencil import (axis_accumulation_probe, blowup_residual,
@@ -130,6 +131,25 @@ def test_sample_fiber_deterministic():
     a = sample_fiber(g, 0.0, 0.5, count=10, seed=5)
     b = sample_fiber(g, 0.0, 0.5, count=10, seed=5)
     np.testing.assert_array_equal(a.points, b.points)
+
+
+def _tagged_system(X):
+    # column 0 moves to the target kept in column 1; target 0 tags a row
+    # whose Jacobian vanishes, so its Gram system is singular
+    target = X[:, 1]
+    singular = target == 0.0
+    R = np.where(singular, 1.0, X[:, 0] - target)[:, None]
+    J = np.zeros((len(X), 1, 2))
+    J[~singular, 0, 0] = 1.0
+    return R, J
+
+
+@pytest.mark.parametrize("targets", [(1.0, 0.0, 5.0), (0.0, 1.0, 5.0)])
+def test_gauss_newton_singular_row_fails_alone(targets):
+    x0 = np.stack([np.zeros(3), targets], axis=1)
+    X, ok = gauss_newton(_tagged_system, x0, np.array([1.0]))
+    np.testing.assert_array_equal(ok, np.array(targets) != 0.0)
+    np.testing.assert_array_equal(X, np.stack([targets, targets], axis=1))
 
 
 def test_axis_probe_linear_closed_form():

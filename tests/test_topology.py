@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencillab._num import canonical_json, stream
+from pencillab._num import (canonical_json, gauss_newton, sobol_unit_sphere,
+                            stream)
 from pencillab.errors import Unstable
 from pencillab.germ import parse_germ
-from pencillab.topology import (brieskorn_exponents, closed_form_mu,
-                                double_fiber_consistency, link_surface_euler,
-                                staircase_mu)
+from pencillab.pencil import sphere_member_system
+from pencillab.topology import (_lagrange_newton, brieskorn_exponents,
+                                closed_form_mu, double_fiber_consistency,
+                                link_surface_euler, staircase_mu)
 
 
 @pytest.mark.parametrize("exps,mu", [
@@ -94,6 +96,25 @@ def test_link_euler_unstable_on_tiny_budget():
     with pytest.raises(Unstable) as exc:
         link_surface_euler(g, 0.0, 0.5, budget=50, seed=0)
     assert exc.value.inventory is not None
+
+
+def test_lagrange_newton_singular_row_fails_alone():
+    g = parse_germ("z1^2 + z2^3", 2)
+    radius, scale_h = 0.5, g.scale(0.5)
+    ell = np.array([0.3, -0.5, 0.6, 0.55])
+    X0, ok0 = gauss_newton(sphere_member_system(g, 0.0, radius),
+                           radius * sobol_unit_sphere(3, (1,), 16, 4),
+                           np.array([radius ** 2, scale_h]))
+    X0 = X0[ok0]
+    alone = _lagrange_newton(g, 0.0, radius, ell, X0, 1e-10, scale_h)
+    # the origin is critical for f, so every entry of its Jacobian vanishes
+    X, L, ok = _lagrange_newton(g, 0.0, radius, ell,
+                                np.insert(X0, 1, 0.0, axis=0), 1e-10, scale_h)
+    rest = np.arange(len(X)) != 1
+    assert not ok[1] and np.any(alone[2])
+    np.testing.assert_array_equal(ok[rest], alone[2])
+    np.testing.assert_allclose(X[rest], alone[0], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(L[rest], alone[1], rtol=0, atol=1e-12)
 
 
 def test_double_fiber_consistency_family():
