@@ -33,10 +33,17 @@ JOBS = {
                  "--polish", "0"],
     "dreg_mixed": ["dreg", "--germ", MIXED, "--budget", "4000", "--polish",
                    "0", "--seed", "3"],
+    "dreg_metric": ["dreg", "--germ", A2A3, "--budget", "4000", "--polish",
+                    "0", "--metric",
+                    "[[2,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,0.5]]"],
     "milnor_diag_e7": ["milnor-diag", "--germ", "z1^3 + z1*z2^3", "--budget",
                        "4000", "--direction", "1,0.5,0.25,-0.3"],
     "milnor_diag_a1": ["milnor-diag", "--germ", "z1^2 + z2^2", "--budget",
                        "4000", "--direction", "1,0,0,0"],
+    # the ray (z1, z2) = t (1, i) / sqrt 2 lies on f = 0: every radial row
+    # is an axis hit
+    "milnor_diag_axis": ["milnor-diag", "--germ", "z1^2 + z2^2", "--budget",
+                         "4000", "--direction", "1,0,0,1"],
     "strong_milnor_linear": ["strong-milnor", "--germ", "z1*zbar2",
                              "--budget", "4000"],
     "strong_milnor_mixed": ["strong-milnor", "--germ", MIXED, "--budget",
