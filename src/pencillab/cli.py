@@ -43,42 +43,56 @@ COMMANDS = ("info", "dreg", "milnor-diag", "strong-milnor", "tube-check",
 FLOW_KINDS = {"monodromy": FlowKind.MONODROMY, "radial": FlowKind.RADIAL,
               "tube": FlowKind.TUBE_EQUIVALENCE}
 
-# every job field as (name, default, flag type, flag help); config files may
-# set any of them, explicit flags win over file values, and the report lists
-# the resolved config in this order
+# every job field as (name, default, flag type, range, flag help); config
+# files may set any of them, explicit flags win over file values, and the
+# report lists the resolved config in this order. A range ("positive",
+# "non-negative" or "finite") is checked on the resolved value when it is set.
 FIELDS = (
-    ("command", None, None, "job command (may also come from --config)"),
-    ("germ", None, None, "expression like 'z1^2+z2^3' (zbar1 = conjugate) "
-                         "or inline germ JSON"),
-    ("n", None, int, "number of complex variables (inferred when omitted)"),
-    ("exponents", None, None, "comma separated power-sum exponents, e.g. "
-                              "2,3,5"),
-    ("radius", 0.5, float, "sphere radius (default 0.5)"),
-    ("eta", None, float, "tube level |f| = eta (default 1e-3 of the germ "
-                         "scale at the radius)"),
-    ("theta", 0.0, None, "pencil angle; accepts 'pi/2' style expressions"),
-    ("budget", 10000, int, "sample or seed budget (default 10000)"),
-    ("polish", 20, int, "local polish runs for dreg (default 20)"),
-    ("count", 50, int, "starts or output points (default 50)"),
-    ("revolutions", 1.0, float, "phase revolutions for monodromy (default 1)"),
-    ("kind", "monodromy", None, "field kind for the flow command"),
-    ("start", None, None, "start point, 2n reals: real parts then imaginary"),
-    ("direction", None, None, "scan direction, 2n reals (milnor-diag)"),
-    ("t0", 0.0, float, "flow start time"),
-    ("t1", None, float, "flow end time (default depends on the kind)"),
-    ("seed", 0, int, "64-bit job seed (default 0)"),
-    ("newton_tol", 1e-10, float, "projection tolerance (default 1e-10)"),
-    ("rtol", 1e-10, float, "integrator relative tolerance (default 1e-10)"),
-    ("atol", 1e-12, float, "integrator absolute tolerance (default 1e-12)"),
-    ("batch", 200, int, "seed batch size for euler (default 200)"),
-    ("stability", 20, int, "quiet batches required by euler (default 20)"),
-    ("redraws", 10, int, "functional redraw limit for euler (default 10)"),
-    ("metric", None, None, "JSON 2n x 2n positive definite matrix for dreg"),
-    ("pole", None, None, "stereographic pole, 2n reals (sample-link)"),
-    ("report", None, None, "report JSON path (stdout when omitted)"),
-    ("out", None, None, "point-cloud or trace base path"),
+    ("command", None, None, None, "job command (may also come from --config)"),
+    ("germ", None, None, None, "expression like 'z1^2+z2^3' (zbar1 = "
+                               "conjugate) or inline germ JSON"),
+    ("n", None, int, None, "number of complex variables (inferred when "
+                           "omitted)"),
+    ("exponents", None, None, None, "comma separated power-sum exponents, "
+                                    "e.g. 2,3,5"),
+    ("radius", 0.5, float, "positive", "sphere radius (default 0.5)"),
+    ("eta", None, float, "positive", "tube level |f| = eta (default 1e-3 of "
+                                     "the germ scale at the radius)"),
+    ("theta", 0.0, None, "finite", "pencil angle; accepts 'pi/2' style "
+                                   "expressions"),
+    ("budget", 10000, int, "positive", "sample or seed budget (default "
+                                       "10000)"),
+    ("polish", 20, int, "non-negative", "local polish runs for dreg "
+                                        "(default 20)"),
+    ("count", 50, int, "positive", "starts or output points (default 50)"),
+    ("revolutions", 1.0, float, "finite", "phase revolutions for monodromy "
+                                          "(default 1)"),
+    ("kind", "monodromy", None, None, "field kind for the flow command"),
+    ("start", None, None, None, "start point, 2n reals: real parts then "
+                                "imaginary"),
+    ("direction", None, None, None, "scan direction, 2n reals (milnor-diag)"),
+    ("t0", 0.0, float, "finite", "flow start time"),
+    ("t1", None, float, "finite", "flow end time (default depends on the "
+                                  "kind)"),
+    ("seed", 0, int, None, "64-bit job seed (default 0)"),
+    ("newton_tol", 1e-10, float, "positive", "projection tolerance (default "
+                                             "1e-10)"),
+    ("rtol", 1e-10, float, "positive", "integrator relative tolerance "
+                                       "(default 1e-10)"),
+    ("atol", 1e-12, float, "positive", "integrator absolute tolerance "
+                                       "(default 1e-12)"),
+    ("batch", 200, int, "positive", "seed batch size for euler (default 200)"),
+    ("stability", 20, int, "positive", "quiet batches required by euler "
+                                       "(default 20)"),
+    ("redraws", 10, int, "positive", "functional redraw limit for euler "
+                                     "(default 10)"),
+    ("metric", None, None, None, "JSON 2n x 2n positive definite matrix for "
+                                 "dreg"),
+    ("pole", None, None, None, "stereographic pole, 2n reals (sample-link)"),
+    ("report", None, None, None, "report JSON path (stdout when omitted)"),
+    ("out", None, None, None, "point-cloud or trace base path"),
 )
-DEFAULTS = {name: default for name, default, _, _ in FIELDS}
+DEFAULTS = {name: default for name, default, *_ in FIELDS}
 
 
 class UsageError(Exception):
@@ -99,10 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="numerical pencil, transversality, flow and link "
                     "topology checks for polynomial map-germs",
         epilog="commands: " + ", ".join(COMMANDS))
-    p.add_argument("command", nargs="?", default=None, help=FIELDS[0][3])
+    p.add_argument("command", nargs="?", default=None, help=FIELDS[0][4])
     p.add_argument("--config", default=None,
                    help="JSON job file; explicit flags override its values")
-    for name, _, kind, text in FIELDS[1:]:
+    for name, _, kind, _, text in FIELDS[1:]:
         choices = sorted(FLOW_KINDS) if name == "kind" else None
         p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
                        default=None, choices=choices, help=text)
@@ -209,7 +223,7 @@ def _normalize(cfg: dict) -> None:
             cfg["metric"] = json.loads(str(cfg["metric"]))
         except json.JSONDecodeError as exc:
             raise UsageError("metric", f"invalid JSON: {exc}")
-    for key, _, kind, _ in FIELDS:
+    for key, _, kind, _, _ in FIELDS:
         if kind is float and cfg[key] is not None:
             cfg[key] = float(cfg[key])
         elif kind is int and cfg[key] is not None:
@@ -235,36 +249,25 @@ def _validate(cfg: dict) -> None:
             raise UsageError("exponents", "all exponents must be at least 2")
     elif cfg["germ"] is None:
         raise UsageError("germ", f"{cmd} needs a germ")
-    if not (math.isfinite(cfg["radius"]) and cfg["radius"] > 0):
-        raise UsageError("radius", "radius must be a positive real")
-    if cfg["budget"] <= 0:
-        raise UsageError("budget", "budget must be a positive integer")
-    if cfg["count"] <= 0:
-        raise UsageError("count", "count must be a positive integer")
-    if cfg["polish"] < 0:
-        raise UsageError("polish", "polish must be non-negative")
-    for key in ("batch", "stability", "redraws"):
-        if cfg[key] <= 0:
-            raise UsageError(key, f"{key} must be a positive integer")
+    for key, _, kind, bound, _ in FIELDS:
+        value = cfg[key]
+        if bound is None or value is None:
+            continue
+        finite = kind is int or math.isfinite(value)
+        if bound == "finite" and not finite:
+            raise UsageError(key, f"{key} must be finite")
+        if bound == "positive" and not (finite and value > 0):
+            noun = "integer" if kind is int else "real"
+            raise UsageError(key, f"{key} must be a positive {noun}")
+        if bound == "non-negative" and not (finite and value >= 0):
+            raise UsageError(key, f"{key} must be non-negative")
     if not 0 <= cfg["seed"] < 2 ** 64:
         raise UsageError("seed", "seed must fit in 64 bits")
-    for key in ("newton_tol", "rtol", "atol"):
-        if not (math.isfinite(cfg[key]) and cfg[key] > 0):
-            raise UsageError(key, f"{key} must be a positive real")
-    if cfg["eta"] is not None:
-        if not (math.isfinite(cfg["eta"]) and cfg["eta"] > 0):
-            raise UsageError("eta", "eta must be a positive real")
-        if cmd == "tube-check" and cfg["eta"] >= cfg["radius"]:
-            raise UsageError("eta", "eta must be below the sphere radius")
+    if (cmd == "tube-check" and cfg["eta"] is not None
+            and cfg["eta"] >= cfg["radius"]):
+        raise UsageError("eta", "eta must be below the sphere radius")
     if cfg["kind"] not in FLOW_KINDS:
         raise UsageError("kind", f"unknown flow kind {cfg['kind']!r}")
-    for key in ("revolutions", "t0"):
-        if not math.isfinite(cfg[key]):
-            raise UsageError(key, f"{key} must be finite")
-    if cfg["t1"] is not None and not math.isfinite(cfg["t1"]):
-        raise UsageError("t1", "t1 must be finite")
-    if not math.isfinite(cfg["theta"]):
-        raise UsageError("theta", "theta must be finite")
 
 
 def resolve_germ(cfg: dict) -> MixedGerm:

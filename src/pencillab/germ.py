@@ -600,10 +600,14 @@ def jacobian_rank_margin(germ: MixedGerm, z) -> float:
 def jacobian_rank_margin_batch(germ: MixedGerm, Z) -> np.ndarray:
     """Vectorized second singular value of the (Re f, Im f) Jacobian."""
     _, ga, gb = real_gradients(germ, Z)
-    gaa = np.sum(ga * ga, axis=-1)
-    gbb = np.sum(gb * gb, axis=-1)
-    gab = np.sum(ga * gb, axis=-1)
-    tr = gaa + gbb
-    disc = np.sqrt(np.maximum((gaa - gbb) ** 2 + 4.0 * gab ** 2, 0.0))
-    lam_min = np.maximum(0.5 * (tr - disc), 0.0)
-    return np.sqrt(lam_min)
+    return gram_margin(ga, gb)
+
+
+def gram_margin(u, v, uu=None) -> np.ndarray:
+    """Second singular value of the two-row matrices [u ; v], batched over
+    leading axes: the square root of the smaller eigenvalue of the 2 x 2
+    Gram matrix. uu, when given, stands in for |u|^2 (1 for unit rows)."""
+    uu = np.sum(u * u, axis=-1) if uu is None else uu
+    vv, uv = np.sum(v * v, axis=-1), np.sum(u * v, axis=-1)
+    disc = np.sqrt(np.maximum((uu - vv) ** 2 + 4.0 * uv ** 2, 0.0))
+    return np.sqrt(np.maximum(0.5 * (uu + vv - disc), 0.0))

@@ -26,9 +26,7 @@ from scipy import optimize
 from ._num import (gauss_newton, map_chunks, norm_rows, sobol_ball,
                    sobol_unit_sphere, to_complex, to_real)
 from .errors import AxisProximity, DegenerateGradient
-from .germ import (MixedGerm, differential_sample, evaluate,
-                   jacobian_rank_margin_batch, real_gradients,
-                   value_and_gradient)
+from .germ import MixedGerm, evaluate, gram_margin, real_gradients
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_NEWTON_TOL = 1e-10
@@ -52,9 +50,7 @@ def defect_from_directions(grad_theta: np.ndarray, normal: np.ndarray
     """
     g = np.asarray(grad_theta, dtype=float)
     nrm = np.asarray(normal, dtype=float)
-    gn = norm_rows(g)
-    nn = norm_rows(nrm)
-    cosang = np.sum(g * nrm, axis=-1) / (gn * nn)
+    cosang = np.sum(g * nrm, axis=-1) / (norm_rows(g) * norm_rows(nrm))
     cosang = np.clip(cosang, -1.0, 1.0)
     return np.sqrt(np.maximum(1.0 - cosang * cosang, 0.0))
 
@@ -64,17 +60,22 @@ def transversality_defect(germ: MixedGerm, x, Q: Optional[np.ndarray] = None,
                           grad_floor: float = 1e-12) -> float:
     """Defect at one ray point; Q is the metric form (identity default).
 
-    Raises AxisProximity off the domain and DegenerateGradient when the
-    phase gradient underflows (a near-critical point, reported distinctly
-    from tangency).
+    Raises AxisProximity off the domain (|f| at or below axis_floor, default
+    1e-12 * germ scale at |x|) and DegenerateGradient when the phase
+    gradient underflows (a near-critical point, reported distinctly from
+    tangency).
     """
-    z = np.asarray(x, dtype=complex)
-    ds = differential_sample(germ, z, axis_floor=axis_floor)
-    xr = ds.point
-    if float(np.linalg.norm(ds.grad_theta)) * float(np.linalg.norm(xr)) < grad_floor:
+    z = np.asarray(x, dtype=complex).reshape(-1)
+    if axis_floor is None:
+        axis_floor = germ.axis_floor(float(np.linalg.norm(z)))
+    defect, axis, degenerate, f, _ = _defects(germ, z, axis_floor, Q,
+                                              grad_floor)
+    if axis:
+        raise AxisProximity(f"|f| = {abs(f):.3e} <= axis floor "
+                            f"{axis_floor:.3e}")
+    if degenerate:
         raise DegenerateGradient("phase gradient vanished at the sample point")
-    normal = xr if Q is None else np.asarray(Q, dtype=float) @ xr
-    return float(defect_from_directions(ds.grad_theta, normal))
+    return float(defect)
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +83,41 @@ def transversality_defect(germ: MixedGerm, x, Q: Optional[np.ndarray] = None,
 # ---------------------------------------------------------------------------
 
 def _phase_fields(germ: MixedGerm, Z: np.ndarray):
-    """(rho, grad_a, grad_b, grad_theta_scaled) where grad_theta_scaled =
-    rho^2 * grad_theta = a*grad_b - b*grad_a (well-defined on the axis too)."""
+    """(f, grad_a, rho, grad_theta_scaled) from one germ-kernel call, where
+    grad_theta_scaled = rho^2 * grad_theta = a*grad_b - b*grad_a (well-defined
+    on the axis too)."""
     f, ga, gb = real_gradients(germ, Z)
     a, b = f.real, f.imag
-    rho = np.sqrt(a * a + b * b)
-    gts = a[..., None] * gb - b[..., None] * ga
-    return rho, ga, gb, gts
+    return f, ga, np.sqrt(a * a + b * b), a[..., None] * gb - b[..., None] * ga
+
+
+def _defects(germ: MixedGerm, Z: np.ndarray, floor: float,
+             Q: Optional[np.ndarray] = None, grad_floor: float = 1e-12):
+    """The batch defect kernel: (defect, axis, degenerate, f, grad_a) at the
+    points Z, batched over leading axes.
+
+    The defect is measured between grad_theta = (a*grad_b - b*grad_a)/rho^2
+    and the metric normal Q x. Axis rows (rho <= floor) and degenerate rows
+    (|grad_theta| |x| < grad_floor) read inf. f and grad_a come back for
+    callers that need more of the same derivatives.
+    """
+    f, ga, rho, gts = _phase_fields(germ, Z)
+    X = to_real(Z)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        grad_theta = gts / (f.real ** 2 + f.imag ** 2)[..., None]
+    axis = rho <= floor
+    usable = ~axis & (norm_rows(grad_theta) * norm_rows(X) >= grad_floor)
+    normal = X if Q is None else X @ np.asarray(Q, dtype=float).T
+    defect = np.full(rho.shape, np.inf)
+    defect[usable] = defect_from_directions(grad_theta[usable], normal[usable])
+    return defect, axis, ~axis & ~usable, f, ga
+
+
+def _cover(fn, Z: np.ndarray):
+    """fn over the row chunks of Z, each of its per-row outputs
+    concatenated over the chunks."""
+    parts = map_chunks(fn, Z) or [fn(Z)]
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 @dataclass(frozen=True)
@@ -129,14 +158,13 @@ class TransversalityReport:
         return d
 
 
-def _metric_mapper(Q: Optional[np.ndarray], dim: int, radius: float):
+def _metric_mapper(Q: Optional[np.ndarray], radius: float):
     """Map Euclidean unit directions onto the metric sphere {x^T Q x = r^2}."""
     if Q is None:
         return lambda U: radius * U, None
     Q = np.asarray(Q, dtype=float)
-    L = np.linalg.cholesky(Q)
-    Linv_t = np.linalg.inv(L).T
-    return (lambda U: radius * (U @ Linv_t.T)), Q
+    Linv = np.linalg.inv(np.linalg.cholesky(Q))
+    return (lambda U: radius * (U @ Linv)), Q
 
 
 def d_regularity_search(germ: MixedGerm, radius: float,
@@ -164,68 +192,49 @@ def d_regularity_search(germ: MixedGerm, radius: float,
         pass_threshold = default_pass_threshold(newton_tol)
     if collect_milnor is None:
         collect_milnor = germ.is_holomorphic
-    dim = 2 * germ.n
     f_floor = germ.f_floor(radius)
-    lift, Qm = _metric_mapper(Q, dim, radius)
-    U = sobol_unit_sphere(seed, (0xD4E6, 0), budget, dim)
-    X = lift(U)
-    Z = to_complex(X)
+    lift, Qm = _metric_mapper(Q, radius)
+    Z = to_complex(lift(sobol_unit_sphere(seed, (0xD4E6, 0), budget,
+                                          2 * germ.n)))
 
-    def chunk_stats(Zc: np.ndarray) -> dict:
-        rho, ga, gb, gts = _phase_fields(germ, Zc)
-        Xc = to_real(Zc)
-        r = norm_rows(Xc)
-        gts_norm = norm_rows(gts)
-        usable = (rho > f_floor) & (gts_norm * r > grad_floor * rho * rho)
-        axis_cut = int(np.count_nonzero(rho <= f_floor))
-        degen_cut = int(np.count_nonzero(~usable)) - axis_cut
-        normal = Xc if Qm is None else Xc @ Qm.T
-        defect = np.full(rho.shape, np.inf)
-        defect[usable] = defect_from_directions(gts[usable], normal[usable])
-        st = {
-            "defect": defect, "usable_mask": usable,
-            "axis_cut": axis_cut, "degen_cut": degen_cut,
-        }
-        if collect_milnor:
-            _, colin, _, arg, violated = colinearity_condition(
-                germ, Zc, colinearity_tol, angle_margin)
-            flagged = usable & (colin < colinearity_tol)
-            argl = np.abs(arg)
-            st["milnor_checked"] = int(np.count_nonzero(usable))
-            st["milnor_flagged"] = int(np.count_nonzero(flagged))
-            st["milnor_violations"] = int(np.count_nonzero(usable & violated))
-            st["milnor_max_arg_flagged"] = float(
-                np.max(argl[flagged])) if np.any(flagged) else 0.0
-        return st
+    def cover_rows(Zc: np.ndarray):
+        defect, axis, degenerate, f, ga = _defects(germ, Zc, f_floor, Qm,
+                                                   grad_floor)
+        if not collect_milnor:
+            return defect, axis, degenerate
+        colin, _, arg, violated = _colinearity(f, ga, Zc, colinearity_tol,
+                                               angle_margin)
+        return defect, axis, degenerate, colin, np.abs(arg), violated
 
-    stats = map_chunks(chunk_stats, Z)
-    defects = np.concatenate([s["defect"] for s in stats]) if stats else np.empty(0)
-    usable_mask = (np.concatenate([s["usable_mask"] for s in stats])
-                   if stats else np.empty(0, dtype=bool))
-    axis_excluded = sum(s["axis_cut"] for s in stats)
-    degenerate_excluded = sum(s["degen_cut"] for s in stats)
+    defects, axis, degenerate, *tally = _cover(cover_rows, Z)
+    usable_mask = ~axis & ~degenerate
     usable = int(np.count_nonzero(usable_mask))
-
     milnor = None
     if collect_milnor:
+        colin, argl, violated = tally
+        flagged = usable_mask & (colin < colinearity_tol)
         milnor = {
-            "checked": sum(s["milnor_checked"] for s in stats),
-            "flagged_colinear": sum(s["milnor_flagged"] for s in stats),
-            "violations": sum(s["milnor_violations"] for s in stats),
-            "max_arg_at_colinear": max(
-                (s["milnor_max_arg_flagged"] for s in stats), default=0.0),
+            "checked": usable,
+            "flagged_colinear": int(np.count_nonzero(flagged)),
+            "violations": int(np.count_nonzero(usable_mask & violated)),
+            "max_arg_at_colinear": float(np.max(argl[flagged], initial=0.0)),
             "colinearity_tol": colinearity_tol,
             "angle_margin": angle_margin,
         }
 
+    hist, _ = np.histogram(defects[usable_mask], bins=HIST_BINS,
+                           range=(0.0, 1.0))
+    common = dict(radius=radius, metric="identity" if Q is None else "custom",
+                  samples=budget, usable=usable,
+                  axis_excluded=int(np.count_nonzero(axis)),
+                  degenerate_excluded=int(np.count_nonzero(degenerate)),
+                  pass_threshold=pass_threshold,
+                  histogram=tuple(int(h) for h in hist), seed=seed,
+                  milnor=milnor)
     if usable == 0:
-        return TransversalityReport(
-            radius=radius, metric="identity" if Q is None else "custom",
-            min_defect=float("inf"), witness=(), samples=budget, usable=0,
-            axis_excluded=axis_excluded,
-            degenerate_excluded=degenerate_excluded, polish_runs=0,
-            pass_threshold=pass_threshold, verdict="inconclusive",
-            histogram=(0,) * HIST_BINS, seed=seed, milnor=milnor)
+        return TransversalityReport(min_defect=float("inf"), witness=(),
+                                    polish_runs=0, verdict="inconclusive",
+                                    **common)
 
     order = np.argsort(defects, kind="stable")
     best_idx = int(order[0])
@@ -243,7 +252,7 @@ def d_regularity_search(germ: MixedGerm, radius: float,
         if xp is None:
             return 1.0
         zp = to_complex(xp)
-        rho, ga, gb, gts = _phase_fields(germ, zp[None, :])
+        _, _, rho, gts = _phase_fields(germ, zp[None, :])
         if rho[0] <= f_floor or norm_rows(gts)[0] == 0.0:
             return 1.0
         normal = xp if Qm is None else Qm @ xp
@@ -265,16 +274,10 @@ def d_regularity_search(germ: MixedGerm, radius: float,
                 min_defect = val
                 witness = zp
 
-    hist, _ = np.histogram(defects[usable_mask], bins=HIST_BINS,
-                           range=(0.0, 1.0))
     return TransversalityReport(
-        radius=radius, metric="identity" if Q is None else "custom",
         min_defect=min_defect, witness=tuple(np.atleast_1d(witness)),
-        samples=budget, usable=usable, axis_excluded=axis_excluded,
-        degenerate_excluded=degenerate_excluded, polish_runs=polished,
-        pass_threshold=pass_threshold,
-        verdict=bool(min_defect > pass_threshold),
-        histogram=tuple(int(h) for h in hist), seed=seed, milnor=milnor)
+        polish_runs=polished, verdict=bool(min_defect > pass_threshold),
+        **common)
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +312,26 @@ def colinearity_condition(germ: MixedGerm, Z, colinearity_tol: float = 0.01,
     |arg lambda_prime| >= pi/4 - angle_margin. Colinearity is 1 where the
     gradient or the point vanishes.
     """
-    f, dz, _ = value_and_gradient(germ, Z)
-    grad = np.conj(dz)
+    f, ga, _ = real_gradients(germ, Z)
+    return (f,) + _colinearity(f, ga, Z, colinearity_tol, angle_margin)
+
+
+def _colinearity(f, grad_a, Z, colinearity_tol: float, angle_margin: float):
+    """colinearity_condition from f and the real gradient of Re f, which in
+    complex form is the Hermitian gradient conj(d_z f) of a holomorphic
+    germ."""
+    # named operands: numpy would otherwise reuse a temporary operand of a
+    # large product and swap the factors, which moves the last bits
+    grad, zbar = to_complex(grad_a), np.conj(Z)
     norms = norm_rows(np.abs(grad)) * norm_rows(np.abs(Z))
-    inner = np.sum(grad * np.conj(Z), axis=-1)
-    lam = f * np.conj(np.sum(dz * Z, axis=-1))
+    inner = np.sum(grad * zbar, axis=-1)
+    lam = f * inner
     with np.errstate(invalid="ignore", divide="ignore"):
         colin = np.where(norms > 0, 1.0 - np.abs(inner) / norms, 1.0)
     arg = np.angle(lam)
     violated = (colin < colinearity_tol) & (
         np.abs(arg) >= math.pi / 4.0 - angle_margin)
-    return f, colin, lam, arg, violated
+    return colin, lam, arg, violated
 
 
 def lambda_diagnostic(germ: MixedGerm, x,
@@ -357,22 +369,16 @@ def radial_lambda_scan(germ: MixedGerm, direction, radii: Sequence[float],
     """Diagnostics along t * direction for decreasing t; per-radius axis
     hits are recorded, not raised."""
     d = np.asarray(direction, dtype=complex)
-    d = d / np.linalg.norm(d)
-    out: List[RadialScanEntry] = []
-    for t in radii:
-        z = float(t) * d
-        try:
-            diag = lambda_diagnostic(germ, z, colinearity_tol=colinearity_tol)
-        except AxisProximity:
-            out.append(RadialScanEntry(radius=float(t), colinearity=None,
-                                       arg_lambda_prime=None,
-                                       error=AxisProximity.__name__))
-            continue
-        out.append(RadialScanEntry(radius=float(t),
-                                   colinearity=diag.colinearity,
-                                   arg_lambda_prime=diag.arg_lambda_prime,
-                                   condition_ok=diag.condition_ok))
-    return out
+    t = np.asarray(radii, dtype=float)
+    Z = t[:, None] * (d / np.linalg.norm(d))
+    f, colin, _, arg, violated = colinearity_condition(germ, Z,
+                                                       colinearity_tol)
+    hits = [abs(fk) <= germ.axis_floor(float(np.linalg.norm(z)))
+            for fk, z in zip(f, Z)]
+    return [RadialScanEntry(float(r), None, None, AxisProximity.__name__)
+            if hit else RadialScanEntry(float(r), float(c), float(a),
+                                        condition_ok=not v)
+            for r, hit, c, a, v in zip(t, hits, colin, arg, violated)]
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +394,8 @@ def phase_margin_from_fields(x_unit: np.ndarray, r_grad_theta: np.ndarray
     second singular value at every sphere point means the sphere-restricted
     phase map is a submersion onto the circle.
     """
-    g = np.asarray(r_grad_theta, dtype=float)
-    u = np.asarray(x_unit, dtype=float)
-    c = np.sum(u * g, axis=-1)
-    gg = np.sum(g * g, axis=-1)
-    tr = 1.0 + gg
-    disc = np.sqrt(np.maximum((1.0 - gg) ** 2 + 4.0 * c * c, 0.0))
-    lam_min = np.maximum(0.5 * (tr - disc), 0.0)
-    return np.sqrt(lam_min)
+    return gram_margin(np.asarray(x_unit, dtype=float),
+                       np.asarray(r_grad_theta, dtype=float), uu=1.0)
 
 
 @dataclass(frozen=True)
@@ -456,28 +456,23 @@ def strong_milnor_check(germ: MixedGerm, radius: float, budget: int = 10000,
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    dim = 2 * germ.n
     f_floor = germ.f_floor(radius)
     threshold = default_pass_threshold(newton_tol)
-    U = sobol_unit_sphere(seed, (0x5713, 0), budget, dim)
-    X = radius * U
-    Z = to_complex(X)
+    Z = to_complex(radius * sobol_unit_sphere(seed, (0x5713, 0), budget,
+                                              2 * germ.n))
 
-    def chunk_min(Zc: np.ndarray):
-        rho, _, _, gts = _phase_fields(germ, Zc)
-        usable = rho > f_floor
+    def cover_rows(Zc: np.ndarray):
+        _, _, rho, gts = _phase_fields(germ, Zc)
         Xc = to_real(Zc)
-        r = norm_rows(Xc)
-        margins = np.full(rho.shape, np.inf)
-        if np.any(usable):
-            xu = Xc[usable] / r[usable][..., None]
-            g = gts[usable] * (r[usable] / rho[usable] ** 2)[..., None]
-            margins[usable] = phase_margin_from_fields(xu, g)
-        return margins, usable
+        r = norm_rows(Xc)[..., None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            margins = phase_margin_from_fields(
+                Xc / r, gts * (r / rho[..., None] ** 2))
+        usable = rho > f_floor
+        return np.where(usable, margins, np.inf), usable
 
-    parts = map_chunks(chunk_min, Z)
-    margins = np.concatenate([p[0] for p in parts])
-    usable = int(np.count_nonzero(np.concatenate([p[1] for p in parts])))
+    margins, usable_mask = _cover(cover_rows, Z)
+    usable = int(np.count_nonzero(usable_mask))
     return _scan_report("phase-submersion", radius, budget, seed, usable,
                         usable >= max(1, budget // 10), margins, Z, threshold)
 
@@ -542,26 +537,20 @@ def critical_value_isolation_scan(germ: MixedGerm, radius: float,
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    dim = 2 * germ.n
     if f_floor is None:
         f_floor = germ.f_floor(radius)
-    X = sobol_ball(seed, (0xC517, 0), budget, dim, radius)
-    Z = to_complex(X)
+    Z = to_complex(sobol_ball(seed, (0xC517, 0), budget, 2 * germ.n, radius))
     # dimensional gradient scale: |f| over length at the working radius
     grad_scale = max(germ.scale(radius) / radius, 1e-300)
     threshold = default_pass_threshold(newton_tol) * grad_scale
 
-    def chunk_vals(Zc: np.ndarray):
-        f = evaluate(germ, Zc)
+    def cover_rows(Zc: np.ndarray):
+        f, ga, gb = real_gradients(germ, Zc)
         usable = np.abs(f) > f_floor
-        m = np.full(f.shape, np.inf)
-        if np.any(usable):
-            m[usable] = jacobian_rank_margin_batch(germ, Zc[usable])
-        return m, usable
+        return np.where(usable, gram_margin(ga, gb), np.inf), usable
 
-    parts = map_chunks(chunk_vals, Z)
-    margins = np.concatenate([p[0] for p in parts])
-    usable = int(np.count_nonzero(np.concatenate([p[1] for p in parts])))
+    margins, usable_mask = _cover(cover_rows, Z)
+    usable = int(np.count_nonzero(usable_mask))
     return _scan_report("critical-value-isolation", radius, budget, seed,
                         usable, usable > 0, margins, Z, threshold,
                         {"f_floor": f_floor,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pencillab.cli import build_parser, load_job, main, resolve_germ
+from pencillab.cli import FIELDS, build_parser, load_job, main, resolve_germ
 
 
 def run(capsys, *argv):
@@ -54,6 +54,42 @@ def test_negative_budget_is_usage_error(capsys):
     code, _, err = run(capsys, "dreg", "--germ", "z1", "--budget", "-5")
     assert code == 2
     assert "budget" in err
+
+
+RANGE_ERRORS = {
+    "radius": "radius must be a positive real",
+    "eta": "eta must be a positive real",
+    "theta": "theta must be finite",
+    "budget": "budget must be a positive integer",
+    "polish": "polish must be non-negative",
+    "count": "count must be a positive integer",
+    "revolutions": "revolutions must be finite",
+    "t0": "t0 must be finite",
+    "t1": "t1 must be finite",
+    "newton_tol": "newton_tol must be a positive real",
+    "rtol": "rtol must be a positive real",
+    "atol": "atol must be a positive real",
+    "batch": "batch must be a positive integer",
+    "stability": "stability must be a positive integer",
+    "redraws": "redraws must be a positive integer",
+}
+BAD_VALUES = {"positive": ("0", "-1", "nan"), "non-negative": ("-1",),
+              "finite": ("1e999", "-1e999")}
+
+
+def test_every_ranged_field_has_a_pinned_message():
+    assert {f[0] for f in FIELDS if f[3]} == set(RANGE_ERRORS)
+
+
+@pytest.mark.parametrize("name,bound,value", [
+    (f[0], f[3], v) for f in FIELDS if f[3] for v in BAD_VALUES[f[3]]
+    if f[2] is not int or v != "nan"])
+def test_out_of_range_field_is_usage_error(capsys, name, bound, value):
+    code, out, err = run(capsys, "info", "--germ", "z1",
+                         f"--{name.replace('_', '-')}={value}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: field '{name}': {RANGE_ERRORS[name]}\n"
 
 
 def test_unknown_config_key_is_usage_error(capsys, tmp_path):

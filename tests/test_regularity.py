@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pencillab import germ as germ_module
 from pencillab._num import canonical_json
 from pencillab.errors import DegenerateGradient
 from pencillab.germ import differential_sample, parse_germ
@@ -53,6 +54,40 @@ def test_defect_matches_angle_oracle():
         got = transversality_defect(g, z)
         assert abs(got - want) < 1e-12
         assert abs(defect_from_directions(ds.grad_theta, ds.point) - got) < 1e-14
+
+
+@pytest.mark.xfail(strict=True, reason="sin is taken as sqrt(1 - cos^2), "
+                   "which reads angles below about 1e-8 as 0")
+@pytest.mark.parametrize("angle", [1e-9, 1e-10])
+def test_defect_resolves_angles_at_the_pass_threshold(angle):
+    # the default pass threshold is 1e-9, so a defect of that size must be
+    # told apart from a tangency
+    normal = np.array([1.0, 0.0, 0.0, 0.0])
+    grad = np.array([math.cos(angle), math.sin(angle), 0.0, 0.0])
+    assert defect_from_directions(grad, normal) == pytest.approx(
+        math.sin(angle), rel=1e-6)
+
+
+@pytest.mark.parametrize("scan", ["dreg", "crit-scan"])
+def test_cover_scans_run_the_germ_kernel_once_per_chunk(monkeypatch, scan):
+    # 40000 rows make two 32768-row chunks; each chunk needs f and the
+    # first derivatives from one kernel call
+    monkeypatch.setenv("PENCILLAB_THREADS", "1")
+    calls = []
+    kernel = germ_module._derivatives
+
+    def counted(g, z, orders):
+        calls.append(orders)
+        return kernel(g, z, orders)
+
+    monkeypatch.setattr(germ_module, "_derivatives", counted)
+    if scan == "dreg":
+        d_regularity_search(parse_germ("z1^2 + z2^3", 2), 0.5, budget=40000,
+                            polish_runs=0, collect_milnor=True)
+    else:
+        critical_value_isolation_scan(
+            parse_germ("z1^2*zbar2 + z2^2*zbar1", 2), 0.5, budget=40000)
+    assert calls == [(0, 1), (0, 1)]
 
 
 def test_dreg_search_linear_is_exactly_one():
@@ -111,6 +146,17 @@ def test_radial_lambda_scan_real_directions():
         for e in entries:
             assert e.error is None
             assert abs(e.arg_lambda_prime) < 1e-9
+
+
+def test_radial_scan_matches_the_pointwise_diagnostic():
+    g = parse_germ("z1^3 + z1*z2^3", 2)
+    d = np.array([1.0 + 0.25j, 0.5 - 0.3j])
+    radii = [0.5 * 2.0 ** (-k) for k in range(12)]
+    for e, t in zip(radial_lambda_scan(g, d, radii), radii):
+        ref = lambda_diagnostic(g, t * (d / np.linalg.norm(d)))
+        assert e.error is None
+        assert (e.colinearity, e.arg_lambda_prime, e.condition_ok) == (
+            ref.colinearity, ref.arg_lambda_prime, ref.condition_ok)
 
 
 def test_phase_margin_closed_form_rows():
