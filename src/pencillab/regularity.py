@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
+# not called here: perfbench's tracer wraps regularity.optimize.minimize
+from scipy import optimize  # noqa: F401
 
 from ._num import (gauss_newton, map_chunks, norm_rows, sobol_ball,
                    sobol_unit_sphere, to_complex, to_real)
@@ -46,13 +47,20 @@ def defect_from_directions(grad_theta: np.ndarray, normal: np.ndarray
                            ) -> np.ndarray:
     """sin of the angle between grad_theta and the line through normal.
 
-    Depends only on the two directions; batched over leading axes.
+    Depends only on the two directions; batched over leading axes. Taken as
+    the length of grad_theta's part orthogonal to the normal over the
+    length of grad_theta, which resolves angles down to rounding
+    (sqrt(1 - cos^2) reads every angle below about 1e-8 as 0).
     """
     g = np.asarray(grad_theta, dtype=float)
     nrm = np.asarray(normal, dtype=float)
-    cosang = np.sum(g * nrm, axis=-1) / (norm_rows(g) * norm_rows(nrm))
-    cosang = np.clip(cosang, -1.0, 1.0)
-    return np.sqrt(np.maximum(1.0 - cosang * cosang, 0.0))
+    perp = g - (_dot_rows(g, nrm) / _dot_rows(nrm, nrm))[..., None] * nrm
+    return np.minimum(np.sqrt(_dot_rows(perp, perp) / _dot_rows(g, g)), 1.0)
+
+
+def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products over the last axis."""
+    return np.einsum("...i,...i->...", u, v)
 
 
 def transversality_defect(germ: MixedGerm, x, Q: Optional[np.ndarray] = None,
@@ -107,10 +115,17 @@ def _defects(germ: MixedGerm, Z: np.ndarray, floor: float,
         grad_theta = gts / (f.real ** 2 + f.imag ** 2)[..., None]
     axis = rho <= floor
     usable = ~axis & (norm_rows(grad_theta) * norm_rows(X) >= grad_floor)
-    normal = X if Q is None else X @ np.asarray(Q, dtype=float).T
+    normal = _metric_normal(Q, X)
     defect = np.full(rho.shape, np.inf)
     defect[usable] = defect_from_directions(grad_theta[usable], normal[usable])
     return defect, axis, ~axis & ~usable, f, ga
+
+
+def _metric_normal(Q: Optional[np.ndarray], X: np.ndarray) -> np.ndarray:
+    """Q x row by row (x itself for the identity). Not a BLAS product, whose
+    rounding depends on the number of rows."""
+    return X if Q is None else np.einsum("ij,...j->...i",
+                                         np.asarray(Q, dtype=float), X)
 
 
 def _cover(fn, Z: np.ndarray):
@@ -167,6 +182,106 @@ def _metric_mapper(Q: Optional[np.ndarray], radius: float):
     return (lambda U: radius * (U @ Linv)), Q
 
 
+POLISH_ITER = 60
+POLISH_GTOL = 1e-12
+POLISH_BACKTRACKS = 12
+_EPS = np.finfo(float).eps
+# central-difference step relative to |y|; below the usual eps^(1/3)
+# because the defect can grow like |z_j|^3 away from its minimum (z2 = 0 on
+# z1^2+z2^3+z3^5), where a wider stencil straddles the minimum
+_FD_STEP = 1e-6
+
+
+def _on_sphere(Y: np.ndarray, radius: float, Q: Optional[np.ndarray]
+               ) -> np.ndarray:
+    """r y / sqrt(y^T Q y) row by row: NaN where y^T Q y is 0."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        nq = np.sqrt(np.sum(Y * _metric_normal(Q, Y), axis=-1))
+        return radius * Y / nq[..., None]
+
+
+def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Inverse-Hessian BFGS update per row; rows with s.y <= 0 keep H."""
+    sy = np.sum(s * y, axis=-1)
+    with np.errstate(divide="ignore"):
+        rho = np.where(sy > 0.0, 1.0 / sy, 0.0)
+    Hy = np.sum(H * y[:, None, :], axis=-1)
+    c = rho * rho * np.sum(y * Hy, axis=-1) + rho
+    return (H - rho[:, None, None] * (s[:, :, None] * Hy[:, None, :]
+                                      + Hy[:, :, None] * s[:, None, :])
+            + c[:, None, None] * (s[:, :, None] * s[:, None, :]))
+
+
+def _polish(germ: MixedGerm, Y0: np.ndarray, radius: float,
+            Q: Optional[np.ndarray], f_floor: float,
+            grad_floor: float = 1e-12):
+    """Batched BFGS on the defect from every row of Y0, over the sphere
+    parametrisation y -> r y / sqrt(y^T Q y).
+
+    Each row keeps its own inverse Hessian. Gradients are central
+    differences from one defect-kernel call per iteration; steps come from
+    Armijo backtracking. Points off the domain (axis, degenerate or not
+    finite) read 1, the largest defect. A row stops after POLISH_ITER
+    iterations, when its gradient's max norm falls to POLISH_GTOL, when
+    POLISH_BACKTRACKS halvings find no step that lowers the value by more
+    than rounding, or when its gradient is not finite. No arithmetic mixes
+    rows, so a start gives the same bits alone or inside any batch.
+    Returns (values, points on the sphere).
+    """
+    def objective(Y):
+        Zs = to_complex(_on_sphere(Y, radius, Q))
+        d = _defects(germ, Zs, f_floor, Q, grad_floor)[0]
+        return np.where(np.isfinite(d), d, 1.0)
+
+    def gradient(Y):
+        E = (_FD_STEP * norm_rows(Y))[:, None, None] * np.eye(Y.shape[1])
+        up, down = Y[:, None, :] + E, Y[:, None, :] - E
+        F = objective(np.stack([up, down], axis=1))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return (F[:, 0] - F[:, 1]) / np.diagonal(up - down, 0, 1, 2)
+
+    def running(g):
+        return np.isfinite(g).all(axis=-1) & (np.max(np.abs(g), axis=-1)
+                                              > POLISH_GTOL)
+
+    Y = np.array(Y0, dtype=float)
+    f, g = objective(Y), gradient(Y)
+    # the defect is homogeneous of degree 0 in y, so |y|^2 I scales the
+    # first step with the row
+    H = norm_rows(Y)[:, None, None] ** 2 * np.eye(Y.shape[1])
+    live = running(g)
+    for _ in range(POLISH_ITER):
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        p = -np.sum(H[idx] * g[idx, None, :], axis=-1)
+        slope = 1e-4 * np.sum(g[idx] * p, axis=-1)
+        alpha = np.ones(idx.size)
+        Yn, fn = Y[idx], f[idx]
+        found = np.zeros(idx.size, dtype=bool)
+        todo = np.arange(idx.size)
+        for _ in range(POLISH_BACKTRACKS):
+            trial = Yn[todo] + alpha[todo, None] * p[todo]
+            ft = objective(trial)
+            ok = ft <= fn[todo] + np.minimum(alpha[todo] * slope[todo],
+                                             -4.0 * _EPS * fn[todo])
+            hit = todo[ok]
+            Yn[hit], fn[hit], found[hit] = trial[ok], ft[ok], True
+            todo = todo[~ok]
+            if todo.size == 0:
+                break
+            alpha[todo] *= 0.5
+        live[idx[~found]] = False
+        acc = idx[found]
+        if acc.size == 0:
+            continue
+        gn = gradient(Yn[found])
+        H[acc] = _bfgs_update(H[acc], Yn[found] - Y[acc], gn - g[acc])
+        Y[acc], f[acc], g[acc] = Yn[found], fn[found], gn
+        live[acc] = running(gn)
+    return f, _on_sphere(Y, radius, Q)
+
+
 def d_regularity_search(germ: MixedGerm, radius: float,
                         Q: Optional[np.ndarray] = None,
                         budget: int = 10000, seed: int = 0,
@@ -180,11 +295,15 @@ def d_regularity_search(germ: MixedGerm, radius: float,
     """Certified-minimum search for the defect over one metric sphere.
 
     Quasi-random cover of the sphere, axis tube excluded by the f floor,
-    followed by local polishing from the worst samples. Deterministic in
-    (seed, config). For holomorphic germs the scan also tallies the
-    phase-colinearity condition: a sample violates it when the gradient
-    direction is colinear with the point (colinearity < colinearity_tol)
-    yet |arg| of the diagnostic is at or above pi/4 - angle_margin.
+    followed by local polishing: the polish_runs worst usable samples go
+    through one batched BFGS run (_polish), and a polished point replaces
+    the witness when its defect is below the cover minimum and |f| there is
+    above the f floor. Deterministic in (seed, config), and each start's
+    polish is independent of the others. For holomorphic germs the scan
+    also tallies the phase-colinearity condition: a sample violates it when
+    the gradient direction is colinear with the point (colinearity <
+    colinearity_tol) yet |arg| of the diagnostic is at or above
+    pi/4 - angle_margin.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -242,41 +361,21 @@ def d_regularity_search(germ: MixedGerm, radius: float,
     witness = Z[best_idx]
 
     # local polishing from the worst (smallest-defect) usable samples
-    def on_sphere(y: np.ndarray) -> Optional[np.ndarray]:
-        nq = (math.sqrt(float(y @ (Qm @ y))) if Qm is not None
-              else float(np.linalg.norm(y)))
-        return radius * y / nq if nq > 0.0 and np.isfinite(nq) else None
-
-    def objective(y: np.ndarray) -> float:
-        xp = on_sphere(y)
-        if xp is None:
-            return 1.0
-        zp = to_complex(xp)
-        _, _, rho, gts = _phase_fields(germ, zp[None, :])
-        if rho[0] <= f_floor or norm_rows(gts)[0] == 0.0:
-            return 1.0
-        normal = xp if Qm is None else Qm @ xp
-        return float(defect_from_directions(gts[0], normal))
-
-    polished = 0
-    for idx in order[:max(0, polish_runs)]:
-        if not np.isfinite(defects[idx]):
-            continue
-        y0 = to_real(Z[int(idx)])
-        res = optimize.minimize(objective, y0, method="BFGS",
-                                options={"maxiter": 60, "gtol": 1e-12})
-        polished += 1
-        val = float(res.fun)
-        xp = on_sphere(np.asarray(res.x, dtype=float))
-        if val < min_defect and xp is not None:
-            zp = to_complex(xp)
-            if abs(complex(evaluate(germ, zp))) > f_floor:
-                min_defect = val
-                witness = zp
+    starts = order[:max(0, polish_runs)]
+    starts = starts[np.isfinite(defects[starts])]
+    if starts.size:
+        values, X = _polish(germ, to_real(Z[starts]), radius, Qm, f_floor,
+                            grad_floor)
+        Zp = to_complex(X)
+        better = (values < min_defect) & (np.abs(evaluate(germ, Zp)) > f_floor)
+        if np.any(better):
+            k = int(np.argmin(np.where(better, values, np.inf)))
+            min_defect, witness = float(values[k]), Zp[k]
 
     return TransversalityReport(
         min_defect=min_defect, witness=tuple(np.atleast_1d(witness)),
-        polish_runs=polished, verdict=bool(min_defect > pass_threshold),
+        polish_runs=int(starts.size),
+        verdict=bool(min_defect > pass_threshold),
         **common)
 
 

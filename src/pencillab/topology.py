@@ -129,12 +129,11 @@ def _lagrange_newton(germ: MixedGerm, theta: float, radius: float,
     """
     N = X0.shape[0]
     X = X0.copy()
-    # least-squares init of the multipliers from the stationarity rows
+    # least-squares init of the multipliers from the stationarity rows:
+    # one stacked QR; a rank-deficient row gets NaN and stops
     _, gh, _ = member_gradient(germ, theta, X)
-    L = np.zeros((N, 2))
-    for i in range(N):
-        Amat = np.stack([2.0 * X[i], gh[i]], axis=1)
-        L[i] = np.linalg.lstsq(Amat, ell, rcond=None)[0]
+    Qf, R = np.linalg.qr(np.stack([2.0 * X, gh], axis=-1))
+    L = solve_rows(R, np.einsum("nij,i->nj", Qf, ell))
     ok = np.zeros(N, dtype=bool)
     alive = np.ones(N, dtype=bool)
     r2 = radius * radius

@@ -7,8 +7,9 @@ change that is meant to move the numbers rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and says why. BFGS-polished `dreg` jobs are left out on purpose: their
-finite-difference gradients turn one-ulp changes into visible ones.
+and says why. Polished `dreg` jobs are left out on purpose: the polish
+steps along finite-difference gradients, which turn one-ulp changes into
+visible ones.
 """
 
 import contextlib
