@@ -7,7 +7,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.stats import qmc
@@ -96,6 +96,8 @@ def sobol_ball(seed: int, key: Tuple[int, ...], count: int, dim: int, radius: fl
 # worker pool
 # ---------------------------------------------------------------------------
 
+CHUNK_ROWS = 32768
+
 def worker_count() -> int:
     cap = os.environ.get("PENCILLAB_THREADS", "")
     try:
@@ -108,14 +110,15 @@ def worker_count() -> int:
     return max(1, min(4, hw))
 
 
-def map_chunks(fn: Callable[[np.ndarray], object], rows: np.ndarray,
-               chunk: int = 32768) -> List[object]:
-    """Apply fn to row chunks of a 2d array, in index order.
+def map_chunks(fn: Callable[[np.ndarray], object], rows: np.ndarray
+               ) -> List[object]:
+    """Apply fn to CHUNK_ROWS-row chunks of a 2d array, in index order.
 
     Results come back in chunk order regardless of worker count, so any
     min/concat reduction over them is deterministic.
     """
-    pieces = [rows[i:i + chunk] for i in range(0, len(rows), chunk)]
+    pieces = [rows[i:i + CHUNK_ROWS]
+              for i in range(0, len(rows), CHUNK_ROWS)]
     if not pieces:
         return []
     nw = worker_count()
@@ -148,26 +151,28 @@ def solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         return y
 
 
+GN_ITER = 60
+
+
 def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
                  x0: np.ndarray,
                  scale: np.ndarray,
                  tol: float = 1e-12,
-                 max_iter: int = 60,
                  step_cap: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Project a batch of points onto a constraint set.
 
     system(X) must return (R, J) with R of shape (N, m) and J of shape
     (N, m, d); the minimum-norm update dx = J^T (J J^T)^{-1} R is applied
-    until max_i |R_i| / scale_i < tol. A row whose update is singular or not
-    finite stops where it is. Returns (X, ok) where ok marks rows that
-    converged.
+    until max_i |R_i| / scale_i < tol, for at most GN_ITER iterations. A
+    row whose update is singular or not finite stops where it is. Returns
+    (X, ok) where ok marks rows that converged.
     """
     X = np.array(x0, dtype=float, copy=True)
     N = X.shape[0]
     ok = np.zeros(N, dtype=bool)
     alive = np.ones(N, dtype=bool)
     scale = np.asarray(scale, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(GN_ITER):
         idx = np.flatnonzero(alive & ~ok)
         if idx.size == 0:
             break

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__
 from ._num import canonical_json, sobol_unit_sphere, to_complex, to_real
-from .errors import (NUMERICAL_FAILURES, GermSyntaxError, PencilLabError,
-                     ProjectionFailure)
+from .errors import NUMERICAL_FAILURES, GermSyntaxError, ProjectionFailure
 from .flows import (FlowKind, FlowSpec, equivalence_transport, integrate,
                     monodromy_return)
 from .germ import MixedGerm, evaluate, format_germ, parse_germ
@@ -75,8 +74,9 @@ FIELDS = (
     ("t1", None, float, "finite", "flow end time (default depends on the "
                                   "kind)"),
     ("seed", 0, int, None, "64-bit job seed (default 0)"),
-    ("newton_tol", 1e-10, float, "positive", "projection tolerance (default "
-                                             "1e-10)"),
+    ("newton_tol", 1e-10, float, "positive", "Newton and pass-threshold "
+     "tolerance (default 1e-10; tube-check uses a fixed 1e-12, equivalence "
+     "none)"),
     ("rtol", 1e-10, float, "positive", "integrator relative tolerance "
                                        "(default 1e-10)"),
     ("atol", 1e-12, float, "positive", "integrator absolute tolerance "

@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from ._num import to_complex, to_real
 from .errors import (AxisApproach, AxisProximity, BallExit,
                      CompletenessViolation, DegenerateGradient, GramSingular,
                      PencilLabError, PositivityViolation, StepCollapse)
-from .germ import MixedGerm, differential_sample, evaluate
+from .germ import GRAD_FLOOR, MixedGerm, differential_sample, evaluate
 from .pencil import member_gradient
 
 TWO_PI = 2.0 * math.pi
@@ -68,11 +68,12 @@ class FlowSpec:
     atol: float = 1e-12
     max_step: float = 0.05
     cond_max: float = 1e8
-    project: bool = True
-    grad_floor: float = 1e-12
-    ball_factor: float = 8.0      # BallExit at ball_factor * start radius
-    pos_margin: float = 1e-2      # tube: floor on <v, x> / (|v| |x|)
-    corridor_factor: float = 4.0  # radial: clamp width around conical rate
+    # fixed for every flow, not fields: BallExit at ball_factor * start
+    # radius; tube: floor on <v, x> / (|v| |x|); radial: clamp width around
+    # the conical rate
+    ball_factor: ClassVar[float] = 8.0
+    pos_margin: ClassVar[float] = 1e-2
+    corridor_factor: ClassVar[float] = 4.0
 
     def scaled(self, factor: float) -> "FlowSpec":
         """Same spec with both tolerances multiplied by factor."""
@@ -129,7 +130,7 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x,
     xr = ds.point
     gt = ds.grad_theta
     gl = ds.grad_log_rho
-    if float(np.linalg.norm(gt)) * float(np.linalg.norm(xr)) < spec.grad_floor:
+    if float(np.linalg.norm(gt)) * float(np.linalg.norm(xr)) < GRAD_FLOOR:
         raise DegenerateGradient("phase gradient vanished at the flow point")
 
     fallback = False
@@ -257,10 +258,10 @@ def _project_sphere(x: np.ndarray, r0: float) -> np.ndarray:
     return x * (r0 / float(np.linalg.norm(x)))
 
 
-def _project_member(germ: MixedGerm, theta0: float, x: np.ndarray,
-                    rounds: int = 2) -> np.ndarray:
-    """Newton steps onto {Im(exp(-i*theta0) f) = 0} along its gradient."""
-    for _ in range(rounds):
+def _project_member(germ: MixedGerm, theta0: float, x: np.ndarray
+                    ) -> np.ndarray:
+    """Two Newton steps onto {Im(exp(-i*theta0) f) = 0} along its gradient."""
+    for _ in range(2):
         h, gh, _ = member_gradient(germ, theta0, x[None, :])
         grad = gh[0]
         denom = float(grad @ grad)
@@ -270,21 +271,21 @@ def _project_member(germ: MixedGerm, theta0: float, x: np.ndarray,
     return x
 
 
-def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float],
-              axis_floor: Optional[float] = None) -> FlowTrace:
+def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
+              ) -> FlowTrace:
     """Adaptive transport of x0 across t_span under the kind's field.
 
     Every accepted step is projected back onto the kind's exact invariant
-    set (unless spec.project is off) and the invariant drifts are recorded.
-    Raises StepCollapse, AxisApproach, or BallExit as typed failures.
+    set and the invariant drifts are recorded. The axis floor is the one at
+    the start radius throughout. Raises StepCollapse, AxisApproach, or
+    BallExit as typed failures.
     """
     z0 = np.asarray(x0, dtype=complex)
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = to_real(z0)
     r0 = float(np.linalg.norm(y))
     f0 = complex(evaluate(germ, z0))
-    if axis_floor is None:
-        axis_floor = germ.axis_floor(r0)
+    axis_floor = germ.axis_floor(r0)
     if abs(f0) <= axis_floor:
         raise AxisProximity("flow start lies on the axis")
     rho0 = abs(f0)
@@ -372,12 +373,10 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float],
             continue
         # accept
         t_new = t + h
-        y_new = y5
-        if spec.project:
-            if spec.kind is FlowKind.MONODROMY:
-                y_new = _project_sphere(y_new, r0)
-            else:
-                y_new = _project_member(germ, theta0, y_new)
+        if spec.kind is FlowKind.MONODROMY:
+            y_new = _project_sphere(y5, r0)
+        else:
+            y_new = _project_member(germ, theta0, y5)
         z_new = to_complex(y_new)
         f_new = complex(evaluate(germ, z_new))
         if abs(f_new) <= axis_floor:

@@ -40,6 +40,12 @@ TermKey = Tuple[Exponents, Exponents]
 
 _MAX_EXPONENT = 2 ** 63 - 1
 
+# |f| <= AXIS_FLOOR * scale(|z|) is on the axis V = f^-1(0), the scans skip
+# |f| <= F_FLOOR * scale; |grad theta| |x| < GRAD_FLOOR is degenerate
+AXIS_FLOOR = 1e-12
+F_FLOOR = 1e-6
+GRAD_FLOOR = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # type
@@ -86,10 +92,19 @@ class MixedGerm:
                    default=0.0)
 
     def axis_floor(self, radius: float) -> float:
-        return 1e-12 * self.scale(radius)
+        return AXIS_FLOOR * self.scale(radius)
 
     def f_floor(self, radius: float) -> float:
-        return 1e-6 * self.scale(radius)
+        return F_FLOOR * self.scale(radius)
+
+    def on_axis(self, z, f) -> np.ndarray:
+        """True where |f| <= axis_floor(|z|), row by row over the points z
+        (..., n) and their values f (...)."""
+        z = np.asarray(z)
+        r = np.sqrt(np.sum(z.real ** 2 + z.imag ** 2, axis=-1))
+        scale = np.max([abs(c) * r ** (sum(p) + sum(q))
+                        for c, p, q in self.terms], axis=0, initial=0.0)
+        return np.abs(f) <= AXIS_FLOOR * scale
 
     @cached_property
     def _coef(self) -> np.ndarray:
@@ -565,7 +580,7 @@ class DifferentialSample:
 def differential_sample(germ: MixedGerm, z, axis_floor: Optional[float] = None
                         ) -> DifferentialSample:
     """Assemble the value/gradient bundle at one point; AxisProximity if
-    |f| is at or below the floor (default 1e-12 * germ scale at |z|)."""
+    |f| is at or below axis_floor (germ.on_axis when it is not given)."""
     z = _as_points(z, germ.n)
     if z.ndim != 1:
         raise ValueError("differential_sample takes one point")
@@ -573,10 +588,8 @@ def differential_sample(germ: MixedGerm, z, axis_floor: Optional[float] = None
     a, b = float(f.real), float(f.imag)
     rho2 = a * a + b * b
     rho = float(np.sqrt(rho2))
-    if axis_floor is None:
-        axis_floor = germ.axis_floor(float(np.linalg.norm(z)))
-    if rho <= axis_floor:
-        raise AxisProximity(f"|f| = {rho:.3e} <= axis floor {axis_floor:.3e}")
+    if (germ.on_axis(z, f) if axis_floor is None else rho <= axis_floor):
+        raise AxisProximity(f"|f| = {rho:.3e} at or below the axis floor")
     return DifferentialSample(
         point=to_real(z),
         value=(a, b),

@@ -25,6 +25,9 @@ from .errors import AxisProximity, ProjectionFailure, SearchFailure
 from .germ import MixedGerm, evaluate, real_gradients
 
 TWO_PI = 2.0 * math.pi
+MAX_FAIL_FRACTION = 0.5     # sample_fiber: largest share of failed seeds
+PROBE_S_SCALE = 1e-4        # axis probe: target |f| over the germ scale
+PROBE_NEWTON_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -55,29 +58,23 @@ def side_indicator(germ: MixedGerm, theta: float, x) -> np.ndarray:
     return np.real(np.exp(-1j * float(theta)) * f)
 
 
-def classify(germ: MixedGerm, x, axis_floor: Optional[float] = None
-             ) -> PencilClassification:
-    """Axis point (|f| at or below the floor) or ray point with its angle."""
+def classify(germ: MixedGerm, x) -> PencilClassification:
+    """Axis point (germ.on_axis) or ray point with its angle."""
     z = np.asarray(x, dtype=complex)
     f = complex(evaluate(germ, z))
-    if axis_floor is None:
-        axis_floor = germ.axis_floor(float(np.linalg.norm(z)))
-    rho = abs(f)
-    if rho <= axis_floor:
+    if germ.on_axis(z, f):
         return PencilClassification(kind="axis")
     return PencilClassification(kind="ray",
                                 theta=math.atan2(f.imag, f.real) % TWO_PI,
-                                modulus=rho)
+                                modulus=abs(f))
 
 
-def phase(germ: MixedGerm, x, axis_floor: Optional[float] = None) -> complex:
+def phase(germ: MixedGerm, x) -> complex:
     """Unit complex f(x)/|f(x)|; AxisProximity on axis points."""
     z = np.asarray(x, dtype=complex)
     f = complex(evaluate(germ, z))
-    if axis_floor is None:
-        axis_floor = germ.axis_floor(float(np.linalg.norm(z)))
-    if abs(f) <= axis_floor:
-        raise AxisProximity(f"|f| = {abs(f):.3e} at or below floor {axis_floor:.3e}")
+    if germ.on_axis(z, f):
+        raise AxisProximity(f"|f| = {abs(f):.3e} at or below the axis floor")
     return f / abs(f)
 
 
@@ -91,19 +88,17 @@ def _projectivize(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(flip[..., None], -t, t)
 
 
-def projective_phase(germ: MixedGerm, x, axis_floor: Optional[float] = None
-                     ) -> Tuple[float, float]:
+def projective_phase(germ: MixedGerm, x) -> Tuple[float, float]:
     """Normalized (Re f : Im f); antipodal phases give equal pairs."""
-    ph = phase(germ, x, axis_floor=axis_floor)
+    ph = phase(germ, x)
     t = _projectivize(np.asarray(ph.real), np.asarray(ph.imag))
     return float(t[..., 0]), float(t[..., 1])
 
 
-def spherefication(germ: MixedGerm, x, axis_floor: Optional[float] = None
-                   ) -> complex:
+def spherefication(germ: MixedGerm, x) -> complex:
     """||x|| * f(x)/|f(x)|: phase of f carried to the radius of x."""
     z = np.asarray(x, dtype=complex)
-    return float(np.linalg.norm(z)) * phase(germ, z, axis_floor=axis_floor)
+    return float(np.linalg.norm(z)) * phase(germ, z)
 
 
 def spherefication_batch(germ: MixedGerm, Z) -> np.ndarray:
@@ -168,14 +163,13 @@ def sphere_member_system(germ: MixedGerm, theta: float, radius: float):
 
 
 def sample_fiber(germ: MixedGerm, theta: float, radius: float, count: int,
-                 seed: int, newton_tol: float = 1e-12,
-                 max_fail_fraction: float = 0.5) -> FiberSample:
+                 seed: int, newton_tol: float = 1e-12) -> FiberSample:
     """Sample the positive-side fiber half at the given angle and radius.
 
     Quasi-random sphere seeds are projected onto the two-constraint set by
     Gauss-Newton; non-convergent seeds and wrong-side landings are dropped
     and counted. Raises ProjectionFailure when the non-convergence rate
-    alone exceeds max_fail_fraction.
+    alone exceeds MAX_FAIL_FRACTION.
     """
     theta = float(theta) % TWO_PI
     if count <= 0:
@@ -188,7 +182,7 @@ def sample_fiber(germ: MixedGerm, theta: float, radius: float, count: int,
     X, ok = gauss_newton(sphere_member_system(germ, theta, radius), seeds,
                          scale, tol=newton_tol, step_cap=0.5 * radius)
     converged = int(np.count_nonzero(ok))
-    if converged < count * (1.0 - max_fail_fraction):
+    if converged < count * (1.0 - MAX_FAIL_FRACTION):
         raise ProjectionFailure(
             f"{count - converged}/{count} fiber projections failed "
             f"(theta={theta:.6f}, radius={radius})")
@@ -211,17 +205,17 @@ class AxisProbeResult:
 
 
 def axis_accumulation_probe(germ: MixedGerm, v_point, thetas: Sequence[float],
-                            delta: float, s_scale: float = 1e-4,
-                            newton_tol: float = 1e-10) -> List[AxisProbeResult]:
+                            delta: float) -> List[AxisProbeResult]:
     """Nearest positive-side point of each angle's fiber half near an axis
-    point: solves f(x) = s * exp(i*theta) for a small s by Gauss-Newton
-    starting at v_point. Per-angle failures are recorded, not raised.
+    point: solves f(x) = s * exp(i*theta) for s = PROBE_S_SCALE times the
+    germ scale by Gauss-Newton starting at v_point. Per-angle failures are
+    recorded, not raised.
     """
     z0 = np.asarray(v_point, dtype=complex)
     if not classify(germ, z0).is_axis:
         raise ValueError("v_point must lie on the axis {f = 0}")
     r0 = float(np.linalg.norm(z0))
-    s = s_scale * max(germ.scale(r0), 1e-300)
+    s = PROBE_S_SCALE * max(germ.scale(r0), 1e-300)
     x0 = to_real(z0)
     out: List[AxisProbeResult] = []
     for theta in thetas:
@@ -235,7 +229,7 @@ def axis_accumulation_probe(germ: MixedGerm, v_point, thetas: Sequence[float],
             return R, J
 
         X, ok = gauss_newton(system, x0[None, :], np.array([s, s]),
-                             tol=newton_tol, step_cap=max(delta, 1e-6))
+                             tol=PROBE_NEWTON_TOL, step_cap=max(delta, 1e-6))
         if not ok[0]:
             out.append(AxisProbeResult(theta=float(theta), distance=None,
                                        point=None,

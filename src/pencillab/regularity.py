@@ -27,14 +27,19 @@ from scipy import optimize  # noqa: F401
 from ._num import (gauss_newton, map_chunks, norm_rows, sobol_ball,
                    sobol_unit_sphere, to_complex, to_real)
 from .errors import AxisProximity, DegenerateGradient
-from .germ import MixedGerm, evaluate, gram_margin, real_gradients
+from .germ import GRAD_FLOOR, MixedGerm, evaluate, gram_margin, real_gradients
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_NEWTON_TOL = 1e-10
 HIST_BINS = 32
+# phase-colinearity condition (colinearity_condition) and the Gauss-Newton
+# tolerance of the tube-boundary projection
+COLINEARITY_TOL = 0.01
+ANGLE_MARGIN = 0.05
+TUBE_NEWTON_TOL = 1e-12
 
 
-def default_pass_threshold(newton_tol: float = DEFAULT_NEWTON_TOL) -> float:
+def default_pass_threshold(newton_tol: float) -> float:
     """Ten times the Newton tolerance: the floor under 'positive minimum'."""
     return 10.0 * newton_tol
 
@@ -63,24 +68,19 @@ def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", u, v)
 
 
-def transversality_defect(germ: MixedGerm, x, Q: Optional[np.ndarray] = None,
-                          axis_floor: Optional[float] = None,
-                          grad_floor: float = 1e-12) -> float:
+def transversality_defect(germ: MixedGerm, x, Q: Optional[np.ndarray] = None
+                          ) -> float:
     """Defect at one ray point; Q is the metric form (identity default).
 
-    Raises AxisProximity off the domain (|f| at or below axis_floor, default
-    1e-12 * germ scale at |x|) and DegenerateGradient when the phase
-    gradient underflows (a near-critical point, reported distinctly from
-    tangency).
+    Raises AxisProximity off the domain (germ.on_axis) and
+    DegenerateGradient when the phase gradient underflows (a near-critical
+    point, reported distinctly from tangency).
     """
     z = np.asarray(x, dtype=complex).reshape(-1)
-    if axis_floor is None:
-        axis_floor = germ.axis_floor(float(np.linalg.norm(z)))
-    defect, axis, degenerate, f, _ = _defects(germ, z, axis_floor, Q,
-                                              grad_floor)
-    if axis:
-        raise AxisProximity(f"|f| = {abs(f):.3e} <= axis floor "
-                            f"{axis_floor:.3e}")
+    # the axis is decided here, so the kernel only excludes f = 0
+    defect, _, degenerate, f, _ = _defects(germ, z, 0.0, Q)
+    if germ.on_axis(z, f):
+        raise AxisProximity(f"|f| = {abs(f):.3e} at or below the axis floor")
     if degenerate:
         raise DegenerateGradient("phase gradient vanished at the sample point")
     return float(defect)
@@ -100,13 +100,13 @@ def _phase_fields(germ: MixedGerm, Z: np.ndarray):
 
 
 def _defects(germ: MixedGerm, Z: np.ndarray, floor: float,
-             Q: Optional[np.ndarray] = None, grad_floor: float = 1e-12):
+             Q: Optional[np.ndarray] = None):
     """The batch defect kernel: (defect, axis, degenerate, f, grad_a) at the
     points Z, batched over leading axes.
 
     The defect is measured between grad_theta = (a*grad_b - b*grad_a)/rho^2
     and the metric normal Q x. Axis rows (rho <= floor) and degenerate rows
-    (|grad_theta| |x| < grad_floor) read inf. f and grad_a come back for
+    (|grad_theta| |x| < GRAD_FLOOR) read inf. f and grad_a come back for
     callers that need more of the same derivatives.
     """
     f, ga, rho, gts = _phase_fields(germ, Z)
@@ -114,7 +114,7 @@ def _defects(germ: MixedGerm, Z: np.ndarray, floor: float,
     with np.errstate(invalid="ignore", divide="ignore"):
         grad_theta = gts / (f.real ** 2 + f.imag ** 2)[..., None]
     axis = rho <= floor
-    usable = ~axis & (norm_rows(grad_theta) * norm_rows(X) >= grad_floor)
+    usable = ~axis & (norm_rows(grad_theta) * norm_rows(X) >= GRAD_FLOOR)
     normal = _metric_normal(Q, X)
     defect = np.full(rho.shape, np.inf)
     defect[usable] = defect_from_directions(grad_theta[usable], normal[usable])
@@ -213,8 +213,7 @@ def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _polish(germ: MixedGerm, Y0: np.ndarray, radius: float,
-            Q: Optional[np.ndarray], f_floor: float,
-            grad_floor: float = 1e-12):
+            Q: Optional[np.ndarray], f_floor: float):
     """Batched BFGS on the defect from every row of Y0, over the sphere
     parametrisation y -> r y / sqrt(y^T Q y).
 
@@ -230,7 +229,7 @@ def _polish(germ: MixedGerm, Y0: np.ndarray, radius: float,
     """
     def objective(Y):
         Zs = to_complex(_on_sphere(Y, radius, Q))
-        d = _defects(germ, Zs, f_floor, Q, grad_floor)[0]
+        d = _defects(germ, Zs, f_floor, Q)[0]
         return np.where(np.isfinite(d), d, 1.0)
 
     def gradient(Y):
@@ -287,11 +286,8 @@ def d_regularity_search(germ: MixedGerm, radius: float,
                         budget: int = 10000, seed: int = 0,
                         polish_runs: int = 20,
                         newton_tol: float = DEFAULT_NEWTON_TOL,
-                        pass_threshold: Optional[float] = None,
-                        colinearity_tol: float = 0.01,
-                        angle_margin: float = 0.05,
-                        collect_milnor: Optional[bool] = None,
-                        grad_floor: float = 1e-12) -> TransversalityReport:
+                        collect_milnor: Optional[bool] = None
+                        ) -> TransversalityReport:
     """Certified-minimum search for the defect over one metric sphere.
 
     Quasi-random cover of the sphere, axis tube excluded by the f floor,
@@ -302,13 +298,12 @@ def d_regularity_search(germ: MixedGerm, radius: float,
     polish is independent of the others. For holomorphic germs the scan
     also tallies the phase-colinearity condition: a sample violates it when
     the gradient direction is colinear with the point (colinearity <
-    colinearity_tol) yet |arg| of the diagnostic is at or above
-    pi/4 - angle_margin.
+    COLINEARITY_TOL) yet |arg| of the diagnostic is at or above
+    pi/4 - ANGLE_MARGIN.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if pass_threshold is None:
-        pass_threshold = default_pass_threshold(newton_tol)
+    pass_threshold = default_pass_threshold(newton_tol)
     if collect_milnor is None:
         collect_milnor = germ.is_holomorphic
     f_floor = germ.f_floor(radius)
@@ -317,12 +312,10 @@ def d_regularity_search(germ: MixedGerm, radius: float,
                                           2 * germ.n)))
 
     def cover_rows(Zc: np.ndarray):
-        defect, axis, degenerate, f, ga = _defects(germ, Zc, f_floor, Qm,
-                                                   grad_floor)
+        defect, axis, degenerate, f, ga = _defects(germ, Zc, f_floor, Qm)
         if not collect_milnor:
             return defect, axis, degenerate
-        colin, _, arg, violated = _colinearity(f, ga, Zc, colinearity_tol,
-                                               angle_margin)
+        colin, _, arg, violated = _colinearity(f, ga, Zc)
         return defect, axis, degenerate, colin, np.abs(arg), violated
 
     defects, axis, degenerate, *tally = _cover(cover_rows, Z)
@@ -331,14 +324,14 @@ def d_regularity_search(germ: MixedGerm, radius: float,
     milnor = None
     if collect_milnor:
         colin, argl, violated = tally
-        flagged = usable_mask & (colin < colinearity_tol)
+        flagged = usable_mask & (colin < COLINEARITY_TOL)
         milnor = {
             "checked": usable,
             "flagged_colinear": int(np.count_nonzero(flagged)),
             "violations": int(np.count_nonzero(usable_mask & violated)),
             "max_arg_at_colinear": float(np.max(argl[flagged], initial=0.0)),
-            "colinearity_tol": colinearity_tol,
-            "angle_margin": angle_margin,
+            "colinearity_tol": COLINEARITY_TOL,
+            "angle_margin": ANGLE_MARGIN,
         }
 
     hist, _ = np.histogram(defects[usable_mask], bins=HIST_BINS,
@@ -364,8 +357,7 @@ def d_regularity_search(germ: MixedGerm, radius: float,
     starts = order[:max(0, polish_runs)]
     starts = starts[np.isfinite(defects[starts])]
     if starts.size:
-        values, X = _polish(germ, to_real(Z[starts]), radius, Qm, f_floor,
-                            grad_floor)
+        values, X = _polish(germ, to_real(Z[starts]), radius, Qm, f_floor)
         Zp = to_complex(X)
         better = (values < min_defect) & (np.abs(evaluate(germ, Zp)) > f_floor)
         if np.any(better):
@@ -398,24 +390,21 @@ class LambdaDiagnostic:
     lambda_prime: complex
     arg_lambda_prime: float
     condition_ok: bool
-    colinearity_tol: float
-    angle_margin: float
 
 
-def colinearity_condition(germ: MixedGerm, Z, colinearity_tol: float = 0.01,
-                          angle_margin: float = 0.05):
+def colinearity_condition(germ: MixedGerm, Z):
     """Batched phase-colinearity test at points Z of a holomorphic germ.
 
     Returns (f, colinearity, lambda_prime, arg lambda_prime, violated); a row
-    violates the condition when colinearity < colinearity_tol and
-    |arg lambda_prime| >= pi/4 - angle_margin. Colinearity is 1 where the
+    violates the condition when colinearity < COLINEARITY_TOL and
+    |arg lambda_prime| >= pi/4 - ANGLE_MARGIN. Colinearity is 1 where the
     gradient or the point vanishes.
     """
     f, ga, _ = real_gradients(germ, Z)
-    return (f,) + _colinearity(f, ga, Z, colinearity_tol, angle_margin)
+    return (f,) + _colinearity(f, ga, Z)
 
 
-def _colinearity(f, grad_a, Z, colinearity_tol: float, angle_margin: float):
+def _colinearity(f, grad_a, Z):
     """colinearity_condition from f and the real gradient of Re f, which in
     complex form is the Hermitian gradient conj(d_z f) of a holomorphic
     germ."""
@@ -428,29 +417,21 @@ def _colinearity(f, grad_a, Z, colinearity_tol: float, angle_margin: float):
     with np.errstate(invalid="ignore", divide="ignore"):
         colin = np.where(norms > 0, 1.0 - np.abs(inner) / norms, 1.0)
     arg = np.angle(lam)
-    violated = (colin < colinearity_tol) & (
-        np.abs(arg) >= math.pi / 4.0 - angle_margin)
+    violated = (colin < COLINEARITY_TOL) & (
+        np.abs(arg) >= math.pi / 4.0 - ANGLE_MARGIN)
     return colin, lam, arg, violated
 
 
-def lambda_diagnostic(germ: MixedGerm, x,
-                      colinearity_tol: float = 0.01,
-                      angle_margin: float = 0.05,
-                      axis_floor: Optional[float] = None) -> LambdaDiagnostic:
+def lambda_diagnostic(germ: MixedGerm, x) -> LambdaDiagnostic:
     """Diagnostic at one ray point of a holomorphic germ."""
     z = np.asarray(x, dtype=complex)
-    if axis_floor is None:
-        axis_floor = germ.axis_floor(float(np.linalg.norm(z)))
-    f, colin, lam, arg, violated = colinearity_condition(
-        germ, z[None, :], colinearity_tol, angle_margin)
-    if abs(complex(f[0])) <= axis_floor:
+    f, colin, lam, arg, violated = colinearity_condition(germ, z[None, :])
+    if germ.on_axis(z, f[0]):
         raise AxisProximity("diagnostic undefined on the axis")
     return LambdaDiagnostic(colinearity=float(colin[0]),
                             lambda_prime=complex(lam[0]),
                             arg_lambda_prime=float(arg[0]),
-                            condition_ok=not violated[0],
-                            colinearity_tol=colinearity_tol,
-                            angle_margin=angle_margin)
+                            condition_ok=not violated[0])
 
 
 @dataclass(frozen=True)
@@ -462,18 +443,15 @@ class RadialScanEntry:
     condition_ok: Optional[bool] = None   # None on axis hits
 
 
-def radial_lambda_scan(germ: MixedGerm, direction, radii: Sequence[float],
-                       colinearity_tol: float = 0.01
+def radial_lambda_scan(germ: MixedGerm, direction, radii: Sequence[float]
                        ) -> List[RadialScanEntry]:
     """Diagnostics along t * direction for decreasing t; per-radius axis
     hits are recorded, not raised."""
     d = np.asarray(direction, dtype=complex)
     t = np.asarray(radii, dtype=float)
     Z = t[:, None] * (d / np.linalg.norm(d))
-    f, colin, _, arg, violated = colinearity_condition(germ, Z,
-                                                       colinearity_tol)
-    hits = [abs(fk) <= germ.axis_floor(float(np.linalg.norm(z)))
-            for fk, z in zip(f, Z)]
+    f, colin, _, arg, violated = colinearity_condition(germ, Z)
+    hits = germ.on_axis(Z, f)
     return [RadialScanEntry(float(r), None, None, AxisProximity.__name__)
             if hit else RadialScanEntry(float(r), float(c), float(a),
                                         condition_ok=not v)
@@ -577,8 +555,8 @@ def strong_milnor_check(germ: MixedGerm, radius: float, budget: int = 10000,
 
 
 def tube_sphere_transversality(germ: MixedGerm, radius: float, eta: float,
-                               budget: int = 2000, seed: int = 0,
-                               newton_tol: float = 1e-12) -> ScanReport:
+                               budget: int = 2000, seed: int = 0
+                               ) -> ScanReport:
     """Transversality of the |f| = eta level set to the radius sphere.
 
     Samples the intersection by Newton projection; at each point measures
@@ -604,10 +582,10 @@ def tube_sphere_transversality(germ: MixedGerm, radius: float, eta: float,
         return R, J
 
     scale = np.array([radius * radius, eta2])
-    X, ok = gauss_newton(system, seeds, scale, tol=newton_tol,
+    X, ok = gauss_newton(system, seeds, scale, tol=TUBE_NEWTON_TOL,
                          step_cap=0.5 * radius)
     converged = int(np.count_nonzero(ok))
-    threshold = default_pass_threshold(max(newton_tol, 1e-12))
+    threshold = default_pass_threshold(TUBE_NEWTON_TOL)
     if converged < max(1, budget // 10):
         return _scan_report("tube-boundary", radius, budget, seed, converged,
                             False, None, None, threshold, {"eta": eta})
@@ -626,18 +604,16 @@ def tube_sphere_transversality(germ: MixedGerm, radius: float, eta: float,
 
 def critical_value_isolation_scan(germ: MixedGerm, radius: float,
                                   budget: int = 10000, seed: int = 0,
-                                  f_floor: Optional[float] = None,
                                   newton_tol: float = DEFAULT_NEWTON_TOL
                                   ) -> ScanReport:
     """Minimum Jacobian rank margin over ball samples off the axis tube.
 
-    A positive minimum on {|f| > f_floor} is evidence that 0 is the only
-    critical value in the sampled range.
+    A positive minimum on {|f| > germ.f_floor(radius)} is evidence that 0 is
+    the only critical value in the sampled range.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if f_floor is None:
-        f_floor = germ.f_floor(radius)
+    f_floor = germ.f_floor(radius)
     Z = to_complex(sobol_ball(seed, (0xC517, 0), budget, 2 * germ.n, radius))
     # dimensional gradient scale: |f| over length at the working radius
     grad_scale = max(germ.scale(radius) / radius, 1e-300)

@@ -26,6 +26,8 @@ from .germ import MixedGerm, real_hessians
 from .pencil import member_gradient, sphere_member_system
 
 TWO_PI = 2.0 * math.pi
+LAGRANGE_ITER = 40
+DEGENERACY_TOL = 1e-9   # on |det| of a critical point's projected Hessian
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +121,7 @@ def _member_hessian(germ: MixedGerm, theta: float, X: np.ndarray):
 
 def _lagrange_newton(germ: MixedGerm, theta: float, radius: float,
                      ell: np.ndarray, X0: np.ndarray, newton_tol: float,
-                     scale_h: float, max_iter: int = 40):
+                     scale_h: float):
     """Batched Newton on the stationarity system of ell on the link:
 
         ell - 2*l1*x - l2*grad h = 0,  |x|^2 - r^2 = 0,  h = 0
@@ -137,7 +139,7 @@ def _lagrange_newton(germ: MixedGerm, theta: float, radius: float,
     ok = np.zeros(N, dtype=bool)
     alive = np.ones(N, dtype=bool)
     r2 = radius * radius
-    for _ in range(max_iter):
+    for _ in range(LAGRANGE_ITER):
         idx = np.flatnonzero(alive & ~ok)
         if idx.size == 0:
             break
@@ -191,25 +193,23 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
                        batch: int = 200, stability_batches: int = 20,
                        ell_redraws: int = 10,
                        newton_tol: float = 1e-10,
-                       dedup_tol: Optional[float] = None,
-                       degeneracy_tol: float = 1e-9,
                        ell_seed: Optional[np.ndarray] = None
                        ) -> Tuple[MorseInventory, int]:
     """Signed critical-point enumeration of a random linear functional on
     the link surface; returns the inventory and chi = sum of signs.
 
-    n = 2 only. Raises Unstable when the budget runs out before the
-    stability window closes (the partial inventory rides on the error),
-    and DegenerateAfterRetries when every functional redraw met a
-    degenerate critical point.
+    n = 2 only. A batch is quiet when some of its rows converge and none
+    is new (within 1e-6 * radius of a stored point). Raises Unstable when
+    the budget runs out before the stability window closes (the partial
+    inventory rides on the error), and DegenerateAfterRetries when every
+    functional redraw met a degenerate critical point.
     """
     if germ.n != 2:
         raise ValueError("link Euler counting is implemented for n = 2 only")
     if radius <= 0:
         raise ValueError("radius must be positive")
     theta = float(theta) % TWO_PI
-    if dedup_tol is None:
-        dedup_tol = 1e-6 * radius
+    dedup_tol = 1e-6 * radius
     scale_h = max(germ.scale(radius), 1e-300)
     r2 = radius * radius
 
@@ -244,15 +244,14 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
                 np.array([r2, scale_h]), tol=1e-12, step_cap=0.5 * radius)
             seeds_used += batch
             batches += 1
+            # a stalled batch, with no converged row, is not a quiet one
             if not np.any(okp):
-                stable_run += 1
                 continue
             Xc, Lc, okc = _lagrange_newton(germ, theta, radius, ell, Xp[okp],
                                            newton_tol, scale_h)
             cand = Xc[okc]
             candL = Lc[okc]
             if len(cand) == 0:
-                stable_run += 1
                 continue
             # deterministic insertion order: lexicographic within the batch
             order = np.lexsort(cand.T[::-1])
@@ -277,7 +276,7 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
                 B = _tangent_basis(x / np.linalg.norm(x), gh[0])
                 P2 = B.T @ Hl @ B
                 det = float(np.linalg.det(P2))
-                if abs(det) < degeneracy_tol:
+                if abs(det) < DEGENERACY_TOL:
                     degenerate = True
                     break
                 points.append(x.copy())

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pencillab.errors import (AxisProximity, CompletenessViolation,
+from pencillab.errors import (AxisProximity, BallExit, CompletenessViolation,
                               GramSingular, PositivityViolation)
 from pencillab.flows import (FlowKind, FlowSpec, equivalence_transport,
                              integrate, monodromy_return, synthesize_field)
@@ -138,6 +138,18 @@ def test_integrate_raises_on_axis_start():
     with pytest.raises(AxisProximity):
         integrate(g, FlowSpec(FlowKind.MONODROMY),
                   np.array([0.0 + 0.0j, 0.5 + 0.0j]), (0.0, 1.0))
+
+
+def test_tube_flow_leaves_the_ball_at_the_ball_factor():
+    # f = z1 on C^1: the tube field is v = x, so |x(t)| = 0.5 e^t, and the
+    # working ball has radius ball_factor * 0.5 = 4
+    g = parse_germ("z1", 1)
+    spec = FlowSpec(FlowKind.TUBE_EQUIVALENCE)
+    tr = integrate(g, spec, np.array([0.5 + 0.0j]), (0.0, 2.0))
+    assert tr.termination == "completed"
+    assert abs(tr.norms[-1] - 0.5 * math.exp(2.0)) < 1e-9
+    with pytest.raises(BallExit, match=r"\|x\| = 4\.0"):
+        integrate(g, spec, np.array([0.5 + 0.0j]), (0.0, 3.0))
 
 
 def test_monodromy_return_identity_for_linear():

@@ -8,8 +8,9 @@ import pytest
 from pencillab import germ as germ_module
 from pencillab._num import (canonical_json, sobol_unit_sphere, to_complex,
                             to_real)
-from pencillab.errors import DegenerateGradient
+from pencillab.errors import AxisProximity, DegenerateGradient
 from pencillab.germ import differential_sample, evaluate, parse_germ
+from pencillab.pencil import classify, phase
 from pencillab.regularity import (_polish, critical_value_isolation_scan,
                                   d_regularity_search, defect_from_directions,
                                   lambda_diagnostic, phase_margin_from_fields,
@@ -208,6 +209,34 @@ def test_radial_scan_matches_the_pointwise_diagnostic():
         assert e.error is None
         assert (e.colinearity, e.arg_lambda_prime, e.condition_ok) == (
             ref.colinearity, ref.arg_lambda_prime, ref.condition_ok)
+
+
+@pytest.mark.parametrize("factor", [0.999, 1.001])
+@pytest.mark.parametrize("unit", [1.0, 1j, np.exp(2.0j)],
+                         ids=["real", "imaginary", "complex"])
+def test_every_axis_test_decides_alike(factor, unit):
+    # f = z1 on C^2 has scale(r) = r, so z = (a, 0.5) is an axis point
+    # exactly when |a| <= 1e-12 |z|; that floor is 5e-13 to within 1e-24
+    # relative, so a 0.1% step puts z clearly on one side
+    g = parse_germ("z1", 2)
+    z = np.array([factor * 5e-13 * unit, 0.5 + 0.0j])
+    axis = factor < 1.0
+    assert (abs(z[0]) <= 1e-12 * np.linalg.norm(z)) == axis
+    assert bool(g.on_axis(z, evaluate(g, z))) == axis
+    assert classify(g, z).is_axis == axis
+
+    def raises_axis(fn, *args):
+        try:
+            fn(g, *args)
+        except AxisProximity:
+            return True
+        return False
+
+    for fn in (phase, differential_sample, transversality_defect,
+               lambda_diagnostic):
+        assert raises_axis(fn, z) == axis, fn.__name__
+    [entry] = radial_lambda_scan(g, z, [np.linalg.norm(z)])
+    assert (entry.error == AxisProximity.__name__) == axis
 
 
 def test_phase_margin_closed_form_rows():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pencillab import topology
 from pencillab._num import (canonical_json, gauss_newton, sobol_unit_sphere,
                             stream)
 from pencillab.errors import Unstable
@@ -96,6 +97,30 @@ def test_link_euler_unstable_on_tiny_budget():
     with pytest.raises(Unstable) as exc:
         link_surface_euler(g, 0.0, 0.5, budget=50, seed=0)
     assert exc.value.inventory is not None
+
+
+def _no_row_converges(stage):
+    """A stand-in for one solver stage of link_surface_euler that returns
+    its starting rows with none of them converged."""
+    if stage == "projection":
+        return "gauss_newton", lambda system, x0, *a, **k: (
+            np.array(x0, dtype=float), np.zeros(len(x0), dtype=bool))
+    return "_lagrange_newton", lambda germ, theta, radius, ell, X0, *a: (
+        X0, np.zeros((len(X0), 2)), np.zeros(len(X0), dtype=bool))
+
+
+@pytest.mark.parametrize("stage", ["projection", "lagrange-newton"])
+def test_stalled_batches_do_not_close_the_stability_window(monkeypatch,
+                                                           stage):
+    # a batch in which no row converges has looked at nothing; counted as
+    # quiet, 20 of them would end the run "stable" with chi = 0
+    monkeypatch.setattr(topology, *_no_row_converges(stage))
+    g = parse_germ("z1^2 + z2^3", 2)
+    with pytest.raises(Unstable) as exc:
+        link_surface_euler(g, 0.0, 0.5, budget=6000, seed=0)
+    inv = exc.value.inventory
+    assert inv.termination == "budget-exhausted"
+    assert (inv.batches, inv.stability, len(inv.points)) == (30, 0, 0)
 
 
 def test_lagrange_newton_singular_row_fails_alone():
