@@ -34,13 +34,6 @@ def to_complex(v: np.ndarray) -> np.ndarray:
     return v[..., :n] + 1j * v[..., n:]
 
 
-def rotate_block(v: np.ndarray) -> np.ndarray:
-    """Multiply by i in the stacked layout: [a ; b] -> [-b ; a]."""
-    v = np.asarray(v, dtype=float)
-    n = v.shape[-1] // 2
-    return np.concatenate([-v[..., n:], v[..., :n]], axis=-1)
-
-
 def norm_rows(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.asarray(v) ** 2, axis=-1))
 

@@ -20,7 +20,8 @@ its derivative is nonzero. Each slot is a product formed in a fixed factor
 order that does not depend on which other orders were requested, so f from
 evaluate and f from value_and_gradient agree bit for bit. evaluate,
 value_and_gradient, wirtinger_gradient, wirtinger_hessian, real_gradients,
-real_hessians and the rank margins are thin wrappers around it.
+hessian_blocks, real_hessians and the rank margins are thin wrappers around
+it.
 """
 
 from __future__ import annotations
@@ -527,18 +528,23 @@ def wirtinger_hessian(germ: MixedGerm, z):
     return _derivatives(germ, z, (2,))
 
 
-def real_hessians(germ: MixedGerm, z):
-    """Real 2n x 2n Hessians (H_a, H_b) of a = Re f and b = Im f.
+def hessian_blocks(germ: MixedGerm, z):
+    """Complex n x n blocks (uu, w, vv) of the real Hessian of f.
 
-    Assembled exactly from the second Wirtinger derivatives in the stacked
-    [Re ; Im] coordinate layout.
+    In the stacked [Re ; Im] layout the complex-valued real Hessian is
+    H = [[uu, i*w], [(i*w)^T, vv]], so H_a = Re H and H_b = Im H, exactly,
+    from the second Wirtinger derivatives.
     """
-    A, B, C = _derivatives(germ, z, (2,))
+    A, B, C = wirtinger_hessian(germ, z)
     Bt = np.swapaxes(B, -1, -2)
-    uu = A + B + Bt + C
-    uv = 1j * (A + Bt - B - C)
+    return A + B + Bt + C, A + Bt - B - C, -A + B + Bt - C
+
+
+def real_hessians(germ: MixedGerm, z):
+    """Real 2n x 2n Hessians (H_a, H_b) of a = Re f and b = Im f."""
+    uu, w, vv = hessian_blocks(germ, z)
+    uv = 1j * w
     vu = np.swapaxes(uv, -1, -2)
-    vv = -A + B + Bt - C
     top = np.concatenate([uu, uv], axis=-1)
     bot = np.concatenate([vu, vv], axis=-1)
     H = np.concatenate([top, bot], axis=-2)

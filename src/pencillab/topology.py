@@ -8,6 +8,13 @@ the signs of the projected-Hessian determinants equals the Euler
 characteristic of K. Completeness of the enumeration is stochastic and
 controlled by a stability window: the run stops only after a fixed number
 of consecutive seed batches finds no new critical point.
+
+The window cannot close before as many more batches as it still lacks, so
+those batches are drawn, projected and polished as one stacked chunk, then
+classified one by one in their original order. Both solvers are
+row-independent, so the chunk gives the same points, counters and stop as
+a batch-by-batch loop; only a degenerate critical point, which ends the
+draw, discards the rest of its chunk unseen.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 from ._num import (gauss_newton, sobol_unit_sphere, solve_rows, stream,
                    to_complex)
 from .errors import DegenerateAfterRetries, Unstable
-from .germ import MixedGerm, real_hessians
+from .germ import MixedGerm, hessian_blocks
 from .pencil import member_gradient, sphere_member_system
 
 TWO_PI = 2.0 * math.pi
@@ -114,9 +121,20 @@ class MorseInventory:
 
 
 def _member_hessian(germ: MixedGerm, theta: float, X: np.ndarray):
+    """Real Hessian ct * H_b - st * H_a of h_theta, block by block.
+
+    Each entry is ct * Im - st * Re of its complex block; the off-diagonal
+    blocks are i*w, with Im(i*w) = Re w and Re(i*w) = -Im w exactly.
+    """
     ct, st = math.cos(theta), math.sin(theta)
-    Ha, Hb = real_hessians(germ, to_complex(X))
-    return ct * Hb - st * Ha
+    uu, w, vv = hessian_blocks(germ, to_complex(X))
+    n = germ.n
+    H = np.empty(X.shape[:-1] + (2 * n, 2 * n))
+    H[..., :n, :n] = ct * uu.imag - st * uu.real
+    H[..., :n, n:] = ct * w.real + st * w.imag
+    H[..., n:, :n] = np.swapaxes(H[..., :n, n:], -1, -2)
+    H[..., n:, n:] = ct * vv.imag - st * vv.real
+    return H
 
 
 def _lagrange_newton(germ: MixedGerm, theta: float, radius: float,
@@ -199,10 +217,14 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
     the link surface; returns the inventory and chi = sum of signs.
 
     n = 2 only. A batch is quiet when some of its rows converge and none
-    is new (within 1e-6 * radius of a stored point). Raises Unstable when
-    the budget runs out before the stability window closes (the partial
-    inventory rides on the error), and DegenerateAfterRetries when every
-    functional redraw met a degenerate critical point.
+    is new (within 1e-6 * radius of a stored point). Batches are solved in
+    stacked chunks of the window's remaining length (capped by the
+    budget), which changes neither the stop rule nor seeds_used and
+    batches: both count only the batches classified. A degenerate point
+    discards the rest of its chunk along with the draw. Raises Unstable
+    when the budget runs out before the stability window closes (the
+    partial inventory rides on the error), and DegenerateAfterRetries when
+    every functional redraw met a degenerate critical point.
     """
     if germ.n != 2:
         raise ValueError("link Euler counting is implemented for n = 2 only")
@@ -233,61 +255,77 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
         degenerate = False
 
         max_batches = max(1, budget // batch)
-        for b in range(max_batches):
-            if stable_run >= stability_batches:
-                break
-            U = sobol_unit_sphere(seed, (0x5EED, draw, b), batch, 4)
-            seeds0 = radius * U
+        b = 0
+        while b < max_batches and stable_run < stability_batches:
+            # the window cannot close before k more batches, so they are
+            # drawn, projected and polished together, then classified in
+            # order; the stacked solvers are row-independent
+            k = min(stability_batches - stable_run, max_batches - b)
+            seeds0 = radius * np.concatenate([
+                sobol_unit_sphere(seed, (0x5EED, draw, b + j), batch, 4)
+                for j in range(k)])
+            b += k
             # project onto the link before polishing the full system
             Xp, okp = gauss_newton(
                 sphere_member_system(germ, theta, radius), seeds0,
                 np.array([r2, scale_h]), tol=1e-12, step_cap=0.5 * radius)
-            seeds_used += batch
-            batches += 1
-            # a stalled batch, with no converged row, is not a quiet one
-            if not np.any(okp):
-                continue
             Xc, Lc, okc = _lagrange_newton(germ, theta, radius, ell, Xp[okp],
                                            newton_tol, scale_h)
-            cand = Xc[okc]
-            candL = Lc[okc]
-            if len(cand) == 0:
-                continue
-            # deterministic insertion order: lexicographic within the batch
-            order = np.lexsort(cand.T[::-1])
-            new_in_batch = 0
-            for i in order:
-                x = cand[i]
-                if points:
-                    dists = np.linalg.norm(np.stack(points) - x, axis=-1)
-                    if float(np.min(dists)) <= dedup_tol:
-                        continue
-                h, gh, _ = member_gradient(germ, theta, x[None, :])
-                # verified residual of the full system at the stored point
-                F_top = ell - 2.0 * candL[i, 0] * x - candL[i, 1] * gh[0]
-                res = max(float(np.max(np.abs(F_top))),
-                          abs(float(np.sum(x * x)) - r2) / r2,
-                          abs(float(h[0])) / scale_h)
-                if res >= newton_tol:
+            owner = np.repeat(np.arange(k), batch)[okp]
+            for j in range(k):
+                seeds_used += batch
+                batches += 1
+                mine = okc & (owner == j)
+                # a stalled batch, with no projected or no polished row,
+                # is not a quiet one
+                if not np.any(mine):
                     continue
-                Hl = (-2.0 * candL[i, 0] * np.eye(4)
-                      - candL[i, 1] * _member_hessian(germ, theta,
-                                                      x[None, :])[0])
-                B = _tangent_basis(x / np.linalg.norm(x), gh[0])
-                P2 = B.T @ Hl @ B
-                det = float(np.linalg.det(P2))
-                if abs(det) < DEGENERACY_TOL:
-                    degenerate = True
+                cand = Xc[mine]
+                candL = Lc[mine]
+                # deterministic insertion order: lexicographic within the
+                # batch; candidates near a point stored before the batch
+                # drop out in one distance array
+                order = np.lexsort(cand.T[::-1])
+                if points:
+                    dists = np.linalg.norm(
+                        np.stack(points)[None, :, :] - cand[order, None, :],
+                        axis=-1)
+                    order = order[np.min(dists, axis=-1) > dedup_tol]
+                first_new = len(points)
+                for i in order:
+                    x = cand[i]
+                    if len(points) > first_new:
+                        dists = np.linalg.norm(
+                            np.stack(points[first_new:]) - x, axis=-1)
+                        if float(np.min(dists)) <= dedup_tol:
+                            continue
+                    h, gh, _ = member_gradient(germ, theta, x[None, :])
+                    # verified residual of the full system at the point
+                    F_top = ell - 2.0 * candL[i, 0] * x - candL[i, 1] * gh[0]
+                    res = max(float(np.max(np.abs(F_top))),
+                              abs(float(np.sum(x * x)) - r2) / r2,
+                              abs(float(h[0])) / scale_h)
+                    if res >= newton_tol:
+                        continue
+                    Hl = (-2.0 * candL[i, 0] * np.eye(4)
+                          - candL[i, 1] * _member_hessian(germ, theta,
+                                                          x[None, :])[0])
+                    B = _tangent_basis(x / np.linalg.norm(x), gh[0])
+                    P2 = B.T @ Hl @ B
+                    det = float(np.linalg.det(P2))
+                    if abs(det) < DEGENERACY_TOL:
+                        degenerate = True
+                        break
+                    points.append(x.copy())
+                    values.append(float(ell @ x))
+                    mults.append(candL[i].copy())
+                    signs.append(1 if det > 0 else -1)
+                    resids.append(res)
+                if degenerate:
                     break
-                points.append(x.copy())
-                values.append(float(ell @ x))
-                mults.append(candL[i].copy())
-                signs.append(1 if det > 0 else -1)
-                resids.append(res)
-                new_in_batch += 1
+                stable_run = stable_run + 1 if len(points) == first_new else 0
             if degenerate:
                 break
-            stable_run = stable_run + 1 if new_in_batch == 0 else 0
 
         if degenerate:
             last_error = "degenerate critical point"

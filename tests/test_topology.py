@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pencillab import topology
 from pencillab._num import (canonical_json, gauss_newton, sobol_unit_sphere,
                             stream)
-from pencillab.errors import Unstable
+from pencillab.errors import DegenerateAfterRetries, Unstable
 from pencillab.germ import parse_germ
 from pencillab.pencil import sphere_member_system
 from pencillab.topology import (_lagrange_newton, brieskorn_exponents,
@@ -121,6 +121,66 @@ def test_stalled_batches_do_not_close_the_stability_window(monkeypatch,
     inv = exc.value.inventory
     assert inv.termination == "budget-exhausted"
     assert (inv.batches, inv.stability, len(inv.points)) == (30, 0, 0)
+
+
+@pytest.mark.parametrize("theta", [0.0, np.pi / 2, 1.0])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_stacked_window_solves_match_per_batch_solves(q, theta):
+    # link_surface_euler solves a window's batches in one stacked call of
+    # each solver; that must give the bits of one call per batch
+    g = parse_germ(f"z1^2 + z2^{q}", 2)
+    radius, scale_h = 0.5, g.scale(0.5)
+    system = sphere_member_system(g, theta, radius)
+    scale = np.array([radius ** 2, scale_h])
+    ell = stream(0, 0xE11, 0).normal(size=4)
+    ell /= np.linalg.norm(ell)
+    # the first 20 seed batches of link_surface_euler's first draw
+    seeds = [radius * sobol_unit_sphere(0, (0x5EED, 0, b), 200, 4)
+             for b in range(20)]
+
+    def project(x0):
+        return gauss_newton(system, x0, scale, tol=1e-12,
+                            step_cap=0.5 * radius)
+
+    def polish(X0):
+        return _lagrange_newton(g, theta, radius, ell, X0, 1e-10, scale_h)
+
+    apart = [project(x0) for x0 in seeds]
+    X, ok = project(np.concatenate(seeds))
+    np.testing.assert_array_equal(X, np.concatenate([a[0] for a in apart]))
+    np.testing.assert_array_equal(ok, np.concatenate([a[1] for a in apart]))
+    apart = [polish(Xp[okp]) for Xp, okp in apart]
+    stacked = polish(X[ok])
+    for got, parts in zip(stacked, zip(*apart)):
+        np.testing.assert_array_equal(got, np.concatenate(parts))
+
+
+def test_euler_window_takes_one_solver_call_per_chunk(monkeypatch):
+    calls = {"gauss_newton": 0, "_lagrange_newton": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(topology, name,
+                            counted(name, getattr(topology, name)))
+    g = parse_germ("z1^2 + z2^3", 2)
+    inv, chi = link_surface_euler(g, 0.0, 0.5, seed=0)
+    assert chi == -2
+    assert (inv.batches, inv.seeds_used) == (21, 4200)
+    # the sequential loop made 21 calls of each, one per batch
+    assert max(calls.values()) <= 3
+
+
+def test_degenerate_point_on_every_draw_raises(monkeypatch):
+    # a degenerate point ends its draw in the middle of a stacked chunk
+    monkeypatch.setattr(topology, "DEGENERACY_TOL", np.inf)
+    g = parse_germ("z1^2 + z2^3", 2)
+    with pytest.raises(DegenerateAfterRetries, match="all 2 functional"):
+        link_surface_euler(g, 0.0, 0.5, seed=0, ell_redraws=2)
 
 
 def test_lagrange_newton_singular_row_fails_alone():
