@@ -7,7 +7,7 @@ from .errors import (AxisApproach, AxisProximity, BallExit,
                      CompletenessViolation, DegenerateAfterRetries,
                      DegenerateGradient, GermSyntaxError, GramSingular,
                      PencilLabError, PositivityViolation, ProjectionFailure,
-                     SearchFailure, StepCollapse, Unstable)
+                     StepCollapse, Unstable)
 from .flows import (FlowKind, FlowSpec, MonodromyReturn, TransportRecord,
                     equivalence_transport, integrate, monodromy_return,
                     synthesize_field)
@@ -15,17 +15,13 @@ from .germ import (DifferentialSample, MixedGerm, differential_sample,
                    evaluate, format_germ, jacobian_rank_margin, parse_germ,
                    real_gradients, real_hessians, wirtinger_gradient,
                    wirtinger_hessian)
-from .pencil import (AxisProbeResult, FiberSample,
-                     PencilClassification, axis_accumulation_probe,
-                     blowup_residual, classify, h_theta, phase,
-                     projective_phase, sample_fiber, side_indicator,
-                     spherefication, spherefication_batch,
+from .pencil import (FiberSample, blowup_residual, h_theta, sample_fiber,
+                     side_indicator, spherefication_batch,
                      stereographic_project)
-from .regularity import (LambdaDiagnostic, RadialScanEntry, ScanReport,
-                         TransversalityReport, critical_value_isolation_scan,
-                         d_regularity_search, lambda_diagnostic,
+from .regularity import (RadialScanEntry, ScanReport, TransversalityReport,
+                         critical_value_isolation_scan, d_regularity_search,
                          radial_lambda_scan, strong_milnor_check,
-                         transversality_defect, tube_sphere_transversality)
+                         tube_sphere_transversality)
 from .topology import (DoubleFiberReport, MilnorNumberResult, MorseInventory,
                        closed_form_mu, double_fiber_consistency,
                        link_surface_euler, staircase_mu)
@@ -33,24 +29,21 @@ from .topology import (DoubleFiberReport, MilnorNumberResult, MorseInventory,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisApproach", "AxisProbeResult", "AxisProximity", "BallExit",
-    "CompletenessViolation", "DegenerateAfterRetries",
-    "DegenerateGradient", "DifferentialSample", "DoubleFiberReport",
-    "FiberSample", "FlowKind", "FlowSpec", "GermSyntaxError", "GramSingular",
-    "LambdaDiagnostic", "MilnorNumberResult", "MixedGerm", "MonodromyReturn",
-    "MorseInventory", "PencilClassification", "PencilLabError",
+    "AxisApproach", "AxisProximity", "BallExit", "CompletenessViolation",
+    "DegenerateAfterRetries", "DegenerateGradient", "DifferentialSample",
+    "DoubleFiberReport", "FiberSample", "FlowKind", "FlowSpec",
+    "GermSyntaxError", "GramSingular", "MilnorNumberResult", "MixedGerm",
+    "MonodromyReturn", "MorseInventory", "PencilLabError",
     "PositivityViolation", "ProjectionFailure", "RadialScanEntry",
-    "ScanReport", "SearchFailure", "StepCollapse", "TransportRecord",
-    "TransversalityReport", "Unstable", "axis_accumulation_probe",
-    "blowup_residual", "classify", "closed_form_mu",
+    "ScanReport", "StepCollapse", "TransportRecord", "TransversalityReport",
+    "Unstable", "blowup_residual", "closed_form_mu",
     "critical_value_isolation_scan", "d_regularity_search",
     "differential_sample", "double_fiber_consistency",
     "equivalence_transport", "evaluate", "format_germ", "h_theta",
-    "integrate", "jacobian_rank_margin", "lambda_diagnostic",
-    "link_surface_euler", "monodromy_return", "parse_germ", "phase",
-    "projective_phase", "radial_lambda_scan", "real_gradients",
-    "real_hessians", "sample_fiber", "side_indicator", "spherefication",
-    "spherefication_batch", "staircase_mu", "stereographic_project",
-    "strong_milnor_check", "synthesize_field", "transversality_defect",
-    "tube_sphere_transversality", "wirtinger_gradient", "wirtinger_hessian",
+    "integrate", "jacobian_rank_margin", "link_surface_euler",
+    "monodromy_return", "parse_germ", "radial_lambda_scan", "real_gradients",
+    "real_hessians", "sample_fiber", "side_indicator", "spherefication_batch",
+    "staircase_mu", "stereographic_project", "strong_milnor_check",
+    "synthesize_field", "tube_sphere_transversality", "wirtinger_gradient",
+    "wirtinger_hessian",
 ]

@@ -38,6 +38,14 @@ def norm_rows(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.asarray(v) ** 2, axis=-1))
 
 
+def report_point(z) -> list:
+    """A complex point as reports print it: (Re z1, Im z1, Re z2, Im z2, ...),
+    one (Re, Im) pair per coordinate. Point options (--start, --direction,
+    --pole), euler points and files.pole use the stacked to_real order
+    instead."""
+    return [c for w in np.atleast_1d(z) for c in (w.real, w.imag)]
+
+
 # ---------------------------------------------------------------------------
 # deterministic sampling
 #

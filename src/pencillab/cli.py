@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from ._num import canonical_json, sobol_unit_sphere, to_complex, to_real
+from ._num import (canonical_json, report_point, sobol_unit_sphere,
+                   to_complex, to_real)
 from .errors import NUMERICAL_FAILURES, GermSyntaxError, ProjectionFailure
 from .flows import (FlowKind, FlowSpec, equivalence_transport, integrate,
                     monodromy_return)
@@ -263,9 +264,6 @@ def _validate(cfg: dict) -> None:
             raise UsageError(key, f"{key} must be non-negative")
     if not 0 <= cfg["seed"] < 2 ** 64:
         raise UsageError("seed", "seed must fit in 64 bits")
-    if (cmd == "tube-check" and cfg["eta"] is not None
-            and cfg["eta"] >= cfg["radius"]):
-        raise UsageError("eta", "eta must be below the sphere radius")
     if cfg["kind"] not in FLOW_KINDS:
         raise UsageError("kind", f"unknown flow kind {cfg['kind']!r}")
 
@@ -570,8 +568,7 @@ def _cmd_flow(cfg, germ, warnings):
     trace = integrate(germ, spec, x0, (t0, t1))
     result = {
         "kind": cfg["kind"],
-        "start": [c for z in np.atleast_1d(x0)
-                  for c in (z.real, z.imag)],
+        "start": report_point(x0),
         "t0": t0,
         "t1": t1,
         "eta": eta,
@@ -582,8 +579,7 @@ def _cmd_flow(cfg, germ, warnings):
         "max_cond": trace.max_cond,
         "drift": dict(trace.drift),
         "termination": trace.termination,
-        "endpoint": [c for z in np.atleast_1d(trace.points[-1])
-                     for c in (z.real, z.imag)],
+        "endpoint": report_point(trace.points[-1]),
         "theta_advance": float(trace.theta[-1] - trace.theta[0]),
     }
     if cfg["out"]:
@@ -614,10 +610,8 @@ def _cmd_monodromy(cfg, germ, warnings):
         max_dn = max(max_dn, ret.drift_norm)
         max_df = max(max_df, ret.drift_absf_rel)
         rec = {
-            "start": [c for z in np.atleast_1d(z0)
-                      for c in (z.real, z.imag)],
-            "endpoint": [c for z in ret.endpoint
-                         for c in (z.real, z.imag)],
+            "start": report_point(z0),
+            "endpoint": report_point(ret.endpoint),
             "winding": ret.winding,
             "theta_advance": ret.theta_advance,
             "drift_norm": ret.drift_norm,
@@ -662,8 +656,8 @@ def _cmd_equivalence(cfg, germ, warnings):
         "succeeded": succeeded,
         "max_theta_drift": max(drifts) if drifts else None,
         "records": [
-            {"start": [c for z in r.start for c in (z.real, z.imag)],
-             "end": [c for z in r.end for c in (z.real, z.imag)],
+            {"start": report_point(r.start),
+             "end": report_point(r.end),
              "success": r.success,
              "theta_drift": r.theta_drift,
              "max_norm": r.max_norm,

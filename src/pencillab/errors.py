@@ -55,10 +55,6 @@ class ProjectionFailure(PencilLabError):
     """Too many Newton projections failed to converge."""
 
 
-class SearchFailure(PencilLabError):
-    """A per-angle point search did not converge."""
-
-
 class DegenerateAfterRetries(PencilLabError):
     """Every retry functional produced a degenerate critical point."""
 
@@ -82,7 +78,6 @@ NUMERICAL_FAILURES = (
     BallExit,
     StepCollapse,
     ProjectionFailure,
-    SearchFailure,
     DegenerateAfterRetries,
     Unstable,
 )

@@ -50,7 +50,7 @@ from .errors import (AxisApproach, AxisProximity, BallExit,
                      CompletenessViolation, DegenerateGradient, GramSingular,
                      PencilLabError, PositivityViolation, StepCollapse)
 from .germ import GRAD_FLOOR, MixedGerm, differential_sample, evaluate
-from .pencil import member_gradient
+from .pencil import member_gradient, side_indicator
 
 TWO_PI = 2.0 * math.pi
 
@@ -238,17 +238,16 @@ class FlowTrace:
     drift: Dict[str, float]
     termination: str
 
-    def to_csv(self, path: str, include_initial: bool = False) -> None:
-        """One row per accepted step; the starting state is included only on
-        request, so the row count equals n_accepted by default."""
+    def to_csv(self, path: str) -> None:
+        """One row per accepted step, so the row count equals n_accepted;
+        the starting state is left out."""
         n2 = self.points.shape[1]
         header = ",".join(
             ["t"] + [f"x{j}" for j in range(2 * n2)] + ["norm", "absf", "theta"])
         X = to_real(self.points)
-        first = 0 if include_initial else min(1, len(self.t))
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            for i in range(first, len(self.t)):
+            for i in range(1, len(self.t)):
                 row = ([self.t[i]] + list(X[i]) +
                        [self.norms[i], self.abs_f[i], self.theta[i]])
                 fh.write(",".join(format(v, ".17g") for v in row) + "\n")
@@ -456,9 +455,7 @@ def monodromy_return(germ: MixedGerm, x0, revolutions: float = 1.0,
     winding = int(round(advance / TWO_PI))
     half_flip: Optional[bool] = None
     if abs((revolutions % 1.0) - 0.5) < 1e-12:
-        f_end = complex(evaluate(germ, end))
-        side = (f_end * np.exp(-1j * theta0)).real
-        half_flip = bool(side < 0.0)
+        half_flip = bool(side_indicator(germ, theta0, end) < 0.0)
     return MonodromyReturn(endpoint=tuple(end), winding=winding,
                            theta_advance=advance,
                            drift_norm=trace.drift["norm"],

@@ -4,9 +4,9 @@ For a germ f and an angle theta, the member function h_theta(x) =
 Im(exp(-i*theta) * f(x)) vanishes exactly where f(x) lies on the real line
 at angle theta. Its zero set splits into the positive half (f on the open
 ray at theta), the negative half (ray at theta + pi), and the common axis
-V = {f = 0}. This module classifies points against that family, evaluates
-the phase maps and the radius-preserving phase rescaling, measures the
-incidence residual of the angular blow-up, and samples fibers and links.
+V = {f = 0}. This module evaluates the member function, the side indicator
+and the radius-preserving phase rescaling, measures the incidence residual
+of the angular blow-up, and samples fibers and links.
 
 Sign convention: h_0 = Im f and h_{pi/2} = -Re f; only zero sets and the
 sign of the side indicator Re(exp(-i*theta) f) carry meaning.
@@ -16,39 +16,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from ._num import gauss_newton, sobol_unit_sphere, to_complex, to_real
-from .errors import AxisProximity, ProjectionFailure, SearchFailure
+from .errors import ProjectionFailure
 from .germ import MixedGerm, evaluate, real_gradients
 
 TWO_PI = 2.0 * math.pi
 MAX_FAIL_FRACTION = 0.5     # sample_fiber: largest share of failed seeds
-PROBE_S_SCALE = 1e-4        # axis probe: target |f| over the germ scale
-PROBE_NEWTON_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# membership and classification
+# member function, side and spherefication
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PencilClassification:
-    kind: str                     # "axis" | "ray"
-    theta: Optional[float] = None  # in [0, 2*pi), rays only
-    modulus: Optional[float] = None
-
-    @property
-    def is_axis(self) -> bool:
-        return self.kind == "axis"
+def _member(theta: float, re, im):
+    """cos(theta) im - sin(theta) re: Im(exp(-i*theta) * f) for re = Re f
+    and im = Im f, and its gradient for their gradients."""
+    return math.cos(theta) * im - math.sin(theta) * re
 
 
 def h_theta(germ: MixedGerm, theta: float, x) -> np.ndarray:
     """Member function Im(exp(-i*theta) * f(x)); batched over points."""
     f = evaluate(germ, x)
-    return np.imag(np.exp(-1j * float(theta)) * f)
+    return _member(float(theta), f.real, f.imag)
 
 
 def side_indicator(germ: MixedGerm, theta: float, x) -> np.ndarray:
@@ -56,49 +49,6 @@ def side_indicator(germ: MixedGerm, theta: float, x) -> np.ndarray:
     the theta + pi half of the member's zero set."""
     f = evaluate(germ, x)
     return np.real(np.exp(-1j * float(theta)) * f)
-
-
-def classify(germ: MixedGerm, x) -> PencilClassification:
-    """Axis point (germ.on_axis) or ray point with its angle."""
-    z = np.asarray(x, dtype=complex)
-    f = complex(evaluate(germ, z))
-    if germ.on_axis(z, f):
-        return PencilClassification(kind="axis")
-    return PencilClassification(kind="ray",
-                                theta=math.atan2(f.imag, f.real) % TWO_PI,
-                                modulus=abs(f))
-
-
-def phase(germ: MixedGerm, x) -> complex:
-    """Unit complex f(x)/|f(x)|; AxisProximity on axis points."""
-    z = np.asarray(x, dtype=complex)
-    f = complex(evaluate(germ, z))
-    if germ.on_axis(z, f):
-        raise AxisProximity(f"|f| = {abs(f):.3e} at or below the axis floor")
-    return f / abs(f)
-
-
-def _projectivize(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Normalize pairs (a, b) to the unit circle with the first nonzero
-    coordinate positive; vectorized, shape (..., 2)."""
-    t = np.stack([a, b], axis=-1)
-    nrm = np.sqrt(np.sum(t * t, axis=-1, keepdims=True))
-    t = t / nrm
-    flip = (t[..., 0] < 0.0) | ((t[..., 0] == 0.0) & (t[..., 1] < 0.0))
-    return np.where(flip[..., None], -t, t)
-
-
-def projective_phase(germ: MixedGerm, x) -> Tuple[float, float]:
-    """Normalized (Re f : Im f); antipodal phases give equal pairs."""
-    ph = phase(germ, x)
-    t = _projectivize(np.asarray(ph.real), np.asarray(ph.imag))
-    return float(t[..., 0]), float(t[..., 1])
-
-
-def spherefication(germ: MixedGerm, x) -> complex:
-    """||x|| * f(x)/|f(x)|: phase of f carried to the radius of x."""
-    z = np.asarray(x, dtype=complex)
-    return float(np.linalg.norm(z)) * phase(germ, z)
 
 
 def spherefication_batch(germ: MixedGerm, Z) -> np.ndarray:
@@ -145,9 +95,8 @@ def member_gradient(germ: MixedGerm, theta: float, X: np.ndarray):
     h_theta = cos(theta) Im f - sin(theta) Re f, so its gradient is the same
     combination of the real gradients of Im f and Re f.
     """
-    ct, st = math.cos(theta), math.sin(theta)
     f, ga, gb = real_gradients(germ, to_complex(X))
-    return f.imag * ct - f.real * st, ct * gb - st * ga, f
+    return _member(theta, f.real, f.imag), _member(theta, ga, gb), f
 
 
 def sphere_member_system(germ: MixedGerm, theta: float, radius: float):
@@ -194,52 +143,6 @@ def sample_fiber(germ: MixedGerm, theta: float, radius: float, count: int,
     return FiberSample(points=pts, theta=theta, radius=radius,
                        attempted=count, converged=converged,
                        wrong_side=int(np.count_nonzero(~keep)))
-
-
-@dataclass(frozen=True)
-class AxisProbeResult:
-    theta: float
-    distance: Optional[float]
-    point: Optional[Tuple[complex, ...]]
-    error: Optional[str]
-
-
-def axis_accumulation_probe(germ: MixedGerm, v_point, thetas: Sequence[float],
-                            delta: float) -> List[AxisProbeResult]:
-    """Nearest positive-side point of each angle's fiber half near an axis
-    point: solves f(x) = s * exp(i*theta) for s = PROBE_S_SCALE times the
-    germ scale by Gauss-Newton starting at v_point. Per-angle failures are
-    recorded, not raised.
-    """
-    z0 = np.asarray(v_point, dtype=complex)
-    if not classify(germ, z0).is_axis:
-        raise ValueError("v_point must lie on the axis {f = 0}")
-    r0 = float(np.linalg.norm(z0))
-    s = PROBE_S_SCALE * max(germ.scale(r0), 1e-300)
-    x0 = to_real(z0)
-    out: List[AxisProbeResult] = []
-    for theta in thetas:
-        tgt = s * np.exp(1j * float(theta))
-
-        def system(X):
-            Z = to_complex(X)
-            f, ga, gb = real_gradients(germ, Z)
-            R = np.stack([f.real - tgt.real, f.imag - tgt.imag], axis=-1)
-            J = np.stack([ga, gb], axis=-2)
-            return R, J
-
-        X, ok = gauss_newton(system, x0[None, :], np.array([s, s]),
-                             tol=PROBE_NEWTON_TOL, step_cap=max(delta, 1e-6))
-        if not ok[0]:
-            out.append(AxisProbeResult(theta=float(theta), distance=None,
-                                       point=None,
-                                       error=SearchFailure.__name__))
-            continue
-        zs = to_complex(X[0])
-        dist = float(np.linalg.norm(zs - z0))
-        out.append(AxisProbeResult(theta=float(theta), distance=dist,
-                                   point=tuple(zs), error=None))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,15 @@ import numpy as np
 # not called here: perfbench's tracer wraps regularity.optimize.minimize
 from scipy import optimize  # noqa: F401
 
-from ._num import (gauss_newton, map_chunks, norm_rows, sobol_ball,
-                   sobol_unit_sphere, to_complex, to_real)
-from .errors import AxisProximity, DegenerateGradient
+from ._num import (gauss_newton, map_chunks, norm_rows, report_point,
+                   sobol_ball, sobol_unit_sphere, to_complex, to_real)
+from .errors import AxisProximity
 from .germ import GRAD_FLOOR, MixedGerm, evaluate, gram_margin, real_gradients
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_NEWTON_TOL = 1e-10
 HIST_BINS = 32
-# phase-colinearity condition (colinearity_condition) and the Gauss-Newton
+# phase-colinearity condition (_colinearity) and the Gauss-Newton
 # tolerance of the tube-boundary projection
 COLINEARITY_TOL = 0.01
 ANGLE_MARGIN = 0.05
@@ -66,24 +66,6 @@ def defect_from_directions(grad_theta: np.ndarray, normal: np.ndarray
 def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise dot products over the last axis."""
     return np.einsum("...i,...i->...", u, v)
-
-
-def transversality_defect(germ: MixedGerm, x, Q: Optional[np.ndarray] = None
-                          ) -> float:
-    """Defect at one ray point; Q is the metric form (identity default).
-
-    Raises AxisProximity off the domain (germ.on_axis) and
-    DegenerateGradient when the phase gradient underflows (a near-critical
-    point, reported distinctly from tangency).
-    """
-    z = np.asarray(x, dtype=complex).reshape(-1)
-    # the axis is decided here, so the kernel only excludes f = 0
-    defect, _, degenerate, f, _ = _defects(germ, z, 0.0, Q)
-    if germ.on_axis(z, f):
-        raise AxisProximity(f"|f| = {abs(f):.3e} at or below the axis floor")
-    if degenerate:
-        raise DegenerateGradient("phase gradient vanished at the sample point")
-    return float(defect)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +141,7 @@ class TransversalityReport:
             "budget": self.samples,
             "seed": self.seed,
             "min_defect": self.min_defect,
-            "witness": [c for z in self.witness for c in (z.real, z.imag)],
+            "witness": report_point(self.witness),
             "usable": self.usable,
             "axis_excluded": self.axis_excluded,
             "degenerate_excluded": self.degenerate_excluded,
@@ -375,39 +357,20 @@ def d_regularity_search(germ: MixedGerm, radius: float,
 # phase-colinearity diagnostic
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LambdaDiagnostic:
-    """Gradient/point colinearity and the argument of the alignment number.
-
-    colinearity is 1 - |<grad f, x>| / (||grad f|| ||x||) under the
-    Hermitian product: 0 means the Hermitian gradient is complex-colinear
-    with the point. lambda_prime = <grad f(x), conj(f(x)) * x>; near the
-    origin of a holomorphic germ, |arg lambda_prime| < pi/4 whenever the
-    colinearity is small.
-    """
-
-    colinearity: float
-    lambda_prime: complex
-    arg_lambda_prime: float
-    condition_ok: bool
-
-
-def colinearity_condition(germ: MixedGerm, Z):
-    """Batched phase-colinearity test at points Z of a holomorphic germ.
-
-    Returns (f, colinearity, lambda_prime, arg lambda_prime, violated); a row
-    violates the condition when colinearity < COLINEARITY_TOL and
-    |arg lambda_prime| >= pi/4 - ANGLE_MARGIN. Colinearity is 1 where the
-    gradient or the point vanishes.
-    """
-    f, ga, _ = real_gradients(germ, Z)
-    return (f,) + _colinearity(f, ga, Z)
-
-
 def _colinearity(f, grad_a, Z):
-    """colinearity_condition from f and the real gradient of Re f, which in
-    complex form is the Hermitian gradient conj(d_z f) of a holomorphic
-    germ."""
+    """Batched phase-colinearity test at points Z of a holomorphic germ,
+    from f and the real gradient of Re f, which in complex form is the
+    Hermitian gradient conj(d_z f).
+
+    Returns (colinearity, lambda_prime, arg lambda_prime, violated).
+    Colinearity is 1 - |<grad f, x>| / (||grad f|| ||x||) under the
+    Hermitian product: 0 means the gradient is complex-colinear with the
+    point, and it is 1 where the gradient or the point vanishes.
+    lambda_prime = <grad f(x), conj(f(x)) * x>; near the origin of a
+    holomorphic germ, |arg lambda_prime| < pi/4 whenever the colinearity is
+    small. A row violates the condition when colinearity < COLINEARITY_TOL
+    and |arg lambda_prime| >= pi/4 - ANGLE_MARGIN.
+    """
     # named operands: numpy would otherwise reuse a temporary operand of a
     # large product and swap the factors, which moves the last bits
     grad, zbar = to_complex(grad_a), np.conj(Z)
@@ -420,18 +383,6 @@ def _colinearity(f, grad_a, Z):
     violated = (colin < COLINEARITY_TOL) & (
         np.abs(arg) >= math.pi / 4.0 - ANGLE_MARGIN)
     return colin, lam, arg, violated
-
-
-def lambda_diagnostic(germ: MixedGerm, x) -> LambdaDiagnostic:
-    """Diagnostic at one ray point of a holomorphic germ."""
-    z = np.asarray(x, dtype=complex)
-    f, colin, lam, arg, violated = colinearity_condition(germ, z[None, :])
-    if germ.on_axis(z, f[0]):
-        raise AxisProximity("diagnostic undefined on the axis")
-    return LambdaDiagnostic(colinearity=float(colin[0]),
-                            lambda_prime=complex(lam[0]),
-                            arg_lambda_prime=float(arg[0]),
-                            condition_ok=not violated[0])
 
 
 @dataclass(frozen=True)
@@ -450,7 +401,8 @@ def radial_lambda_scan(germ: MixedGerm, direction, radii: Sequence[float]
     d = np.asarray(direction, dtype=complex)
     t = np.asarray(radii, dtype=float)
     Z = t[:, None] * (d / np.linalg.norm(d))
-    f, colin, _, arg, violated = colinearity_condition(germ, Z)
+    f, ga, _ = real_gradients(germ, Z)
+    colin, _, arg, violated = _colinearity(f, ga, Z)
     hits = germ.on_axis(Z, f)
     return [RadialScanEntry(float(r), None, None, AxisProximity.__name__)
             if hit else RadialScanEntry(float(r), float(c), float(a),
@@ -498,7 +450,7 @@ class ScanReport:
             "usable": self.usable,
             "excluded": self.excluded,
             "min_value": self.min_value,
-            "witness": [c for z in self.witness for c in (z.real, z.imag)],
+            "witness": report_point(self.witness),
             "threshold": self.threshold,
             "verdict": self.verdict,
         }

@@ -210,9 +210,6 @@ def test_flow_trace_csv_row_contract(tmp_path):
     tr.to_csv(str(p))
     lines = p.read_text().strip().split("\n")
     assert len(lines) == 1 + tr.n_accepted
-    tr.to_csv(str(p), include_initial=True)
-    lines = p.read_text().strip().split("\n")
-    assert len(lines) == 2 + tr.n_accepted
 
 
 def test_flow_spec_scaled():

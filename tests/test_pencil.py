@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from pencillab._num import gauss_newton
-from pencillab.errors import AxisProximity
 from pencillab.germ import evaluate, parse_germ
-from pencillab.pencil import (axis_accumulation_probe, blowup_residual,
-                              classify, h_theta, phase, pointcloud_rows,
-                              projective_phase, sample_fiber, side_indicator,
-                              spherefication, spherefication_batch,
-                              stereographic_project)
+from pencillab.pencil import (blowup_residual, h_theta, pointcloud_rows,
+                              sample_fiber, side_indicator,
+                              spherefication_batch, stereographic_project)
 
 
 def test_h_theta_linear_values():
@@ -35,41 +32,10 @@ def test_side_indicator_positive_on_own_ray():
         assert abs(h_theta(g, th, z)) < 1e-12
 
 
-def test_classify_ray_and_axis():
-    g = parse_germ("z1^2 + z2^3", 2)
-    z = np.array([0.3 + 0.4j, -0.2 + 0.1j])
-    c = classify(g, z)
-    assert c.kind == "ray" and not c.is_axis
-    f = complex(evaluate(g, z))
-    assert abs(c.modulus - abs(f)) < 1e-15
-    assert abs(c.theta - math.atan2(f.imag, f.real) % (2 * math.pi)) < 1e-12
-    a = classify(g, np.array([0.0 + 0.0j, 0.0 + 0.0j]))
-    assert a.kind == "axis" and a.is_axis
-    assert a.theta is None and a.modulus is None
-
-
-def test_phase_raises_on_axis():
-    g = parse_germ("z1", 2)
-    with pytest.raises(AxisProximity):
-        phase(g, np.array([0.0 + 0.0j, 1.0 + 0.0j]))
-
-
-def test_projective_phase_identifies_antipodes():
-    g = parse_germ("z1^2 + z2^3", 2)
-    gneg = parse_germ("-z1^2 - z2^3", 2)
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        p = projective_phase(g, z)
-        q = projective_phase(gneg, z)
-        assert abs(p[0] - q[0]) < 1e-14 and abs(p[1] - q[1]) < 1e-14
-        assert abs(p[0] ** 2 + p[1] ** 2 - 1.0) < 1e-14
-
-
 def test_spherefication_identity_for_linear_one_variable():
     g = parse_germ("z1", 1)
-    z = np.array([0.6 + 0.8j])
-    assert abs(spherefication(g, z) - (0.6 + 0.8j)) < 1e-15
+    z = np.array([[0.6 + 0.8j]])
+    assert abs(spherefication_batch(g, z)[0] - (0.6 + 0.8j)) < 1e-15
 
 
 def test_spherefication_modulus_equals_radius():
@@ -87,7 +53,7 @@ def test_spherefication_batch_matches_pointwise():
     Z = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
     F = spherefication_batch(g, Z)
     for i in range(6):
-        assert abs(F[i] - spherefication(g, Z[i])) < 1e-14
+        assert abs(F[i] - spherefication_batch(g, Z[i:i + 1])[0]) < 1e-14
 
 
 def test_blowup_residual_vanishes_on_incidence():
@@ -150,23 +116,6 @@ def test_gauss_newton_singular_row_fails_alone(targets):
     X, ok = gauss_newton(_tagged_system, x0, np.array([1.0]))
     np.testing.assert_array_equal(ok, np.array(targets) != 0.0)
     np.testing.assert_array_equal(X, np.stack([targets, targets], axis=1))
-
-
-def test_axis_probe_linear_closed_form():
-    # f = z1 at (0, 1): the found point is (s e^{i theta}, 1), distance s
-    g = parse_germ("z1", 2)
-    res = axis_accumulation_probe(g, np.array([0.0 + 0.0j, 1.0 + 0.0j]),
-                                  [0.0, math.pi / 2, math.pi], delta=0.01)
-    for r in res:
-        assert r.error is None
-        assert abs(r.distance - 1e-4) < 1e-9
-
-
-def test_axis_probe_rejects_ray_points():
-    g = parse_germ("z1", 2)
-    with pytest.raises(ValueError):
-        axis_accumulation_probe(g, np.array([0.5 + 0.0j, 0.0 + 0.0j]),
-                                [0.0], delta=0.01)
 
 
 def test_pointcloud_rows_layout():

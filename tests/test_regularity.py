@@ -8,15 +8,27 @@ import pytest
 from pencillab import germ as germ_module
 from pencillab._num import (canonical_json, sobol_unit_sphere, to_complex,
                             to_real)
-from pencillab.errors import AxisProximity, DegenerateGradient
-from pencillab.germ import differential_sample, evaluate, parse_germ
-from pencillab.pencil import classify, phase
-from pencillab.regularity import (_polish, critical_value_isolation_scan,
+from pencillab.errors import AxisProximity
+from pencillab.germ import (differential_sample, evaluate, parse_germ,
+                            real_gradients)
+from pencillab.regularity import (_colinearity, _defects, _polish,
+                                  critical_value_isolation_scan,
                                   d_regularity_search, defect_from_directions,
-                                  lambda_diagnostic, phase_margin_from_fields,
+                                  phase_margin_from_fields,
                                   radial_lambda_scan, strong_milnor_check,
-                                  transversality_defect,
                                   tube_sphere_transversality)
+
+
+def _defect_row(g, z):
+    """(defect, axis, degenerate) of the batch defect kernel on one row."""
+    defect, axis, degenerate, _, _ = _defects(g, np.asarray(z)[None, :], 0.0)
+    return defect[0], axis[0], degenerate[0]
+
+
+def _colinearity_rows(g, Z):
+    """(colinearity, lambda_prime, arg, violated) at the rows of Z."""
+    f, ga, _ = real_gradients(g, Z)
+    return _colinearity(f, ga, Z)
 
 
 def test_defect_is_one_for_linear_germ():
@@ -26,7 +38,7 @@ def test_defect_is_one_for_linear_germ():
     rng = np.random.default_rng(0)
     for _ in range(6):
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert abs(transversality_defect(g, z) - 1.0) < 1e-14
+        assert abs(_defect_row(g, z)[0] - 1.0) < 1e-14
 
 
 def test_defect_zero_for_radially_tangent_stub():
@@ -34,13 +46,17 @@ def test_defect_zero_for_radially_tangent_stub():
     # radial and the member is tangent to the sphere; the defect is zero up
     # to rounding, far below the 1e-9 pass threshold
     g = parse_germ("z1*zbar1 + i*z1^2*zbar1^2", 1)
-    assert transversality_defect(g, np.array([0.5 + 0.1j])) < 1e-15
+    assert _defect_row(g, np.array([0.5 + 0.1j]))[0] < 1e-15
 
 
 def test_defect_degenerate_gradient_stub():
+    # f is real, so the phase gradient vanishes: the row is degenerate, not
+    # tangent, and its defect reads inf
     g = parse_germ("z1*zbar1 + z2*zbar2", 2)
-    with pytest.raises(DegenerateGradient):
-        transversality_defect(g, np.array([0.3 + 0.1j, 0.2 - 0.4j]))
+    defect, axis, degenerate = _defect_row(
+        g, np.array([0.3 + 0.1j, 0.2 - 0.4j]))
+    assert degenerate and not axis
+    assert defect == np.inf
 
 
 def test_defect_matches_angle_oracle():
@@ -54,7 +70,7 @@ def test_defect_matches_angle_oracle():
         nx = ds.point / np.linalg.norm(ds.point)
         cosang = float(np.clip(gt @ nx, -1.0, 1.0))
         want = abs(math.cos(math.acos(cosang) - math.pi / 2))
-        got = transversality_defect(g, z)
+        got = _defect_row(g, z)[0]
         assert abs(got - want) < 1e-12
         assert abs(defect_from_directions(ds.grad_theta, ds.point) - got) < 1e-14
 
@@ -181,13 +197,13 @@ def test_polished_search_under_a_custom_metric():
 def test_lambda_diagnostic_closed_form():
     # f = z1^2: lambda' = f * conj(2 z1 * z1) = 2 |z1|^4, argument 0
     g = parse_germ("z1^2", 1)
-    d = lambda_diagnostic(g, np.array([1.0 + 0.0j]))
-    assert abs(d.lambda_prime - 2.0) < 1e-14
-    assert abs(d.arg_lambda_prime) < 1e-14
-    assert d.colinearity < 1e-14
-    assert d.condition_ok
-    d2 = lambda_diagnostic(g, np.array([0.5 * np.exp(0.7j)]))
-    assert abs(d2.lambda_prime - 2.0 * 0.5 ** 4) < 1e-14
+    Z = np.array([[1.0 + 0.0j], [0.5 * np.exp(0.7j)]])
+    colin, lam, arg, violated = _colinearity_rows(g, Z)
+    assert abs(lam[0] - 2.0) < 1e-14
+    assert abs(arg[0]) < 1e-14
+    assert colin[0] < 1e-14
+    assert not violated[0]
+    assert abs(lam[1] - 2.0 * 0.5 ** 4) < 1e-14
 
 
 def test_radial_lambda_scan_real_directions():
@@ -204,11 +220,13 @@ def test_radial_scan_matches_the_pointwise_diagnostic():
     g = parse_germ("z1^3 + z1*z2^3", 2)
     d = np.array([1.0 + 0.25j, 0.5 - 0.3j])
     radii = [0.5 * 2.0 ** (-k) for k in range(12)]
+    # each scan row equals the kernel run on that point alone
     for e, t in zip(radial_lambda_scan(g, d, radii), radii):
-        ref = lambda_diagnostic(g, t * (d / np.linalg.norm(d)))
+        z = t * (d / np.linalg.norm(d))
+        colin, _, arg, violated = _colinearity_rows(g, z[None, :])
         assert e.error is None
         assert (e.colinearity, e.arg_lambda_prime, e.condition_ok) == (
-            ref.colinearity, ref.arg_lambda_prime, ref.condition_ok)
+            colin[0], arg[0], not violated[0])
 
 
 @pytest.mark.parametrize("factor", [0.999, 1.001])
@@ -223,18 +241,11 @@ def test_every_axis_test_decides_alike(factor, unit):
     axis = factor < 1.0
     assert (abs(z[0]) <= 1e-12 * np.linalg.norm(z)) == axis
     assert bool(g.on_axis(z, evaluate(g, z))) == axis
-    assert classify(g, z).is_axis == axis
-
-    def raises_axis(fn, *args):
-        try:
-            fn(g, *args)
-        except AxisProximity:
-            return True
-        return False
-
-    for fn in (phase, differential_sample, transversality_defect,
-               lambda_diagnostic):
-        assert raises_axis(fn, z) == axis, fn.__name__
+    if axis:
+        with pytest.raises(AxisProximity):
+            differential_sample(g, z)
+    else:
+        differential_sample(g, z)
     [entry] = radial_lambda_scan(g, z, [np.linalg.norm(z)])
     assert (entry.error == AxisProximity.__name__) == axis
 
