@@ -1,5 +1,5 @@
 """Shared numerical plumbing: real/complex layout, deterministic sampling,
-batched Gauss-Newton projection, worker pool sizing, canonical JSON."""
+the batched Newton driver, worker pool sizing, canonical JSON."""
 
 from __future__ import annotations
 
@@ -130,7 +130,7 @@ def map_chunks(fn: Callable[[np.ndarray], object], rows: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# batched linear solves and Gauss-Newton projection onto {g(x) = 0}
+# batched linear solves and the Newton driver gauss_newton
 # ---------------------------------------------------------------------------
 
 def solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,13 +160,15 @@ def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
                  scale: np.ndarray,
                  tol: float = 1e-12,
                  step_cap: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Project a batch of points onto a constraint set.
+    """Batched Newton on R(X) = 0: the package's one Newton loop.
 
-    system(X) must return (R, J) with R of shape (N, m) and J of shape
-    (N, m, d); the minimum-norm update dx = J^T (J J^T)^{-1} R is applied
-    until max_i |R_i| / scale_i < tol, for at most GN_ITER iterations. A
-    row whose update is singular or not finite stops where it is. Returns
-    (X, ok) where ok marks rows that converged.
+    system(X) returns (R, J), R of shape (N, m) and J of shape (N, m, d).
+    A square J takes the Newton step J^{-1} R, solved directly to keep J's
+    condition number unsquared; a wide one the minimum-norm step
+    J^T (J J^T)^{-1} R. Steps repeat until max_i |R_i| / scale_i < tol, at
+    most GN_ITER times. A row stops where it is when its residual is not
+    finite (before the solve) or its step is singular or not finite; the
+    other rows go on. Returns (X, ok) where ok marks rows that converged.
     """
     X = np.array(x0, dtype=float, copy=True)
     N = X.shape[0]
@@ -179,14 +181,18 @@ def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
             break
         R, J = system(X[idx])
         res = np.max(np.abs(R) / scale, axis=-1)
-        good = res < tol
-        ok[idx[good]] = True
-        move = idx[~good]
+        ok[idx[res < tol]] = True
+        alive[idx[~np.isfinite(res)]] = False
+        sel = np.isfinite(res) & (res >= tol)
+        move = idx[sel]
         if move.size == 0:
             continue
-        Rm, Jm = R[~good], J[~good]
-        G = Jm @ np.swapaxes(Jm, -1, -2)
-        dx = np.einsum("nmd,nm->nd", Jm, solve_rows(G, Rm))
+        Rm, Jm = R[sel], J[sel]
+        if Jm.shape[-2] == Jm.shape[-1]:
+            dx = solve_rows(Jm, Rm)
+        else:
+            G = Jm @ np.swapaxes(Jm, -1, -2)
+            dx = np.einsum("nmd,nm->nd", Jm, solve_rows(G, Rm))
         if step_cap is not None:
             nrm = norm_rows(dx)
             big = nrm > step_cap

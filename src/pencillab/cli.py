@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from ._num import (canonical_json, report_point, sobol_unit_sphere,
                    to_complex, to_real)
-from .errors import NUMERICAL_FAILURES, GermSyntaxError, ProjectionFailure
+from .errors import GermSyntaxError, PencilLabError, ProjectionFailure
 from .flows import (FlowKind, FlowSpec, equivalence_transport, integrate,
                     monodromy_return)
 from .germ import MixedGerm, evaluate, format_germ, parse_germ
@@ -291,9 +291,7 @@ def resolve_germ(cfg: dict) -> MixedGerm:
         raise UsageError("n", "n must be at least 1")
     try:
         return parse_germ(text, n)
-    except GermSyntaxError as exc:
-        raise UsageError("germ", str(exc))
-    except ValueError as exc:
+    except (GermSyntaxError, ValueError) as exc:
         raise UsageError("germ", str(exc))
 
 
@@ -600,7 +598,6 @@ def _cmd_monodromy(cfg, germ, warnings):
                                cfg["count"], cfg["seed"], cfg["newton_tol"])
     revolutions = cfg["revolutions"]
     integral = abs(revolutions - round(revolutions)) < 1e-12
-    half = abs((revolutions % 1.0) - 0.5) < 1e-12
     records = []
     ok = True
     max_dn = 0.0
@@ -625,7 +622,7 @@ def _cmd_monodromy(cfg, germ, warnings):
             ok = False
         if integral and ret.winding != int(round(revolutions)):
             ok = False
-        if half and ret.half_side_flipped is not True:
+        if ret.half_side_flipped is False:
             ok = False
     result = {
         "revolutions": revolutions,
@@ -780,7 +777,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except GermSyntaxError as exc:
         print(f"error: field 'germ': {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_FAILURES as exc:
+    except PencilLabError as exc:
         inv = getattr(exc, "inventory", None)
         if inv is not None:
             base = cfg.get("report") or cfg.get("out") \

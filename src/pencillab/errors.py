@@ -1,7 +1,8 @@
 """Typed failure taxonomy.
 
 Usage errors (bad grammar, bad parameters) raise GermSyntaxError or
-ValueError; everything below marks a numerical condition met at runtime.
+ValueError; every other PencilLabError marks a numerical condition met at
+runtime, and the command line maps each of them to exit code 3.
 """
 
 from __future__ import annotations
@@ -66,18 +67,3 @@ class Unstable(PencilLabError):
         super().__init__(message)
         self.inventory = inventory
 
-
-# exceptions that map to CLI exit code 3 (numerical failure)
-NUMERICAL_FAILURES = (
-    AxisProximity,
-    DegenerateGradient,
-    GramSingular,
-    CompletenessViolation,
-    PositivityViolation,
-    AxisApproach,
-    BallExit,
-    StepCollapse,
-    ProjectionFailure,
-    DegenerateAfterRetries,
-    Unstable,
-)

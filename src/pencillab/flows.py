@@ -67,10 +67,10 @@ class FlowSpec:
     rtol: float = 1e-10
     atol: float = 1e-12
     max_step: float = 0.05
-    cond_max: float = 1e8
-    # fixed for every flow, not fields: BallExit at ball_factor * start
-    # radius; tube: floor on <v, x> / (|v| |x|); radial: clamp width around
-    # the conical rate
+    # fixed for every flow, not fields: ceiling on the normalized Gram
+    # condition; BallExit at ball_factor * start radius; tube: floor on
+    # <v, x> / (|v| |x|); radial: clamp width around the conical rate
+    cond_max: ClassVar[float] = 1e8
     ball_factor: ClassVar[float] = 8.0
     pos_margin: ClassVar[float] = 1e-2
     corridor_factor: ClassVar[float] = 4.0

@@ -10,11 +10,13 @@ controlled by a stability window: the run stops only after a fixed number
 of consecutive seed batches finds no new critical point.
 
 The window cannot close before as many more batches as it still lacks, so
-those batches are drawn, projected and polished as one stacked chunk, then
-classified one by one in their original order. Both solvers are
-row-independent, so the chunk gives the same points, counters and stop as
-a batch-by-batch loop; only a degenerate critical point, which ends the
-draw, discards the rest of its chunk unseen.
+those batches are drawn, projected and polished as one stacked chunk; both
+stages are systems for _num.gauss_newton, the package's one Newton loop.
+The chunk is then classified batch by batch in its original order, each
+batch's candidates in one call. The solvers are row-independent, so the
+chunk gives the same points, counters and stop as a batch-by-batch loop;
+only a degenerate critical point, which ends the draw, discards the rest
+of its chunk unseen.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .germ import MixedGerm, hessian_blocks
 from .pencil import member_gradient, sphere_member_system
 
 TWO_PI = 2.0 * math.pi
-LAGRANGE_ITER = 40
 DEGENERACY_TOL = 1e-9   # on |det| of a critical point's projected Hessian
 
 
@@ -137,73 +138,73 @@ def _member_hessian(germ: MixedGerm, theta: float, X: np.ndarray):
     return H
 
 
+def _stationarity_system(germ: MixedGerm, theta: float, radius: float,
+                         ell: np.ndarray, scale_h: float):
+    """(system, scale) for gauss_newton: ell's critical points on the link,
+    in Y = (x, l1, l2),
+
+        ell - 2*l1*x - l2*grad h = 0,  |x|^2 - r^2 = 0,  h = 0.
+
+    J[:4, :4] is the Lagrangian Hessian and J[5, :4] is grad h. Rows outside
+    the ball |x| <= 4r read NaN, and the germ is not evaluated on them.
+    """
+    r2 = radius * radius
+
+    def system(Y):
+        X, L = Y[:, :4], Y[:, 4:]
+        inside = np.linalg.norm(X, axis=-1) <= 4.0 * radius
+        if inside.all():
+            h, gh, _ = member_gradient(germ, theta, X)
+            H = _member_hessian(germ, theta, X)
+        else:
+            h, gh, H = (np.full((len(Y),) + s, np.nan)
+                        for s in ((), (4,), (4, 4)))
+            h[inside], gh[inside], _ = member_gradient(germ, theta, X[inside])
+            H[inside] = _member_hessian(germ, theta, X[inside])
+        F = np.concatenate([
+            ell[None, :] - 2.0 * L[:, 0:1] * X - L[:, 1:2] * gh,
+            (np.sum(X * X, axis=-1) - r2)[:, None],
+            h[:, None],
+        ], axis=-1)
+        J = np.zeros((len(Y), 6, 6))
+        J[:, :4, :4] = (-2.0 * L[:, 0, None, None] * np.eye(4)
+                        - L[:, 1, None, None] * H)
+        J[:, :4, 4] = -2.0 * X
+        J[:, :4, 5] = -gh
+        J[:, 4, :4] = 2.0 * X
+        J[:, 5, :4] = gh
+        return F, J
+
+    return system, np.array([1.0, 1.0, 1.0, 1.0, r2, scale_h])
+
+
 def _lagrange_newton(germ: MixedGerm, theta: float, radius: float,
                      ell: np.ndarray, X0: np.ndarray, newton_tol: float,
                      scale_h: float):
-    """Batched Newton on the stationarity system of ell on the link:
+    """gauss_newton on the stationarity system from link points X0; returns
+    (X, L, ok). The multipliers start at the least-squares solution of the
+    stationarity rows: one stacked QR; a rank-deficient row gets NaN."""
+    _, gh, _ = member_gradient(germ, theta, X0)
+    Qf, R = np.linalg.qr(np.stack([2.0 * X0, gh], axis=-1))
+    L0 = solve_rows(R, np.einsum("nij,i->nj", Qf, ell))
+    system, scale = _stationarity_system(germ, theta, radius, ell, scale_h)
+    Y, ok = gauss_newton(system, np.concatenate([X0, L0], axis=-1), scale,
+                         tol=newton_tol)
+    return Y[:, :4], Y[:, 4:], ok
 
-        ell - 2*l1*x - l2*grad h = 0,  |x|^2 - r^2 = 0,  h = 0
 
-    Unknowns (x, l1, l2); returns (X, L, ok). A row with a singular or
-    non-finite Newton step stops; the other rows go on.
+def _morse_data(system, scale, X: np.ndarray, L: np.ndarray):
+    """Verified residual and projected-Hessian determinant of each critical
+    point. The tangent plane is orthogonal to the frame (x / |x|, grad h):
+    columns 2:4 of Q, from one stacked QR of the frame and the identity.
     """
-    N = X0.shape[0]
-    X = X0.copy()
-    # least-squares init of the multipliers from the stationarity rows:
-    # one stacked QR; a rank-deficient row gets NaN and stops
-    _, gh, _ = member_gradient(germ, theta, X)
-    Qf, R = np.linalg.qr(np.stack([2.0 * X, gh], axis=-1))
-    L = solve_rows(R, np.einsum("nij,i->nj", Qf, ell))
-    ok = np.zeros(N, dtype=bool)
-    alive = np.ones(N, dtype=bool)
-    r2 = radius * radius
-    for _ in range(LAGRANGE_ITER):
-        idx = np.flatnonzero(alive & ~ok)
-        if idx.size == 0:
-            break
-        Xi = X[idx]
-        Li = L[idx]
-        h, gh, _ = member_gradient(germ, theta, Xi)
-        H = _member_hessian(germ, theta, Xi)
-        F = np.concatenate([
-            ell[None, :] - 2.0 * Li[:, 0:1] * Xi - Li[:, 1:2] * gh,
-            (np.sum(Xi * Xi, axis=-1) - r2)[:, None],
-            h[:, None],
-        ], axis=-1)
-        res = np.maximum(np.max(np.abs(F[:, :4]), axis=-1),
-                         np.maximum(np.abs(F[:, 4]) / r2,
-                                    np.abs(F[:, 5]) / scale_h))
-        good = res < newton_tol
-        ok[idx[good]] = True
-        move = idx[~good]
-        if move.size == 0:
-            continue
-        m = move.size
-        sel = ~good
-        J = np.zeros((m, 6, 6))
-        J[:, :4, :4] = (-2.0 * Li[sel, 0][:, None, None] * np.eye(4)
-                        - Li[sel, 1][:, None, None] * H[sel])
-        J[:, :4, 4] = -2.0 * Xi[sel]
-        J[:, :4, 5] = -gh[sel]
-        J[:, 4, :4] = 2.0 * Xi[sel]
-        J[:, 5, :4] = gh[sel]
-        step = solve_rows(J, F[sel])
-        bad = ~np.isfinite(step).all(axis=-1)
-        step[bad] = 0.0
-        X[move] -= step[:, :4]
-        L[move] -= step[:, 4:]
-        alive[move[bad]] = False
-        # divergence guard
-        far = np.linalg.norm(X[move], axis=-1) > 4.0 * radius
-        alive[move[far]] = False
-    return X, L, ok
-
-
-def _tangent_basis(x: np.ndarray, gh: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (4 x 2) of the tangent plane of the link at x."""
-    M = np.stack([x, gh], axis=1)          # 4 x 2 normal frame
-    Q, _ = np.linalg.qr(np.concatenate([M, np.eye(4)], axis=1))
-    return Q[:, 2:4]
+    F, J = system(np.concatenate([X, L], axis=-1))
+    frame = np.stack([X / np.linalg.norm(X, axis=-1, keepdims=True),
+                      J[:, 5, :4]], axis=-1)
+    eye = np.broadcast_to(np.eye(4), (len(X), 4, 4))
+    B = np.linalg.qr(np.concatenate([frame, eye], axis=-1))[0][..., 2:4]
+    return (np.max(np.abs(F) / scale, axis=-1),
+            np.linalg.det(np.swapaxes(B, -1, -2) @ J[:, :4, :4] @ B))
 
 
 def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
@@ -244,6 +245,8 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
             g = stream(seed, 0xE11, draw).normal(size=4)
             ell = g / np.linalg.norm(g)
 
+        system, scale = _stationarity_system(germ, theta, radius, ell,
+                                             scale_h)
         points: List[np.ndarray] = []
         values: List[float] = []
         mults: List[np.ndarray] = []
@@ -292,35 +295,25 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
                         axis=-1)
                     order = order[np.min(dists, axis=-1) > dedup_tol]
                 first_new = len(points)
-                for i in order:
-                    x = cand[i]
+                X, L = cand[order], candL[order]
+                if len(X):
+                    res, det = _morse_data(system, scale, X, L)
+                for i, x in enumerate(X):
                     if len(points) > first_new:
                         dists = np.linalg.norm(
                             np.stack(points[first_new:]) - x, axis=-1)
                         if float(np.min(dists)) <= dedup_tol:
                             continue
-                    h, gh, _ = member_gradient(germ, theta, x[None, :])
-                    # verified residual of the full system at the point
-                    F_top = ell - 2.0 * candL[i, 0] * x - candL[i, 1] * gh[0]
-                    res = max(float(np.max(np.abs(F_top))),
-                              abs(float(np.sum(x * x)) - r2) / r2,
-                              abs(float(h[0])) / scale_h)
-                    if res >= newton_tol:
+                    if res[i] >= newton_tol:
                         continue
-                    Hl = (-2.0 * candL[i, 0] * np.eye(4)
-                          - candL[i, 1] * _member_hessian(germ, theta,
-                                                          x[None, :])[0])
-                    B = _tangent_basis(x / np.linalg.norm(x), gh[0])
-                    P2 = B.T @ Hl @ B
-                    det = float(np.linalg.det(P2))
-                    if abs(det) < DEGENERACY_TOL:
+                    if abs(det[i]) < DEGENERACY_TOL:
                         degenerate = True
                         break
                     points.append(x.copy())
                     values.append(float(ell @ x))
-                    mults.append(candL[i].copy())
-                    signs.append(1 if det > 0 else -1)
-                    resids.append(res)
+                    mults.append(L[i].copy())
+                    signs.append(1 if det[i] > 0 else -1)
+                    resids.append(float(res[i]))
                 if degenerate:
                     break
                 stable_run = stable_run + 1 if len(points) == first_new else 0

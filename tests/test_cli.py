@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from pencillab import cli
 from pencillab.cli import FIELDS, build_parser, load_job, main, resolve_germ
+from pencillab.errors import GermSyntaxError, PencilLabError
 
 
 def run(capsys, *argv):
@@ -215,6 +217,29 @@ def test_unstable_euler_exits_three_with_partial(capsys, tmp_path):
     payload = json.loads(partial.read_text())
     assert payload["error"] == "Unstable"
     assert "inventory" in payload
+
+
+@pytest.mark.parametrize(
+    "error", [c for c in PencilLabError.__subclasses__()
+              if c is not GermSyntaxError], ids=lambda c: c.__name__)
+def test_every_numerical_failure_exits_three(capsys, monkeypatch, error):
+    def fail(cfg, germ, warnings):
+        raise error("forced")
+
+    monkeypatch.setitem(cli.DISPATCH, "info", fail)
+    code, _, err = run(capsys, "info", "--germ", "z1")
+    assert code == 3
+    assert f"numerical failure ({error.__name__}): forced" in err
+
+
+def test_monodromy_half_revolution_flips_every_record(capsys):
+    for revolutions, flipped in (("0.5", True), ("1", None)):
+        code, out, _ = run(capsys, "monodromy", "--germ", "z1^2+z2^3",
+                           "--revolutions", revolutions, "--count", "3")
+        assert code == 0
+        records = report_of(out)["result"]["records"]
+        assert len(records) == 3
+        assert all(r["half_side_flipped"] is flipped for r in records)
 
 
 def test_unwritable_report_exits_four(capsys, tmp_path):

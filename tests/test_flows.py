@@ -117,13 +117,14 @@ def test_gram_singular_on_radially_tangent_stub():
             synthesize_field(g, FlowSpec(kind), z)
 
 
-def test_completeness_violation_on_forced_fallback():
+def test_completeness_violation_on_forced_fallback(monkeypatch):
     # twisted mixed germ point whose two-row solution drifts |f| too fast;
     # cond_max is set between the two Gram conditions to force the fallback
+    monkeypatch.setattr(FlowSpec, "cond_max", 2.0)
     g = parse_germ("z1^2*zbar2 + z2^2*zbar1", 2)
     z = np.array([-0.08311743 - 0.43594811j, -0.14965865 - 0.1750515j])
     with pytest.raises(CompletenessViolation):
-        synthesize_field(g, FlowSpec(FlowKind.MONODROMY, cond_max=2.0), z)
+        synthesize_field(g, FlowSpec(FlowKind.MONODROMY), z)
 
 
 def test_integrate_zero_span():

@@ -10,7 +10,7 @@ from pencillab._num import (canonical_json, gauss_newton, sobol_unit_sphere,
                             stream)
 from pencillab.errors import DegenerateAfterRetries, Unstable
 from pencillab.germ import parse_germ
-from pencillab.pencil import sphere_member_system
+from pencillab.pencil import member_gradient, sphere_member_system
 from pencillab.topology import (_lagrange_newton, brieskorn_exponents,
                                 closed_form_mu, double_fiber_consistency,
                                 link_surface_euler, staircase_mu)
@@ -156,23 +156,22 @@ def test_stacked_window_solves_match_per_batch_solves(q, theta):
 
 
 def test_euler_window_takes_one_solver_call_per_chunk(monkeypatch):
-    calls = {"gauss_newton": 0, "_lagrange_newton": 0}
+    # both solver stages run on gauss_newton; the length of the scale tells
+    # them apart: 2 for the projection, 6 for the Lagrange system
+    calls = {2: 0, 6: 0}
+    solve = topology.gauss_newton
 
-    def counted(name, fn):
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return call
+    def counted(system, x0, scale, *args, **kwargs):
+        calls[len(scale)] += 1
+        return solve(system, x0, scale, *args, **kwargs)
 
-    for name in calls:
-        monkeypatch.setattr(topology, name,
-                            counted(name, getattr(topology, name)))
+    monkeypatch.setattr(topology, "gauss_newton", counted)
     g = parse_germ("z1^2 + z2^3", 2)
     inv, chi = link_surface_euler(g, 0.0, 0.5, seed=0)
     assert chi == -2
     assert (inv.batches, inv.seeds_used) == (21, 4200)
     # the sequential loop made 21 calls of each, one per batch
-    assert max(calls.values()) <= 3
+    assert 1 <= calls[2] <= 3 and 1 <= calls[6] <= 3
 
 
 def test_degenerate_point_on_every_draw_raises(monkeypatch):
@@ -200,6 +199,59 @@ def test_lagrange_newton_singular_row_fails_alone():
     np.testing.assert_array_equal(ok[rest], alone[2])
     np.testing.assert_allclose(X[rest], alone[0], rtol=0, atol=1e-14)
     np.testing.assert_allclose(L[rest], alone[1], rtol=0, atol=1e-12)
+
+
+def test_lagrange_newton_row_outside_the_ball_fails_alone():
+    g = parse_germ("z1^2 + z2^3", 2)
+    radius, scale_h = 0.5, g.scale(0.5)
+    ell = np.array([0.3, -0.5, 0.6, 0.55])
+    X0, ok0 = gauss_newton(sphere_member_system(g, 0.0, radius),
+                           radius * sobol_unit_sphere(3, (1,), 16, 4),
+                           np.array([radius ** 2, scale_h]))
+    X0 = X0[ok0]
+    alone = _lagrange_newton(g, 0.0, radius, ell, X0, 1e-10, scale_h)
+    far = 5.0 * radius * np.array([0.5, 0.5, 0.5, 0.5])
+    X, L, ok = _lagrange_newton(g, 0.0, radius, ell,
+                                np.insert(X0, 2, far, axis=0), 1e-10, scale_h)
+    rest = np.arange(len(X)) != 2
+    assert not ok[2] and np.any(alone[2])
+    np.testing.assert_array_equal(X[2], far)
+    for got, want in zip((X, L, ok), alone):
+        np.testing.assert_array_equal(got[rest], want)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_morse_data_of_a_batch_matches_the_pointwise_formula(theta):
+    # the reference is the one-point classification the Morse loop used to
+    # run: residual from member_gradient, tangent basis from a one-row QR.
+    # The residual is the same arithmetic; the basis is not (the batched
+    # norm and products round differently), so the determinant agrees to
+    # a few ulps times its conditioning, and always in sign
+    g = parse_germ("z1^2 + z2^3", 2)
+    radius, scale_h = 0.5, g.scale(0.5)
+    r2 = radius ** 2
+    ell = np.array([0.3, -0.5, 0.6, 0.55])
+    X0, ok0 = gauss_newton(sphere_member_system(g, theta, radius),
+                           radius * sobol_unit_sphere(3, (1,), 64, 4),
+                           np.array([r2, scale_h]))
+    X, L, ok = _lagrange_newton(g, theta, radius, ell, X0[ok0], 1e-10,
+                                scale_h)
+    X, L = X[ok], L[ok]
+    assert len(X) > 4
+    res, det = topology._morse_data(
+        *topology._stationarity_system(g, theta, radius, ell, scale_h), X, L)
+    for x, lam, r, d in zip(X, L, res, det):
+        h, gh, _ = member_gradient(g, theta, x[None, :])
+        top = ell - 2.0 * lam[0] * x - lam[1] * gh[0]
+        assert r == max(np.max(np.abs(top)), abs(np.sum(x * x) - r2) / r2,
+                        abs(h[0]) / scale_h)
+        Hl = (-2.0 * lam[0] * np.eye(4)
+              - lam[1] * topology._member_hessian(g, theta, x[None, :])[0])
+        frame = np.stack([x / np.linalg.norm(x), gh[0]], axis=1)
+        B = np.linalg.qr(np.concatenate([frame, np.eye(4)], axis=1))[0]
+        want = np.linalg.det(B[:, 2:4].T @ Hl @ B[:, 2:4])
+        assert np.sign(d) == np.sign(want)
+        np.testing.assert_allclose(d, want, rtol=1e-12)
 
 
 def test_double_fiber_consistency_family():
