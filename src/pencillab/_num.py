@@ -155,6 +155,14 @@ def solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 GN_ITER = 60
 
 
+def _newton_step(J: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """J^{-1} R for a square J, else J^T (J J^T)^{-1} R. The row-selected
+    copies of J passed in die with the call, before the next evaluation."""
+    if J.shape[-2] == J.shape[-1]:
+        return solve_rows(J, R)
+    return np.einsum("nmd,nm->nd", J, solve_rows(J @ J.swapaxes(-1, -2), R))
+
+
 def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
                  x0: np.ndarray,
                  scale: np.ndarray,
@@ -164,7 +172,8 @@ def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
 
     system(X) returns (R, J), R of shape (N, m) and J of shape (N, m, d).
     A square J takes the Newton step J^{-1} R, solved directly to keep J's
-    condition number unsquared; a wide one the minimum-norm step
+    condition number unsquared (the two-row systems on the sphere are
+    square for a germ in one variable); a wide one the minimum-norm step
     J^T (J J^T)^{-1} R. Steps repeat until max_i |R_i| / scale_i < tol, at
     most GN_ITER times. A row stops where it is when its residual is not
     finite (before the solve) or its step is singular or not finite; the
@@ -187,12 +196,7 @@ def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
         move = idx[sel]
         if move.size == 0:
             continue
-        Rm, Jm = R[sel], J[sel]
-        if Jm.shape[-2] == Jm.shape[-1]:
-            dx = solve_rows(Jm, Rm)
-        else:
-            G = Jm @ np.swapaxes(Jm, -1, -2)
-            dx = np.einsum("nmd,nm->nd", Jm, solve_rows(G, Rm))
+        dx = _newton_step(J[sel], R[sel])
         if step_cap is not None:
             nrm = norm_rows(dx)
             big = nrm > step_cap

@@ -153,14 +153,10 @@ def _stationarity_system(germ: MixedGerm, theta: float, radius: float,
     def system(Y):
         X, L = Y[:, :4], Y[:, 4:]
         inside = np.linalg.norm(X, axis=-1) <= 4.0 * radius
-        if inside.all():
-            h, gh, _ = member_gradient(germ, theta, X)
-            H = _member_hessian(germ, theta, X)
-        else:
-            h, gh, H = (np.full((len(Y),) + s, np.nan)
-                        for s in ((), (4,), (4, 4)))
-            h[inside], gh[inside], _ = member_gradient(germ, theta, X[inside])
-            H[inside] = _member_hessian(germ, theta, X[inside])
+        h, gh, H = (np.full((len(Y),) + s, np.nan)
+                    for s in ((), (4,), (4, 4)))
+        h[inside], gh[inside], _ = member_gradient(germ, theta, X[inside])
+        H[inside] = _member_hessian(germ, theta, X[inside])
         F = np.concatenate([
             ell[None, :] - 2.0 * L[:, 0:1] * X - L[:, 1:2] * gh,
             (np.sum(X * X, axis=-1) - r2)[:, None],

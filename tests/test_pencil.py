@@ -84,6 +84,17 @@ def test_sample_fiber_contract():
     assert np.min(side_indicator(g, 0.3, fs.points)) > 0.0
 
 
+def test_sample_fiber_one_variable_lands_on_the_roots():
+    # n = 1: two equations in two unknowns, so the square Newton step runs;
+    # F_theta of z1^2 on |z| = r is the two points r*exp(i(theta/2 + k pi))
+    g = parse_germ("z1^2", 1)
+    fs = sample_fiber(g, 0.3, 0.5, count=12, seed=1)
+    assert fs.converged == 12 and fs.count > 0
+    roots = 0.5 * np.exp(1j * (0.15 + math.pi * np.arange(2)))
+    z = fs.points[:, 0]
+    assert np.max(np.min(np.abs(z[:, None] - roots[None, :]), axis=1)) < 1e-12
+
+
 def test_sample_fiber_empty_half_returns_no_points():
     # real-valued germ: the positive side of the theta = pi member is empty
     g = parse_germ("z1*zbar1 + z2*zbar2", 2)
