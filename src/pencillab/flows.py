@@ -10,7 +10,11 @@ of log|f| (rows of a Gram system):
 
 Rows are normalized before solving, which leaves the solution unchanged
 but makes the Gram condition number measure genuine near-dependence of
-the constraints instead of their scale mismatch.
+the constraints instead of their scale mismatch. The systems have two or
+three rows, so they are solved in closed form from the dot products of
+the rows: the normalized Gram has unit diagonal, its condition number is
+(1 + |g|) / (1 - |g|) for two rows and lambda_max / lambda_min for three,
+and the solve runs through its written-out LDL^T factors.
 
 The monodromy Gram system degenerates where the point and the Hermitian
 gradient of log f become complex-colinear; there the tube row is dropped
@@ -91,24 +95,58 @@ class FieldDiagnostics:
 
 def _solve_min_norm(rows: List[np.ndarray], d, cond_max: float
                     ) -> Tuple[np.ndarray, float]:
-    """Minimum-norm w with <w, rows[i]> = d[i], via the normalized Gram.
+    """Minimum-norm w with <w, rows[i]> = d[i], for two or three rows.
 
-    Normalizing the rows rescales the Lagrange multipliers only, so the
-    solution is exact while the reported condition number reflects row
-    dependence rather than row scale.
+    The solution is w = sum_i (y_i / |r_i|) r_i, where G y = d_i / |r_i|
+    and G is the normalized Gram g_ij = <r_i, r_j> / (|r_i| |r_j|), which
+    has unit diagonal. Normalizing rescales the multipliers only, so the
+    solution is exact while the condition number reflects row dependence
+    rather than row scale. Every entry comes from dot products of the rows.
+
+    The condition number is that of G: (1 + |g_12|) / (1 - |g_12|) for two
+    rows, lambda_max / lambda_min from `eigvalsh` for three. G is solved by
+    its LDL^T factors written out, pivots 1, 1 - g_12^2 and the Schur
+    complement; for two rows that is the explicit 2 x 2 inverse. The
+    factors are backward stable, so w keeps a relative error of a few
+    eps * cond even when two eigenvalues of G are small; an adjugate solve
+    loses its determinant to cancellation there.
     """
-    C = np.stack(rows)
-    nrm = np.linalg.norm(C, axis=1)
-    if np.any(nrm == 0.0) or not np.all(np.isfinite(nrm)):
-        raise GramSingular("constraint row vanished or overflowed")
-    Cn = C / nrm[:, None]
-    G = Cn @ Cn.T
-    cond = float(np.linalg.cond(G))
-    if not np.isfinite(cond) or cond > cond_max:
+    nrm = []
+    for r in rows:
+        m = float(r.dot(r))
+        if not 0.0 < m < math.inf:  # NaN fails the comparison too
+            raise GramSingular("constraint row vanished or overflowed")
+        nrm.append(math.sqrt(m))
+    r0, r1 = rows[0], rows[1]
+    n0, n1 = nrm[0], nrm[1]
+    b0, b1 = d[0] / n0, d[1] / n1
+    # dividing by one norm at a time keeps |g| <= 1 from overflowing
+    g01 = float(r0.dot(r1)) / n0 / n1
+    a01 = abs(g01)
+    if len(rows) == 2:
+        cond = (1.0 + a01) / (1.0 - a01) if a01 < 1.0 else math.inf
+    else:
+        r2, n2 = rows[2], nrm[2]
+        g02 = float(r0.dot(r2)) / n0 / n2
+        g12 = float(r1.dot(r2)) / n1 / n2
+        lam = np.linalg.eigvalsh(np.array(
+            [[1.0, g01, g02], [g01, 1.0, g12], [g02, g12, 1.0]]))
+        cond = float(lam[2] / lam[0]) if lam[0] > 0.0 else math.inf
+    if not cond <= cond_max:
         raise GramSingular(
             f"constraint Gram condition {cond:.3e} exceeds {cond_max:.1e}")
-    w = Cn.T @ np.linalg.solve(G, np.asarray(d, dtype=float) / nrm)
-    return w, cond
+    p1 = (1.0 - a01) * (1.0 + a01)
+    z1 = b1 - g01 * b0
+    if len(rows) == 2:
+        y1 = z1 / p1
+        y0 = b0 - g01 * y1
+        return (y0 / n0) * r0 + (y1 / n1) * r1, cond
+    l21 = (g12 - g01 * g02) / p1
+    p2 = 1.0 - g02 * g02 - l21 * l21 * p1
+    y2 = (d[2] / n2 - g02 * b0 - l21 * z1) / p2
+    y1 = z1 / p1 - l21 * y2
+    y0 = b0 - g01 * y1 - g02 * y2
+    return (y0 / n0) * r0 + (y1 / n1) * r1 + (y2 / n2) * r2, cond
 
 
 def _degree_span(germ: MixedGerm) -> Tuple[int, int]:
@@ -117,20 +155,25 @@ def _degree_span(germ: MixedGerm) -> Tuple[int, int]:
 
 
 def synthesize_field(germ: MixedGerm, spec: FlowSpec, x,
-                     axis_floor: Optional[float] = None
+                     axis_floor: Optional[float] = None,
+                     degree_span: Optional[Tuple[int, int]] = None
                      ) -> Tuple[np.ndarray, FieldDiagnostics]:
     """Minimum-norm velocity satisfying the kind's constraint system at x.
 
     Returns the velocity in the stacked real layout together with the Gram
     condition number, fallback state, and whether a null-space correction
     was applied (tube positivity restore or radial corridor clamp).
+    degree_span is the germ's (min, max) term degree, which the radial
+    corridor uses; it is computed here when not given.
     """
     z = np.asarray(x, dtype=complex)
     ds = differential_sample(germ, z, axis_floor=axis_floor)
     xr = ds.point
     gt = ds.grad_theta
     gl = ds.grad_log_rho
-    if float(np.linalg.norm(gt)) * float(np.linalg.norm(xr)) < GRAD_FLOOR:
+    r2 = float(xr.dot(xr))
+    xr_norm = math.sqrt(r2)
+    if math.sqrt(gt.dot(gt)) * xr_norm < GRAD_FLOOR:
         raise DegenerateGradient("phase gradient vanished at the flow point")
 
     fallback = False
@@ -154,8 +197,7 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x,
         # otherwise collapse onto the zero set before reaching its target
         # sphere.  Inside the corridor the untouched solution is returned.
         if xr.size > 2:
-            r2 = float(xr @ xr)
-            lo_deg, hi_deg = _degree_span(germ)
+            lo_deg, hi_deg = degree_span or _degree_span(germ)
             kappa = spec.corridor_factor
             lo = lo_deg / (2.0 * kappa * r2)
             hi = kappa * hi_deg / (2.0 * r2)
@@ -177,8 +219,7 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x,
         # equality constraints when the minimum-norm velocity points along
         # or into the sphere.
         radial = float(w @ xr)
-        floor = spec.pos_margin * float(np.linalg.norm(w)) \
-            * float(np.linalg.norm(xr))
+        floor = spec.pos_margin * math.sqrt(w.dot(w)) * xr_norm
         if radial <= floor:
             try:
                 u, cond3 = _solve_min_norm([gt, gl, xr], [0.0, 0.0, 1.0],
@@ -220,6 +261,10 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
                    11 / 84, 0.0])
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                   22 / 525, -1 / 40])
+# Cap on rejected steps per transport. Only a stage failure (a typed field
+# failure at some stage) can trip it; the count it is compared with is every
+# reject so far, error-control rejects included.
+MAX_REJECTS = 3000
 
 
 @dataclass
@@ -291,12 +336,14 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
     theta0 = math.atan2(f0.imag, f0.real)
     ball = spec.ball_factor * max(r0, 1e-300)
 
+    degree_span = _degree_span(germ)
     diag_counters = {"fallback": 0, "corrected": 0, "max_cond": 0.0}
 
     def rhs(yv: np.ndarray) -> np.ndarray:
         try:
             w, dg = synthesize_field(germ, spec, to_complex(yv),
-                                     axis_floor=axis_floor)
+                                     axis_floor=axis_floor,
+                                     degree_span=degree_span)
         except AxisProximity as exc:
             raise AxisApproach(str(exc)) from exc
         if dg.fallback:
@@ -334,35 +381,31 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
     h = direction * min(spec.max_step, abs(span) / 10.0)
     h_floor = max(abs(span), 1.0) * 1e-14
     t = t0
-    k1 = rhs(y)
+    K = np.empty((7, y.size))   # Dormand-Prince stages, row 0 the slope at y
+    K[0] = rhs(y)
     f_prev = f0
     theta_unwrapped = theta0
-    max_reject_run = 60
 
     while (t1 - t) * direction > 0.0:
         if abs(h) < h_floor:
             raise StepCollapse(f"step size {abs(h):.3e} below floor at t={t:.6g}")
         if (t + h - t1) * direction > 0.0:
             h = t1 - t
-        # stages
-        K = [k1]
         failed = False
         for s in range(1, 7):
-            ys = y + h * (_DP_A[s][:len(K)] @ np.stack(K[:len(_DP_A[s])]))
             try:
-                K.append(rhs(ys))
+                K[s] = rhs(y + h * (_DP_A[s] @ K[:s]))
             except (AxisApproach, DegenerateGradient, GramSingular):
                 failed = True
                 break
         if failed:
             h *= 0.25
             n_rej += 1
-            if n_rej > max_reject_run * 50:
+            if n_rej > MAX_REJECTS:
                 raise StepCollapse("too many rejected steps")
             continue
-        Km = np.stack(K)
-        y5 = y + h * (_DP_B5 @ Km)
-        err_vec = h * (_DP_E @ Km)
+        y5 = y + h * (_DP_B5 @ K)
+        err_vec = h * (_DP_E @ K)
         tol = spec.atol + spec.rtol * max(float(np.linalg.norm(y)),
                                           float(np.linalg.norm(y5)))
         err = float(np.linalg.norm(err_vec)) / tol if tol > 0 else np.inf
@@ -412,7 +455,7 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
         # next step
         t = t_new
         y = y_new
-        k1 = rhs(y)   # projection moved the state, so refresh the slope
+        K[0] = rhs(y)   # projection moved the state, so refresh the slope
         h_next = h * min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
         h = direction * min(abs(h_next), spec.max_step)
 

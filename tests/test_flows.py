@@ -7,8 +7,9 @@ import pytest
 
 from pencillab.errors import (AxisProximity, BallExit, CompletenessViolation,
                               GramSingular, PositivityViolation)
-from pencillab.flows import (FlowKind, FlowSpec, equivalence_transport,
-                             integrate, monodromy_return, synthesize_field)
+from pencillab.flows import (FlowKind, FlowSpec, _solve_min_norm,
+                             equivalence_transport, integrate,
+                             monodromy_return, synthesize_field)
 from pencillab.germ import differential_sample, evaluate, parse_germ
 from pencillab.pencil import sample_fiber
 
@@ -115,6 +116,122 @@ def test_gram_singular_on_radially_tangent_stub():
                  FlowKind.MONODROMY):
         with pytest.raises(GramSingular):
             synthesize_field(g, FlowSpec(kind), z)
+
+
+def _svd_lu_reference(rows, d, cond_max):
+    """Minimum-norm solve through the normalized Gram with an SVD condition
+    number and an LU solve; (w, cond), or None where it refuses."""
+    C = np.stack(rows)
+    nrm = np.linalg.norm(C, axis=1)
+    if np.any(nrm == 0.0) or not np.all(np.isfinite(nrm)):
+        return None
+    Cn = C / nrm[:, None]
+    G = Cn @ Cn.T
+    cond = float(np.linalg.cond(G))
+    if not np.isfinite(cond) or cond > cond_max:
+        return None
+    return Cn.T @ np.linalg.solve(G, np.asarray(d) / nrm), cond
+
+
+def _random_system(rng, k):
+    """k rows in R^m, m in {2, 4, 6}, scaled from 1e-6 to 1e6: independent,
+    one row near a combination of the others, or all rows near-parallel
+    (for three rows that gives G two small eigenvalues)."""
+    m = int(rng.choice([2, 4, 6]))
+    R = rng.normal(size=(k, m))
+    eps = 10.0 ** rng.uniform(-8.5, 0.0)
+    shape = rng.integers(3)
+    if shape == 1:
+        R[-1] = rng.normal(size=k - 1) @ R[:-1] + eps * R[-1]
+    elif shape == 2:
+        R[1:] = R[0] * rng.choice([-1.0, 1.0], size=(k - 1, 1)) \
+            + eps * 10.0 ** rng.uniform(0.0, 2.0, size=(k - 1, 1)) * R[1:]
+    R *= 10.0 ** rng.uniform(-6.0, 6.0, size=(k, 1))
+    d = rng.normal(size=k) if rng.random() < 0.5 else np.eye(k)[-1]
+    return list(R), d
+
+
+def test_min_norm_solver_matches_svd_lu_reference():
+    cond_max = FlowSpec.cond_max
+    rng = np.random.default_rng(9)
+    conds, refused = [], 0
+    for i in range(10000):
+        rows, d = _random_system(rng, 2 + i % 2)
+        ref = _svd_lu_reference(rows, d, cond_max)
+        if ref is None:
+            with pytest.raises(GramSingular):
+                _solve_min_norm(rows, d, cond_max)
+            refused += 1
+            continue
+        w_ref, cond_ref = ref
+        w, cond = _solve_min_norm(rows, d, cond_max)
+        tol = 1e-13 * cond_ref
+        assert abs(cond - cond_ref) <= tol * cond_ref
+        assert np.linalg.norm(w - w_ref) <= tol * np.linalg.norm(w_ref)
+        conds.append(cond_ref)
+    # the draw covers the whole accepted range and the refusals
+    assert min(conds) < 1.01 and max(conds) > 1e7 and refused > 1000
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("bad", [0.0, math.inf, -math.inf, math.nan])
+def test_min_norm_solver_refuses_zero_and_non_finite_rows(k, bad):
+    rng = np.random.default_rng(4)
+    bad_row = np.array([1.0, bad, 0.0, 2.0]) if bad else np.zeros(4)
+    for j in range(k):
+        rows = list(rng.normal(size=(k, 4)))
+        rows[j] = bad_row
+        with pytest.raises(GramSingular, match="vanished or overflowed"):
+            _solve_min_norm(rows, np.eye(k)[-1], FlowSpec.cond_max)
+
+
+def _pair_cosine(cond):
+    """The row cosine g at which (1 + g) / (1 - g) = cond."""
+    return (cond - 1.0) / (cond + 1.0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_min_norm_solver_cond_max_boundary(k):
+    # rows e1, g e1 + s e2 (and g (e1 + e2)/sqrt 2 + s e3 for three rows):
+    # both normalized Grams have eigenvalues 1 - g, (1,) 1 + g
+    cond_max = FlowSpec.cond_max
+    for factor, solves in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+        g = _pair_cosine(factor * cond_max)
+        s = math.sqrt((1.0 - g) * (1.0 + g))
+        if k == 2:
+            rows = [np.array([1.0, 0.0, 0.0]), np.array([g, s, 0.0])]
+        else:
+            rows = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                    np.array([g / math.sqrt(2.0), g / math.sqrt(2.0), s])]
+        d = np.eye(k)[-1]
+        if solves:
+            w, cond = _solve_min_norm(rows, d, cond_max)
+            assert cond <= cond_max
+            assert cond == pytest.approx(factor * cond_max, rel=1e-7)
+            np.testing.assert_allclose([r @ w for r in rows], d, atol=1e-7)
+        else:
+            with pytest.raises(GramSingular, match="exceeds"):
+                _solve_min_norm(rows, d, cond_max)
+
+
+def test_monodromy_cond_max_boundary_takes_the_fallback():
+    # f = z1 at (1/2, delta): grad log|f| is along Re z1 and grad theta
+    # along Im z1, so the three-row Gram has the pair cosine
+    # g = 1 / sqrt(1 + 4 delta^2) of the point and grad log|f|
+    g1 = parse_germ("z1", 2)
+    spec = FlowSpec(FlowKind.MONODROMY)
+    for factor, fallback in ((1.0 - 1e-6, False), (1.0 + 1e-6, True)):
+        g = _pair_cosine(factor * spec.cond_max)
+        delta = 0.5 * math.sqrt((1.0 - g) * (1.0 + g)) / g
+        w, dg = synthesize_field(g1, spec, np.array([0.5, delta]))
+        assert dg.fallback is fallback
+        if fallback:
+            # the two remaining rows are orthogonal: w = grad theta / |.|^2
+            assert dg.cond == 1.0
+            np.testing.assert_allclose(w, [0.0, 0.0, 0.5, 0.0], atol=1e-15)
+        else:
+            assert dg.cond <= spec.cond_max
+            assert dg.cond == pytest.approx(factor * spec.cond_max, rel=1e-7)
 
 
 def test_completeness_violation_on_forced_fallback(monkeypatch):
