@@ -149,22 +149,14 @@ def _solve_min_norm(rows: List[np.ndarray], d, cond_max: float
     return (y0 / n0) * r0 + (y1 / n1) * r1 + (y2 / n2) * r2, cond
 
 
-def _degree_span(germ: MixedGerm) -> Tuple[int, int]:
-    degs = [sum(p) + sum(q) for _, p, q in germ.terms]
-    return min(degs), max(degs)
-
-
 def synthesize_field(germ: MixedGerm, spec: FlowSpec, x,
-                     axis_floor: Optional[float] = None,
-                     degree_span: Optional[Tuple[int, int]] = None
+                     axis_floor: Optional[float] = None
                      ) -> Tuple[np.ndarray, FieldDiagnostics]:
     """Minimum-norm velocity satisfying the kind's constraint system at x.
 
     Returns the velocity in the stacked real layout together with the Gram
     condition number, fallback state, and whether a null-space correction
     was applied (tube positivity restore or radial corridor clamp).
-    degree_span is the germ's (min, max) term degree, which the radial
-    corridor uses; it is computed here when not given.
     """
     z = np.asarray(x, dtype=complex)
     ds = differential_sample(germ, z, axis_floor=axis_floor)
@@ -197,7 +189,7 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x,
         # otherwise collapse onto the zero set before reaching its target
         # sphere.  Inside the corridor the untouched solution is returned.
         if xr.size > 2:
-            lo_deg, hi_deg = degree_span or _degree_span(germ)
+            lo_deg, hi_deg = germ.degree_span
             kappa = spec.corridor_factor
             lo = lo_deg / (2.0 * kappa * r2)
             hi = kappa * hi_deg / (2.0 * r2)
@@ -336,14 +328,12 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
     theta0 = math.atan2(f0.imag, f0.real)
     ball = spec.ball_factor * max(r0, 1e-300)
 
-    degree_span = _degree_span(germ)
     diag_counters = {"fallback": 0, "corrected": 0, "max_cond": 0.0}
 
     def rhs(yv: np.ndarray) -> np.ndarray:
         try:
             w, dg = synthesize_field(germ, spec, to_complex(yv),
-                                     axis_floor=axis_floor,
-                                     degree_span=degree_span)
+                                     axis_floor=axis_floor)
         except AxisProximity as exc:
             raise AxisApproach(str(exc)) from exc
         if dg.fallback:

@@ -86,6 +86,12 @@ class MixedGerm:
         """Maximum total degree over terms (0 for the zero germ)."""
         return max((sum(p) + sum(q) for _, p, q in self.terms), default=0)
 
+    @cached_property
+    def degree_span(self) -> Tuple[int, int]:
+        """(minimum, maximum) total degree over terms."""
+        degs = [sum(p) + sum(q) for _, p, q in self.terms]
+        return min(degs), max(degs)
+
     def scale(self, radius: float) -> float:
         """max |c| * radius^deg over terms: the size of f on the sphere."""
         r = float(radius)
