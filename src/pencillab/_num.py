@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
+from scipy.special import ndtri
 from scipy.stats import qmc
 
 
@@ -52,7 +53,7 @@ def report_point(z) -> list:
 # All randomness flows from one 64-bit job seed through counter-based
 # streams: SeedSequence(seed, spawn_key=key) -> Philox. Quasi-random sphere
 # covers use scrambled Sobol points pushed through the Gaussian inverse CDF
-# and normalized; the scramble is seeded from the same stream family.
+# ndtri and normalized; the scramble is seeded from the same stream family.
 # ---------------------------------------------------------------------------
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -66,31 +67,32 @@ def _sobol_unit_cube(seed: int, key: Tuple[int, ...], count: int, dim: int) -> n
     eng = qmc.Sobol(d=dim, scramble=True, seed=stream(seed, *key))
     m = max(1, int(math.ceil(math.log2(count))))
     pts = eng.random_base2(m)[:count]
-    # guard against ppf blowing up at the cube boundary
+    # guard against ndtri blowing up at the cube boundary
     tiny = np.finfo(float).tiny
     return np.clip(pts, tiny, 1.0 - 1e-16)
 
 
-def sobol_unit_sphere(seed: int, key: Tuple[int, ...], count: int, dim: int) -> np.ndarray:
-    """Quasi-random unit vectors in R^dim, deterministic in (seed, key)."""
-    from scipy.stats import norm
-
-    g = norm.ppf(_sobol_unit_cube(seed, key, count, dim))
+def _gaussian_directions(cube: np.ndarray) -> np.ndarray:
+    """Rows of a Sobol cube mapped to unit vectors: ndtri of each entry,
+    then each row divided by its norm in place (a zero row stays zero)."""
+    g = ndtri(cube)
     nrm = norm_rows(g)
     nrm[nrm == 0.0] = 1.0
-    return g / nrm[..., None]
+    g /= nrm[..., None]
+    return g
+
+
+def sobol_unit_sphere(seed: int, key: Tuple[int, ...], count: int, dim: int) -> np.ndarray:
+    """Quasi-random unit vectors in R^dim, deterministic in (seed, key)."""
+    return _gaussian_directions(_sobol_unit_cube(seed, key, count, dim))
 
 
 def sobol_ball(seed: int, key: Tuple[int, ...], count: int, dim: int, radius: float) -> np.ndarray:
     """Quasi-random points in the ball of the given radius."""
-    from scipy.stats import norm
-
     cube = _sobol_unit_cube(seed, key, count, dim + 1)
-    g = norm.ppf(cube[:, :dim])
-    nrm = norm_rows(g)
-    nrm[nrm == 0.0] = 1.0
-    r = radius * cube[:, dim] ** (1.0 / dim)
-    return g / nrm[..., None] * r[..., None]
+    g = _gaussian_directions(cube[:, :dim])
+    g *= (radius * cube[:, dim] ** (1.0 / dim))[..., None]
+    return g
 
 
 # ---------------------------------------------------------------------------

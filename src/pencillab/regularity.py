@@ -263,6 +263,16 @@ def _polish(germ: MixedGerm, Y0: np.ndarray, radius: float,
     return f, _on_sphere(Y, radius, Q)
 
 
+def _smallest_first(values: np.ndarray, k: int) -> np.ndarray:
+    """np.argsort(values, kind="stable")[:k] without sorting all of values:
+    partition for the k-th smallest value, then stably sort only the entries
+    not above it (NaN included, as the full sort puts NaN last)."""
+    k = min(k, values.size)
+    kth = np.partition(values, k - 1)[k - 1]
+    cand = np.flatnonzero(~(values > kth))
+    return cand[np.argsort(values[cand], kind="stable")[:k]]
+
+
 def d_regularity_search(germ: MixedGerm, radius: float,
                         Q: Optional[np.ndarray] = None,
                         budget: int = 10000, seed: int = 0,
@@ -330,7 +340,7 @@ def d_regularity_search(germ: MixedGerm, radius: float,
                                     polish_runs=0, verdict="inconclusive",
                                     **common)
 
-    order = np.argsort(defects, kind="stable")
+    order = _smallest_first(defects, max(1, polish_runs))
     best_idx = int(order[0])
     min_defect = float(defects[best_idx])
     witness = Z[best_idx]

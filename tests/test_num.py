@@ -1,8 +1,46 @@
-"""The batched Newton driver gauss_newton."""
+"""The quasi-random samplers and the batched Newton driver gauss_newton."""
+
+import math
 
 import numpy as np
+import pytest
+from scipy.stats import norm, qmc
 
-from pencillab._num import gauss_newton, solve_rows, stream
+from pencillab._num import (gauss_newton, sobol_ball, sobol_unit_sphere,
+                            solve_rows, stream)
+
+
+def _norm_ppf_directions(seed, key, count, dim, extra=0):
+    """The samplers' formula spelled out with scipy.stats.norm.ppf: the
+    clipped scrambled Sobol cube with dim + extra columns, and its first
+    dim columns through norm.ppf, each row divided by its norm."""
+    if count <= 0:
+        return np.empty((0, dim)), np.empty((0, dim + extra))
+    eng = qmc.Sobol(d=dim + extra, scramble=True, seed=stream(seed, *key))
+    m = max(1, int(math.ceil(math.log2(count))))
+    cube = np.clip(eng.random_base2(m)[:count], np.finfo(float).tiny,
+                   1.0 - 1e-16)
+    g = norm.ppf(cube[:, :dim])
+    nrm = np.sqrt(np.sum(g ** 2, axis=-1))
+    nrm[nrm == 0.0] = 1.0
+    return g / nrm[..., None], cube
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 200, 20000, 100000])
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_samplers_match_the_norm_ppf_formula_bit_for_bit(count, dim):
+    for seed in (0, 1, 7):
+        key = (0xD4E6, seed)
+        ref, _ = _norm_ppf_directions(seed, key, count, dim)
+        got = sobol_unit_sphere(seed, key, count, dim)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
+        g, cube = _norm_ppf_directions(seed, key, count, dim, extra=1)
+        ref = g * (0.7 * cube[:, dim] ** (1.0 / dim))[..., None]
+        got = sobol_ball(seed, key, count, dim, 0.7)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
 
 
 def _cubic_system(A, b):

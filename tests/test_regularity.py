@@ -11,7 +11,9 @@ from pencillab._num import (canonical_json, sobol_unit_sphere, to_complex,
 from pencillab.errors import AxisProximity
 from pencillab.germ import (differential_sample, evaluate, parse_germ,
                             real_gradients)
+from pencillab import regularity
 from pencillab.regularity import (_colinearity, _defects, _polish,
+                                  _smallest_first,
                                   critical_value_isolation_scan,
                                   d_regularity_search, defect_from_directions,
                                   phase_margin_from_fields,
@@ -143,6 +145,52 @@ def test_dreg_custom_metric_changes_normal():
     assert 0.0 < rep.min_defect <= 1.0
 
 
+def _a2a3_zero_on_the_sphere():
+    """A real-layout point of |x| = 0.5 where z1^2 + z2^3 = 0: z2 = -t real,
+    z1 = t^1.5, with t^3 + t^2 = 0.25."""
+    t = np.roots([1.0, 1.0, 0.0, -0.25])
+    t = float(t[np.isreal(t)].real[0])
+    return np.array([t ** 1.5, -t, 0.0, 0.0])
+
+
+def test_smallest_first_is_the_head_of_a_stable_argsort():
+    rng = np.random.default_rng(0x5E1EC7)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, 0.5, -2.0])
+    for trial in range(1200):
+        n = int(rng.integers(1, 50))
+        # rounded normals give ties; the share of special values cycles
+        # through 0, 1/3, 2/3 and 1
+        v = np.round(rng.normal(size=n), 1)
+        v = np.where(rng.random(n) < trial % 4 / 3, rng.choice(special, n), v)
+        full = np.argsort(v, kind="stable")
+        for k in range(1, n + 3):
+            assert np.array_equal(_smallest_first(v, k), full[:k])
+
+
+def test_dreg_search_with_more_polish_runs_than_usable_rows(monkeypatch):
+    # a cover with two rows on f = 0 (axis, defect inf) and ten copies of
+    # one row (tied defects); polish_runs exceeds the usable rows
+    g = parse_germ("z1^2 + z2^3", 2)
+    U = sobol_unit_sphere(3, (1,), 40, 4)
+    U[[5, 17]] = _a2a3_zero_on_the_sphere() / 0.5
+    U[20:30] = U[3]
+    monkeypatch.setattr(regularity, "sobol_unit_sphere",
+                        lambda *args: U.copy())
+
+    def search():
+        return d_regularity_search(g, 0.5, budget=40, seed=0,
+                                   polish_runs=100)
+
+    rep = search()
+    assert rep.axis_excluded == 2 and rep.usable == 38
+    # every usable row is a start, and no excluded one
+    assert rep.polish_runs == rep.usable
+    monkeypatch.setattr(regularity, "_smallest_first",
+                        lambda v, k: np.argsort(v, kind="stable")[:k])
+    assert (canonical_json(rep.to_json_dict())
+            == canonical_json(search().to_json_dict()))
+
+
 def _polish_starts(count=100):
     g = parse_germ("z1^2 + z2^3", 2)
     Y = to_real(0.5 * to_complex(sobol_unit_sphere(0, (7,), count, 4)))
@@ -165,10 +213,8 @@ def test_polish_start_alone_matches_its_row_in_a_batch(Q):
 def test_polish_bad_starts_fail_only_their_own_rows():
     g, Y = _polish_starts()
     values, X = _polish(g, Y, 0.5, None, g.f_floor(0.5))
-    # a start on f = 0 (z1^2 = -z2^3 with z2 = -t real) and a NaN start
-    t = np.roots([1.0, 1.0, 0.0, -0.25])
-    t = float(t[np.isreal(t)].real[0])
-    axis = np.array([t ** 1.5, -t, 0.0, 0.0])
+    # a start on f = 0 and a NaN start
+    axis = _a2a3_zero_on_the_sphere()
     assert abs(evaluate(g, to_complex(axis))) < g.f_floor(0.5)
     mixed = np.vstack([Y[:40], axis, np.full(4, np.nan), Y[40:]])
     v2, X2 = _polish(g, mixed, 0.5, None, g.f_floor(0.5))
