@@ -158,11 +158,33 @@ GN_ITER = 60
 
 
 def _newton_step(J: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """J^{-1} R for a square J, else J^T (J J^T)^{-1} R. The row-selected
-    copies of J passed in die with the call, before the next evaluation."""
-    if J.shape[-2] == J.shape[-1]:
+    """The Newton step of rows with Jacobian J and residual R.
+
+    A square J takes J^{-1} R. A wide two-row J takes the minimum-norm step
+    J^T (J J^T)^{-1} R in closed form, through the written-out LDL^T of the
+    normalised Gram g = <r0, r1> / (|r0| |r1|), pivots 1 and 1 - g^2, as in
+    flows._solve_min_norm; other wide J solve J J^T with solve_rows. A row
+    whose Gram is singular (a zero row, |g| = 1) or not finite gets a NaN
+    step.
+    """
+    m, d = J.shape[-2:]
+    if m == d:
         return solve_rows(J, R)
-    return np.einsum("nmd,nm->nd", J, solve_rows(J @ J.swapaxes(-1, -2), R))
+    if m != 2:
+        return np.einsum("nmd,nm->nd", J,
+                         solve_rows(J @ J.swapaxes(-1, -2), R))
+    r0, r1 = J[:, 0], J[:, 1]
+    n0, n1 = norm_rows(r0), norm_rows(r1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.sum(r0 * r1, axis=-1) / n0 / n1
+        a = np.abs(g)
+        p1 = (1.0 - a) * (1.0 + a)
+        b0 = R[:, 0] / n0
+        y1 = (R[:, 1] / n1 - g * b0) / p1
+        y0 = (b0 - g * y1) / n0
+        y1 /= n1
+        y1[~(p1 > 0.0)] = np.nan    # a NaN g fails the comparison too
+        return y0[:, None] * r0 + y1[:, None] * r1
 
 
 def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
@@ -176,37 +198,46 @@ def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     A square J takes the Newton step J^{-1} R, solved directly to keep J's
     condition number unsquared (the two-row systems on the sphere are
     square for a germ in one variable); a wide one the minimum-norm step
-    J^T (J J^T)^{-1} R. Steps repeat until max_i |R_i| / scale_i < tol, at
-    most GN_ITER times. A row stops where it is when its residual is not
-    finite (before the solve) or its step is singular or not finite; the
-    other rows go on. Returns (X, ok) where ok marks rows that converged.
+    J^T (J J^T)^{-1} R, in closed form for two rows (_newton_step). Steps
+    repeat until max_i |R_i| / scale_i < tol, at most GN_ITER times. A row
+    stops where it is when its residual is not finite (before the solve)
+    or its step is singular or not finite; the other rows go on. Returns
+    (X, ok) where ok marks rows that converged.
     """
     X = np.array(x0, dtype=float, copy=True)
-    N = X.shape[0]
-    ok = np.zeros(N, dtype=bool)
-    alive = np.ones(N, dtype=bool)
+    ok = np.zeros(len(X), dtype=bool)
     scale = np.asarray(scale, dtype=float)
+    # the moving rows Xa = X[idx], compacted as rows stop; the max and the
+    # finiteness test run column by column, in one pass over the rows each
+    idx, Xa = np.arange(len(X)), X
     for _ in range(GN_ITER):
-        idx = np.flatnonzero(alive & ~ok)
         if idx.size == 0:
             break
-        R, J = system(X[idx])
-        res = np.max(np.abs(R) / scale, axis=-1)
+        R, J = system(Xa)
+        res = np.abs(R[:, 0]) / scale[0]
+        for j in range(1, R.shape[1]):
+            np.maximum(res, np.abs(R[:, j]) / scale[j], out=res)
         ok[idx[res < tol]] = True
-        alive[idx[~np.isfinite(res)]] = False
-        sel = np.isfinite(res) & (res >= tol)
-        move = idx[sel]
-        if move.size == 0:
-            continue
-        dx = _newton_step(J[sel], R[sel])
+        move = np.isfinite(res) & (res >= tol)
+        if move.all():
+            dx = _newton_step(J, R)
+        else:
+            dx = np.full(Xa.shape, np.nan)
+            dx[move] = _newton_step(J[move], R[move])
         if step_cap is not None:
             nrm = norm_rows(dx)
             big = nrm > step_cap
             if np.any(big):
                 dx[big] *= (step_cap / nrm[big])[..., None]
-        bad = ~np.isfinite(dx).all(axis=-1)
-        X[move] -= np.where(bad[..., None], 0.0, dx)
-        alive[move[bad]] = False
+        for j in range(dx.shape[1]):
+            move &= np.isfinite(dx[:, j])
+        if not move.all():
+            stop, keep = np.flatnonzero(~move), np.flatnonzero(move)
+            X[idx[stop]] = Xa[stop]
+            Xa, idx, dx = Xa[keep], idx[keep], dx[keep]
+        Xa -= dx
+    if Xa is not X:
+        X[idx] = Xa
     return X, ok
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm, qmc
 
-from pencillab._num import (gauss_newton, sobol_ball, sobol_unit_sphere,
-                            solve_rows, stream)
+from pencillab._num import (_newton_step, gauss_newton, sobol_ball,
+                            sobol_unit_sphere, solve_rows, stream)
 
 
 def _norm_ppf_directions(seed, key, count, dim, extra=0):
@@ -86,3 +86,71 @@ def test_singular_and_non_finite_rows_stop_alone():
     np.testing.assert_array_equal(X[bad], x02[bad])
     np.testing.assert_array_equal(X[~bad], alone[0])
     np.testing.assert_array_equal(ok[~bad], alone[1])
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_two_row_step_matches_the_lstsq_minimum_norm_step(d):
+    # rows of scales 1e-3..1e3 whose second row leans on the first by a
+    # random amount, so the Gram conditions spread over [1, ~1e9]. The
+    # reference is lstsq on the rows scaled to unit length, which have the
+    # same minimum-norm solution; cond is that of the normalised Gram, as
+    # in flows._solve_min_norm
+    rng = stream(2, 0x2D, d)
+    n = 10000
+    r0 = rng.normal(size=(n, d))
+    lean = 10.0 ** rng.uniform(-3.0, 0.0, size=n)
+    r1 = r0 * rng.normal(size=(n, 1)) + lean[:, None] * rng.normal(size=(n, d))
+    J = np.stack([r0, r1], axis=1) * 10.0 ** rng.uniform(-3, 3, size=(n, 2, 1))
+    R = rng.normal(size=(n, 2))
+    got = _newton_step(J, R)
+    for Ji, Ri, gi in zip(J, R, got):
+        nrm = np.linalg.norm(Ji, axis=1)
+        ref = np.linalg.lstsq(Ji / nrm[:, None], Ri / nrm, rcond=None)[0]
+        g = abs(Ji[0] @ Ji[1]) / nrm[0] / nrm[1]
+        err = np.linalg.norm(gi - ref) / np.linalg.norm(ref)
+        assert err <= 1e-12 * (1.0 + g) / (1.0 - g)
+
+
+def _tagged_wide_system(X):
+    """Two rows in four unknowns: the unit sphere in x0..x2 and x0 = x1.
+    Column 3 tags a row and never moves: 1 zeroes the first Jacobian row,
+    2 makes the rows parallel with an exact unit Gram entry, 3 makes the
+    residual NaN."""
+    tag = X[:, 3]
+    R = np.stack([np.sum(X[:, :3] ** 2, axis=-1) - 1.0, X[:, 0] - X[:, 1]],
+                 axis=-1)
+    J = np.zeros((len(X), 2, 4))
+    J[:, 0, :3] = 2.0 * X[:, :3]
+    J[:, 1, :2] = (1.0, -1.0)
+    J[tag == 1, 0] = 0.0
+    J[tag == 2] = [[3.0, 4.0, 0.0, 0.0], [6.0, 8.0, 0.0, 0.0]]
+    R[tag == 3, 0] = np.nan
+    return R, J
+
+
+def test_wide_singular_and_non_finite_rows_stop_alone():
+    rng = stream(3, 0x7E57)
+    x0 = np.concatenate([rng.uniform(0.3, 1.0, size=(20, 3)),
+                         np.zeros((20, 1))], axis=1)
+    alone = gauss_newton(_tagged_wide_system, x0, np.ones(2))
+    assert alone[1].all()
+    bad = np.array([2, 9, 15])
+    x02 = np.insert(x0, bad - np.arange(3), x0[:3], axis=0)
+    x02[bad, 3] = (1.0, 2.0, 3.0)
+    X, ok = gauss_newton(_tagged_wide_system, x02, np.ones(2))
+    rest = ~np.isin(np.arange(23), bad)
+    assert not ok[bad].any()
+    np.testing.assert_array_equal(X[bad], x02[bad])
+    np.testing.assert_array_equal(X[rest], alone[0])
+    np.testing.assert_array_equal(ok[rest], alone[1])
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_square_step_is_the_stacked_solve(d):
+    # a germ in one variable has square 2 x 2 sphere systems; square
+    # steps keep the plain stacked LAPACK solve
+    rng = stream(4, 0x5C, d)
+    J = rng.normal(size=(500, d, d))
+    R = rng.normal(size=(500, d))
+    assert (_newton_step(J, R).tobytes()
+            == np.linalg.solve(J, R[..., None])[..., 0].tobytes())
