@@ -20,8 +20,7 @@ its derivative is nonzero. Each slot is a product formed in a fixed factor
 order that does not depend on which other orders were requested, so f from
 evaluate and f from value_and_gradient agree bit for bit. evaluate,
 value_and_gradient, wirtinger_gradient, wirtinger_hessian, real_gradients,
-hessian_blocks, real_hessians and the rank margins are thin wrappers around
-it.
+real_hessians and the rank margins are thin wrappers around it.
 """
 
 from __future__ import annotations
@@ -525,31 +524,27 @@ def wirtinger_gradient(germ: MixedGerm, z):
     return _derivatives(germ, z, (1,))
 
 
-def wirtinger_hessian(germ: MixedGerm, z):
+def wirtinger_hessian(germ: MixedGerm, z, gradient: bool = False):
     """Exact second Wirtinger derivatives (A, B, C).
 
     A[j,k] = d2f/dz_j dz_k, B[j,k] = d2f/dz_j dzbar_k,
-    C[j,k] = d2f/dzbar_j dzbar_k; batched over leading axes of z.
+    C[j,k] = d2f/dzbar_j dzbar_k; batched over leading axes of z. With
+    gradient, f, d_z and d_zbar of the same kernel pass come first.
     """
-    return _derivatives(germ, z, (2,))
-
-
-def hessian_blocks(germ: MixedGerm, z):
-    """Complex n x n blocks (uu, w, vv) of the real Hessian of f.
-
-    In the stacked [Re ; Im] layout the complex-valued real Hessian is
-    H = [[uu, i*w], [(i*w)^T, vv]], so H_a = Re H and H_b = Im H, exactly,
-    from the second Wirtinger derivatives.
-    """
-    A, B, C = wirtinger_hessian(germ, z)
-    Bt = np.swapaxes(B, -1, -2)
-    return A + B + Bt + C, A + Bt - B - C, -A + B + Bt - C
+    return _derivatives(germ, z, (0, 1, 2) if gradient else (2,))
 
 
 def real_hessians(germ: MixedGerm, z):
-    """Real 2n x 2n Hessians (H_a, H_b) of a = Re f and b = Im f."""
-    uu, w, vv = hessian_blocks(germ, z)
-    uv = 1j * w
+    """Real 2n x 2n Hessians (H_a, H_b) of a = Re f and b = Im f.
+
+    In the stacked [Re ; Im] layout the complex-valued real Hessian is
+    H = [[uu, i*w], [(i*w)^T, vv]] with complex n x n blocks formed from
+    the second Wirtinger derivatives, so H_a = Re H and H_b = Im H exactly.
+    """
+    A, B, C = wirtinger_hessian(germ, z)
+    Bt = np.swapaxes(B, -1, -2)
+    uu, vv = A + B + Bt + C, -A + B + Bt - C
+    uv = 1j * (A + Bt - B - C)
     vu = np.swapaxes(uv, -1, -2)
     top = np.concatenate([uu, uv], axis=-1)
     bot = np.concatenate([vu, vv], axis=-1)
@@ -557,13 +552,17 @@ def real_hessians(germ: MixedGerm, z):
     return H.real, H.imag
 
 
+def stacked_gradients(dz, dzb):
+    """Real gradients (grad_a, grad_b) of a = Re f and b = Im f in the
+    stacked layout, from the first Wirtinger derivatives."""
+    gf = np.concatenate([dz + dzb, 1j * (dz - dzb)], axis=-1)
+    return gf.real, gf.imag
+
+
 def real_gradients(germ: MixedGerm, z):
     """Return (f, grad_a, grad_b) with gradients in the stacked real layout."""
     f, dz, dzb = _derivatives(germ, z, (0, 1))
-    gu = dz + dzb
-    gv = 1j * (dz - dzb)
-    gf = np.concatenate([gu, gv], axis=-1)   # complex-valued real gradient of f
-    return f, gf.real, gf.imag
+    return (f,) + stacked_gradients(dz, dzb)
 
 
 @dataclass(frozen=True)

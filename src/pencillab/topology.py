@@ -10,13 +10,15 @@ controlled by a stability window: the run stops only after a fixed number
 of consecutive seed batches finds no new critical point.
 
 The window cannot close before as many more batches as it still lacks, so
-those batches are drawn, projected and polished as one stacked chunk; both
-stages are systems for _num.gauss_newton, the package's one Newton loop.
-The chunk is then classified batch by batch in its original order, each
-batch's candidates in one call. The solvers are row-independent, so the
-chunk gives the same points, counters and stop as a batch-by-batch loop;
-only a degenerate critical point, which ends the draw, discards the rest
-of its chunk unseen.
+those batches are drawn in one Sobol call, projected and polished as one
+stacked chunk; both stages are systems for _num.gauss_newton, the
+package's one Newton loop. The chunk is then classified batch by batch in
+its original order, each batch's candidates in one call. The solvers are
+row-independent, so the chunk gives the points, counters and stop of a
+batch-by-batch loop over the same seeds; only a degenerate critical point,
+which ends the draw, discards the rest of its chunk unseen. The seeds of a
+batch after a chunk's first are a slice of the chunk's draw, not the
+batch's own one-batch draw.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from ._num import (gauss_newton, sobol_unit_sphere, solve_rows, stream,
                    to_complex)
 from .errors import DegenerateAfterRetries, Unstable
-from .germ import MixedGerm, hessian_blocks
+from .germ import MixedGerm, stacked_gradients, wirtinger_hessian
 from .pencil import member_gradient, sphere_member_system
 
 TWO_PI = 2.0 * math.pi
@@ -121,23 +123,6 @@ class MorseInventory:
         }
 
 
-def _member_hessian(germ: MixedGerm, theta: float, X: np.ndarray):
-    """Real Hessian ct * H_b - st * H_a of h_theta, block by block.
-
-    Each entry is ct * Im - st * Re of its complex block; the off-diagonal
-    blocks are i*w, with Im(i*w) = Re w and Re(i*w) = -Im w exactly.
-    """
-    ct, st = math.cos(theta), math.sin(theta)
-    uu, w, vv = hessian_blocks(germ, to_complex(X))
-    n = germ.n
-    H = np.empty(X.shape[:-1] + (2 * n, 2 * n))
-    H[..., :n, :n] = ct * uu.imag - st * uu.real
-    H[..., :n, n:] = ct * w.real + st * w.imag
-    H[..., n:, :n] = np.swapaxes(H[..., :n, n:], -1, -2)
-    H[..., n:, n:] = ct * vv.imag - st * vv.real
-    return H
-
-
 def _stationarity_system(germ: MixedGerm, theta: float, radius: float,
                          ell: np.ndarray, scale_h: float):
     """(system, scale) for gauss_newton: ell's critical points on the link,
@@ -145,30 +130,56 @@ def _stationarity_system(germ: MixedGerm, theta: float, radius: float,
 
         ell - 2*l1*x - l2*grad h = 0,  |x|^2 - r^2 = 0,  h = 0.
 
-    J[:4, :4] is the Lagrangian Hessian and J[5, :4] is grad h. Rows outside
-    the ball |x| <= 4r read NaN, and the germ is not evaluated on them.
+    J[:4, :4] is the Lagrangian Hessian and J[5, :4] is grad h, from one
+    kernel pass; h and grad h have member_gradient's bits. The real Hessian
+    of h is ct * H_b - st * H_a = Im(exp(-i*theta) H) for the complex real
+    Hessian H = [[uu, i*w], [(i*w)^T, vv]] of f (germ.real_hessians), so
+    its blocks are Im, Re and Im of the rotated uu, w and vv. The blocks
+    and J are formed entry-major, (entry, row), so that each operation
+    runs over the rows in one pass. Rows outside the ball |x| <= 4r read
+    NaN, and the germ is not evaluated on them.
     """
     r2 = radius * radius
+    ct, st = math.cos(theta), math.sin(theta)
+    diag = np.arange(4)
+
+    def assemble(X, L, s2):
+        f, dz, dzb, *abc = wirtinger_hessian(germ, to_complex(X),
+                                             gradient=True)
+        ga, gb = stacked_gradients(dz, dzb)
+        gh = (ct * gb - st * ga).T
+        # the blocks rotated by exp(-i*theta), entry-major
+        A, B, C = (np.ascontiguousarray(m.transpose(1, 2, 0))
+                   * complex(ct, -st) for m in abc)
+        AC, S = A + C, B.imag + B.imag.swapaxes(0, 1)
+        F = np.empty((6, len(X)))
+        np.subtract(ell[:, None], 2.0 * L[:, 0] * X.T, out=F[:4])
+        F[:4] -= L[:, 1] * gh
+        F[4] = s2 - r2
+        F[5] = ct * f.imag - st * f.real
+        J = np.empty((6, 6, len(X)))
+        np.add(AC.imag, S, out=J[:2, :2])
+        np.subtract(S, AC.imag, out=J[2:4, 2:4])
+        np.subtract(B.real.swapaxes(0, 1), B.real, out=J[:2, 2:4])
+        J[:2, 2:4] += (A - C).real
+        J[2:4, :2] = J[:2, 2:4].swapaxes(0, 1)
+        J[:4, :4] *= -L[:, 1]
+        J[diag, diag] -= 2.0 * L[:, 0]
+        J[:4, 4] = -2.0 * X.T
+        J[:4, 5] = -gh
+        J[4, :4] = 2.0 * X.T
+        J[5, :4] = gh
+        J[4:, 4:] = 0.0
+        return F.T, np.ascontiguousarray(J.transpose(2, 0, 1))
 
     def system(Y):
         X, L = Y[:, :4], Y[:, 4:]
-        inside = np.linalg.norm(X, axis=-1) <= 4.0 * radius
-        h, gh, H = (np.full((len(Y),) + s, np.nan)
-                    for s in ((), (4,), (4, 4)))
-        h[inside], gh[inside], _ = member_gradient(germ, theta, X[inside])
-        H[inside] = _member_hessian(germ, theta, X[inside])
-        F = np.concatenate([
-            ell[None, :] - 2.0 * L[:, 0:1] * X - L[:, 1:2] * gh,
-            (np.sum(X * X, axis=-1) - r2)[:, None],
-            h[:, None],
-        ], axis=-1)
-        J = np.zeros((len(Y), 6, 6))
-        J[:, :4, :4] = (-2.0 * L[:, 0, None, None] * np.eye(4)
-                        - L[:, 1, None, None] * H)
-        J[:, :4, 4] = -2.0 * X
-        J[:, :4, 5] = -gh
-        J[:, 4, :4] = 2.0 * X
-        J[:, 5, :4] = gh
+        s2 = np.sum(X * X, axis=-1)
+        inside = np.sqrt(s2) <= 4.0 * radius
+        if inside.all():
+            return assemble(X, L, s2)
+        F, J = np.full((len(Y), 6), np.nan), np.full((len(Y), 6, 6), np.nan)
+        F[inside], J[inside] = assemble(X[inside], L[inside], s2[inside])
         return F, J
 
     return system, np.array([1.0, 1.0, 1.0, 1.0, r2, scale_h])
@@ -217,8 +228,10 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
     is new (within 1e-6 * radius of a stored point). Batches are solved in
     stacked chunks of the window's remaining length (capped by the
     budget), which changes neither the stop rule nor seeds_used and
-    batches: both count only the batches classified. A degenerate point
-    discards the rest of its chunk along with the draw. Raises Unstable
+    batches: both count only the batches classified. A chunk draws its
+    seeds in one call keyed by its first batch, so batch 0 has the seeds
+    of a one-batch draw and later batches slices of their chunk's draw. A
+    degenerate point discards the rest of its chunk along with the draw. Raises Unstable
     when the budget runs out before the stability window closes (the
     partial inventory rides on the error), and DegenerateAfterRetries when
     every functional redraw met a degenerate critical point.
@@ -260,9 +273,8 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
             # drawn, projected and polished together, then classified in
             # order; the stacked solvers are row-independent
             k = min(stability_batches - stable_run, max_batches - b)
-            seeds0 = radius * np.concatenate([
-                sobol_unit_sphere(seed, (0x5EED, draw, b + j), batch, 4)
-                for j in range(k)])
+            seeds0 = radius * sobol_unit_sphere(seed, (0x5EED, draw, b),
+                                                k * batch, 4)
             b += k
             # project onto the link before polishing the full system
             Xp, okp = gauss_newton(

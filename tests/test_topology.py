@@ -1,5 +1,7 @@
 """Milnor numbers, Morse counting on links, and the doubling check."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,9 @@ from hypothesis import strategies as st
 
 from pencillab import topology
 from pencillab._num import (canonical_json, gauss_newton, sobol_unit_sphere,
-                            stream)
+                            stream, to_complex)
 from pencillab.errors import DegenerateAfterRetries, Unstable
-from pencillab.germ import parse_germ
+from pencillab.germ import parse_germ, real_hessians
 from pencillab.pencil import member_gradient, sphere_member_system
 from pencillab.topology import (_lagrange_newton, brieskorn_exponents,
                                 closed_form_mu, double_fiber_consistency,
@@ -135,8 +137,8 @@ def test_stacked_window_solves_match_per_batch_solves(q, theta):
     ell = stream(0, 0xE11, 0).normal(size=4)
     ell /= np.linalg.norm(ell)
     # the first 20 seed batches of link_surface_euler's first draw
-    seeds = [radius * sobol_unit_sphere(0, (0x5EED, 0, b), 200, 4)
-             for b in range(20)]
+    seeds = np.split(radius * sobol_unit_sphere(0, (0x5EED, 0, 0), 4000, 4),
+                     20)
 
     def project(x0):
         return gauss_newton(system, x0, scale, tol=1e-12,
@@ -172,6 +174,33 @@ def test_euler_window_takes_one_solver_call_per_chunk(monkeypatch):
     assert (inv.batches, inv.seeds_used) == (21, 4200)
     # the sequential loop made 21 calls of each, one per batch
     assert 1 <= calls[2] <= 3 and 1 <= calls[6] <= 3
+
+
+@pytest.mark.parametrize("theta", [0.0, np.pi / 2])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_euler_draws_its_seeds_once_per_chunk(monkeypatch, q, theta):
+    # a criterion-1 job: each stacked chunk draws its seeds in one Sobol
+    # call, batch 0's seeds are those of a one-batch draw, and a Sobol
+    # balance warning fails the job
+    drawn = []
+    draw = topology.sobol_unit_sphere
+
+    def recorded(seed, key, count, dim):
+        drawn.append((key, draw(seed, key, count, dim)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(topology, "sobol_unit_sphere", recorded)
+    g = parse_germ(f"z1^2 + z2^{q}", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv, chi = link_surface_euler(g, theta, 0.5, budget=100000, seed=0)
+    assert chi == 4 - 2 * q
+    # the sequential loop made one call per batch: 21 or 22
+    assert 1 <= len(drawn) <= 3
+    assert sum(len(u) for _, u in drawn) == inv.seeds_used
+    assert drawn[0][0] == (0x5EED, 0, 0)
+    assert (drawn[0][1][:200].tobytes()
+            == sobol_unit_sphere(0, (0x5EED, 0, 0), 200, 4).tobytes())
 
 
 def test_degenerate_point_on_every_draw_raises(monkeypatch):
@@ -245,8 +274,9 @@ def test_morse_data_of_a_batch_matches_the_pointwise_formula(theta):
         top = ell - 2.0 * lam[0] * x - lam[1] * gh[0]
         assert r == max(np.max(np.abs(top)), abs(np.sum(x * x) - r2) / r2,
                         abs(h[0]) / scale_h)
+        Ha, Hb = real_hessians(g, to_complex(x))
         Hl = (-2.0 * lam[0] * np.eye(4)
-              - lam[1] * topology._member_hessian(g, theta, x[None, :])[0])
+              - lam[1] * (np.cos(theta) * Hb - np.sin(theta) * Ha))
         frame = np.stack([x / np.linalg.norm(x), gh[0]], axis=1)
         B = np.linalg.qr(np.concatenate([frame, np.eye(4)], axis=1))[0]
         want = np.linalg.det(B[:, 2:4].T @ Hl @ B[:, 2:4])
