@@ -201,16 +201,24 @@ def _lagrange_newton(germ: MixedGerm, theta: float, radius: float,
 
 
 def _morse_data(system, scale, X: np.ndarray, L: np.ndarray):
-    """Verified residual and projected-Hessian determinant of each critical
-    point. The tangent plane is orthogonal to the frame (x / |x|, grad h):
-    columns 2:4 of Q, from one stacked QR of the frame and the identity.
+    """One more stationarity Newton step on converged critical points, then
+    their verified residuals and projected-Hessian determinants; returns
+    (X, L, residual, det). The step fixes each point to the rounding of its
+    root, whatever Newton path reached it; a row whose step is not finite
+    keeps its point. The tangent plane is orthogonal to the frame
+    (x / |x|, grad h): columns 2:4 of Q, from one stacked QR of the frame
+    and the identity.
     """
-    F, J = system(np.concatenate([X, L], axis=-1))
+    Y = np.concatenate([X, L], axis=-1)
+    dY = solve_rows(*system(Y)[::-1])
+    Y -= np.where(np.isfinite(dY).all(axis=-1, keepdims=True), dY, 0.0)
+    F, J = system(Y)
+    X, L = Y[:, :4], Y[:, 4:]
     frame = np.stack([X / np.linalg.norm(X, axis=-1, keepdims=True),
                       J[:, 5, :4]], axis=-1)
     eye = np.broadcast_to(np.eye(4), (len(X), 4, 4))
     B = np.linalg.qr(np.concatenate([frame, eye], axis=-1))[0][..., 2:4]
-    return (np.max(np.abs(F) / scale, axis=-1),
+    return (X, L, np.max(np.abs(F) / scale, axis=-1),
             np.linalg.det(np.swapaxes(B, -1, -2) @ J[:, :4, :4] @ B))
 
 
@@ -305,14 +313,14 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
                 first_new = len(points)
                 X, L = cand[order], candL[order]
                 if len(X):
-                    res, det = _morse_data(system, scale, X, L)
+                    X, L, res, det = _morse_data(system, scale, X, L)
                 for i, x in enumerate(X):
                     if len(points) > first_new:
                         dists = np.linalg.norm(
                             np.stack(points[first_new:]) - x, axis=-1)
                         if float(np.min(dists)) <= dedup_tol:
                             continue
-                    if res[i] >= newton_tol:
+                    if not res[i] < newton_tol:
                         continue
                     if abs(det[i]) < DEGENERACY_TOL:
                         degenerate = True

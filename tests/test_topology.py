@@ -203,6 +203,24 @@ def test_euler_draws_its_seeds_once_per_chunk(monkeypatch, q, theta):
             == sobol_unit_sphere(0, (0x5EED, 0, 0), 200, 4).tobytes())
 
 
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_stored_points_do_not_depend_on_the_newton_path(theta):
+    # two seeds reach the same critical points of one functional along
+    # different Newton paths; the final step fixes each to its root
+    g = parse_germ("z1^2 + z2^3", 2)
+    ell = np.array([0.3, -0.5, 0.6, 0.55])
+    a, b = (link_surface_euler(g, theta, 0.5, seed=s, ell_seed=ell)[0]
+            for s in (0, 5))
+    order_a, order_b = (np.lexsort(i.points.T[::-1]) for i in (a, b))
+    assert len(order_a) == len(order_b) > 0
+    for field in ("points", "multipliers", "values"):
+        np.testing.assert_allclose(getattr(a, field)[order_a],
+                                   getattr(b, field)[order_b],
+                                   rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(a.signs[order_a], b.signs[order_b])
+    assert max(a.residuals.max(), b.residuals.max()) <= 1e-14
+
+
 def test_degenerate_point_on_every_draw_raises(monkeypatch):
     # a degenerate point ends its draw in the middle of a stacked chunk
     monkeypatch.setattr(topology, "DEGENERACY_TOL", np.inf)
@@ -267,7 +285,7 @@ def test_morse_data_of_a_batch_matches_the_pointwise_formula(theta):
                                 scale_h)
     X, L = X[ok], L[ok]
     assert len(X) > 4
-    res, det = topology._morse_data(
+    X, L, res, det = topology._morse_data(
         *topology._stationarity_system(g, theta, radius, ell, scale_h), X, L)
     for x, lam, r, d in zip(X, L, res, det):
         h, gh, _ = member_gradient(g, theta, x[None, :])
