@@ -158,14 +158,12 @@ GN_ITER = 60
 
 
 def _newton_step(J: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """The Newton step of rows with Jacobian J and residual R.
+    """J^{-1} R for a square J, else the minimum-norm J^T (J J^T)^{-1} R.
 
-    A square J takes J^{-1} R. A wide two-row J takes the minimum-norm step
-    J^T (J J^T)^{-1} R in closed form, through the written-out LDL^T of the
+    Two rows are solved in closed form by the written-out LDL^T of their
     normalised Gram g = <r0, r1> / (|r0| |r1|), pivots 1 and 1 - g^2, as in
-    flows._solve_min_norm; other wide J solve J J^T with solve_rows. A row
-    whose Gram is singular (a zero row, |g| = 1) or not finite gets a NaN
-    step.
+    flows._solve_min_norm; a zero row, |g| = 1 or a value that is not
+    finite gives the row a NaN step.
     """
     m, d = J.shape[-2:]
     if m == d:
@@ -177,14 +175,11 @@ def _newton_step(J: np.ndarray, R: np.ndarray) -> np.ndarray:
     n0, n1 = norm_rows(r0), norm_rows(r1)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = np.sum(r0 * r1, axis=-1) / n0 / n1
-        a = np.abs(g)
-        p1 = (1.0 - a) * (1.0 + a)
+        p1 = (1.0 - np.abs(g)) * (1.0 + np.abs(g))
         b0 = R[:, 0] / n0
-        y1 = (R[:, 1] / n1 - g * b0) / p1
-        y0 = (b0 - g * y1) / n0
-        y1 /= n1
-        y1[~(p1 > 0.0)] = np.nan    # a NaN g fails the comparison too
-        return y0[:, None] * r0 + y1[:, None] * r1
+        # a NaN g fails the comparison too
+        y1 = np.where(p1 > 0.0, (R[:, 1] / n1 - g * b0) / p1, np.nan)
+        return ((b0 - g * y1) / n0)[:, None] * r0 + (y1 / n1)[:, None] * r1
 
 
 def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
@@ -207,8 +202,8 @@ def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     X = np.array(x0, dtype=float, copy=True)
     ok = np.zeros(len(X), dtype=bool)
     scale = np.asarray(scale, dtype=float)
-    # the moving rows Xa = X[idx], compacted as rows stop; the max and the
-    # finiteness test run column by column, in one pass over the rows each
+    # the moving rows Xa = X[idx]; the max runs column by column, in one
+    # pass over the rows each
     idx, Xa = np.arange(len(X)), X
     for _ in range(GN_ITER):
         if idx.size == 0:
@@ -219,25 +214,18 @@ def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
             np.maximum(res, np.abs(R[:, j]) / scale[j], out=res)
         ok[idx[res < tol]] = True
         move = np.isfinite(res) & (res >= tol)
-        if move.all():
-            dx = _newton_step(J, R)
-        else:
-            dx = np.full(Xa.shape, np.nan)
-            dx[move] = _newton_step(J[move], R[move])
+        dx = np.full(Xa.shape, np.nan)
+        dx[move] = _newton_step(J[move], R[move])
         if step_cap is not None:
-            nrm = norm_rows(dx)
-            big = nrm > step_cap
-            if np.any(big):
-                dx[big] *= (step_cap / nrm[big])[..., None]
-        for j in range(dx.shape[1]):
-            move &= np.isfinite(dx[:, j])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dx *= np.minimum(1.0, step_cap / norm_rows(dx))[:, None]
+        move &= np.isfinite(dx).all(axis=-1)
         if not move.all():
             stop, keep = np.flatnonzero(~move), np.flatnonzero(move)
             X[idx[stop]] = Xa[stop]
             Xa, idx, dx = Xa[keep], idx[keep], dx[keep]
         Xa -= dx
-    if Xa is not X:
-        X[idx] = Xa
+    X[idx] = Xa
     return X, ok
 
 

@@ -15,10 +15,9 @@ stacked chunk; both stages are systems for _num.gauss_newton, the
 package's one Newton loop. The chunk is then classified batch by batch in
 its original order, each batch's candidates in one call. The solvers are
 row-independent, so the chunk gives the points, counters and stop of a
-batch-by-batch loop over the same seeds; only a degenerate critical point,
-which ends the draw, discards the rest of its chunk unseen. The seeds of a
-batch after a chunk's first are a slice of the chunk's draw, not the
-batch's own one-batch draw.
+batch-by-batch loop over the same seeds (those of later batches are
+slices of the chunk's draw, not one-batch draws); only a degenerate
+critical point, which ends the draw, discards the rest of its chunk.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from ._num import (gauss_newton, sobol_unit_sphere, solve_rows, stream,
                    to_complex)
 from .errors import DegenerateAfterRetries, Unstable
 from .germ import MixedGerm, stacked_gradients, wirtinger_hessian
-from .pencil import member_gradient, sphere_member_system
+from .pencil import _member, member_gradient, sphere_member_system
 
 TWO_PI = 2.0 * math.pi
 DEGENERACY_TOL = 1e-9   # on |det| of a critical point's projected Hessian
@@ -130,45 +129,33 @@ def _stationarity_system(germ: MixedGerm, theta: float, radius: float,
 
         ell - 2*l1*x - l2*grad h = 0,  |x|^2 - r^2 = 0,  h = 0.
 
-    J[:4, :4] is the Lagrangian Hessian and J[5, :4] is grad h, from one
-    kernel pass; h and grad h have member_gradient's bits. The real Hessian
-    of h is ct * H_b - st * H_a = Im(exp(-i*theta) H) for the complex real
-    Hessian H = [[uu, i*w], [(i*w)^T, vv]] of f (germ.real_hessians), so
-    its blocks are Im, Re and Im of the rotated uu, w and vv. The blocks
-    and J are formed entry-major, (entry, row), so that each operation
-    runs over the rows in one pass. Rows outside the ball |x| <= 4r read
-    NaN, and the germ is not evaluated on them.
+    J[:4, :4] is the Lagrangian Hessian (that of h is Im(exp(-i*theta) H)
+    for the complex real Hessian H of f, as in germ.real_hessians) and
+    J[5, :4] is grad h, from one kernel pass, formed entry-major so that
+    each operation is one pass over the rows. Rows outside the ball
+    |x| <= 4r read NaN, and the germ is not evaluated on them.
     """
     r2 = radius * radius
-    ct, st = math.cos(theta), math.sin(theta)
-    diag = np.arange(4)
+    rot = complex(math.cos(theta), -math.sin(theta))
 
     def assemble(X, L, s2):
         f, dz, dzb, *abc = wirtinger_hessian(germ, to_complex(X),
                                              gradient=True)
-        ga, gb = stacked_gradients(dz, dzb)
-        gh = (ct * gb - st * ga).T
-        # the blocks rotated by exp(-i*theta), entry-major
-        A, B, C = (np.ascontiguousarray(m.transpose(1, 2, 0))
-                   * complex(ct, -st) for m in abc)
+        gh = _member(theta, *stacked_gradients(dz, dzb)).T
+        A, B, C = (np.ascontiguousarray(m.transpose(1, 2, 0)) * rot
+                   for m in abc)
         AC, S = A + C, B.imag + B.imag.swapaxes(0, 1)
-        F = np.empty((6, len(X)))
-        np.subtract(ell[:, None], 2.0 * L[:, 0] * X.T, out=F[:4])
-        F[:4] -= L[:, 1] * gh
-        F[4] = s2 - r2
-        F[5] = ct * f.imag - st * f.real
+        F = np.concatenate([ell[:, None] - 2.0 * L[:, 0] * X.T - L[:, 1] * gh,
+                            [s2 - r2, _member(theta, f.real, f.imag)]])
         J = np.empty((6, 6, len(X)))
         np.add(AC.imag, S, out=J[:2, :2])
         np.subtract(S, AC.imag, out=J[2:4, 2:4])
-        np.subtract(B.real.swapaxes(0, 1), B.real, out=J[:2, 2:4])
-        J[:2, 2:4] += (A - C).real
+        np.add((A - C).real, B.real.swapaxes(0, 1) - B.real, out=J[:2, 2:4])
         J[2:4, :2] = J[:2, 2:4].swapaxes(0, 1)
         J[:4, :4] *= -L[:, 1]
-        J[diag, diag] -= 2.0 * L[:, 0]
-        J[:4, 4] = -2.0 * X.T
-        J[:4, 5] = -gh
-        J[4, :4] = 2.0 * X.T
-        J[5, :4] = gh
+        J[range(4), range(4)] -= 2.0 * L[:, 0]
+        J[4:, :4] = 2.0 * X.T, gh
+        J[:4, 4:] = -J[4:, :4].swapaxes(0, 1)
         J[4:, 4:] = 0.0
         return F.T, np.ascontiguousarray(J.transpose(2, 0, 1))
 
@@ -201,13 +188,11 @@ def _lagrange_newton(germ: MixedGerm, theta: float, radius: float,
 
 
 def _morse_data(system, scale, X: np.ndarray, L: np.ndarray):
-    """One more stationarity Newton step on converged critical points, then
-    their verified residuals and projected-Hessian determinants; returns
-    (X, L, residual, det). The step fixes each point to the rounding of its
-    root, whatever Newton path reached it; a row whose step is not finite
-    keeps its point. The tangent plane is orthogonal to the frame
-    (x / |x|, grad h): columns 2:4 of Q, from one stacked QR of the frame
-    and the identity.
+    """(X, L, residual, det) of converged critical points after one more
+    Newton step, which fixes each to its root whatever path reached it (a
+    row whose step is not finite keeps its point). The tangent plane is
+    orthogonal to the frame (x / |x|, grad h): columns 2:4 of Q, from one
+    stacked QR of the frame and the identity.
     """
     Y = np.concatenate([X, L], axis=-1)
     dY = solve_rows(*system(Y)[::-1])
@@ -237,12 +222,12 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
     stacked chunks of the window's remaining length (capped by the
     budget), which changes neither the stop rule nor seeds_used and
     batches: both count only the batches classified. A chunk draws its
-    seeds in one call keyed by its first batch, so batch 0 has the seeds
-    of a one-batch draw and later batches slices of their chunk's draw. A
-    degenerate point discards the rest of its chunk along with the draw. Raises Unstable
-    when the budget runs out before the stability window closes (the
-    partial inventory rides on the error), and DegenerateAfterRetries when
-    every functional redraw met a degenerate critical point.
+    seeds in one call keyed by its first batch, so only batch 0 has the
+    seeds of a one-batch draw. A degenerate point discards the rest of its
+    chunk along with the draw. Raises Unstable when the budget runs out
+    before the stability window closes (the partial inventory rides on the
+    error), and DegenerateAfterRetries when every functional redraw met a
+    degenerate critical point.
     """
     if germ.n != 2:
         raise ValueError("link Euler counting is implemented for n = 2 only")
