@@ -11,10 +11,9 @@ from .errors import (AxisApproach, AxisProximity, BallExit,
 from .flows import (FlowKind, FlowSpec, MonodromyReturn, TransportRecord,
                     equivalence_transport, integrate, monodromy_return,
                     synthesize_field)
-from .germ import (DifferentialSample, MixedGerm, differential_sample,
-                   evaluate, format_germ, jacobian_rank_margin, parse_germ,
-                   real_gradients, real_hessians, wirtinger_gradient,
-                   wirtinger_hessian)
+from .germ import (MixedGerm, differential_sample, evaluate, format_germ,
+                   jacobian_rank_margin, parse_germ, real_gradients,
+                   real_hessians, wirtinger_gradient, wirtinger_hessian)
 from .pencil import (FiberSample, blowup_residual, h_theta, sample_fiber,
                      side_indicator, spherefication_batch,
                      stereographic_project)
@@ -30,8 +29,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxisApproach", "AxisProximity", "BallExit", "CompletenessViolation",
-    "DegenerateAfterRetries", "DegenerateGradient", "DifferentialSample",
-    "DoubleFiberReport", "FiberSample", "FlowKind", "FlowSpec",
+    "DegenerateAfterRetries", "DegenerateGradient", "DoubleFiberReport",
+    "FiberSample", "FlowKind", "FlowSpec",
     "GermSyntaxError", "GramSingular", "MilnorNumberResult", "MixedGerm",
     "MonodromyReturn", "MorseInventory", "PencilLabError",
     "PositivityViolation", "ProjectionFailure", "RadialScanEntry",

@@ -219,6 +219,10 @@ def _normalize(cfg: dict) -> None:
     for key in ("start", "direction", "pole"):
         if cfg[key] is not None:
             cfg[key] = _number_list(cfg[key], key, float)
+            if not all(math.isfinite(v) for v in cfg[key]):
+                raise UsageError(key, f"{key} must be finite")
+            if key != "start" and not any(cfg[key]):
+                raise UsageError(key, f"{key} must be nonzero")
     if cfg["metric"] is not None and not isinstance(cfg["metric"], list):
         try:
             cfg["metric"] = json.loads(str(cfg["metric"]))
@@ -371,10 +375,7 @@ def _resolve_pole(germ: MixedGerm, theta: float, radius: float,
         pole[-1] = radius
     else:
         p = np.asarray(pole_cfg, dtype=float)
-        nrm = float(np.linalg.norm(p))
-        if nrm == 0.0:
-            raise UsageError("pole", "pole must be nonzero")
-        pole = radius * p / nrm
+        pole = radius * p / float(np.linalg.norm(p))
     scale_h = max(germ.scale(radius), 1e-300)
     r2 = radius * radius
 

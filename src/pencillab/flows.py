@@ -37,7 +37,9 @@ minimum-norm solution misbehaves, both with a `corrected` diagnostic:
 Transport uses an embedded Dormand-Prince 4(5) pair with per-accepted-step
 projection back onto the exact invariant set of the kind (the start sphere
 for monodromy, the start member surface for the other two) and invariant
-monitors recorded along the trace.
+monitors recorded along the trace. The state is the stacked real vector
+(_num.to_real) throughout, and the monitors read f off the germ pass of
+the slope refresh at each projected point.
 """
 
 from __future__ import annotations
@@ -149,23 +151,20 @@ def _solve_min_norm(rows: List[np.ndarray], d, cond_max: float
     return (y0 / n0) * r0 + (y1 / n1) * r1 + (y2 / n2) * r2, cond
 
 
-def synthesize_field(germ: MixedGerm, spec: FlowSpec, x,
-                     axis_floor: Optional[float] = None
-                     ) -> Tuple[np.ndarray, FieldDiagnostics]:
+def synthesize_field(germ: MixedGerm, spec: FlowSpec, x: np.ndarray,
+                     axis_floor: float
+                     ) -> Tuple[np.ndarray, complex, FieldDiagnostics]:
     """Minimum-norm velocity satisfying the kind's constraint system at x.
 
-    Returns the velocity in the stacked real layout together with the Gram
-    condition number, fallback state, and whether a null-space correction
-    was applied (tube positivity restore or radial corridor clamp).
+    x and the velocity are stacked real vectors (2n,). Returns the velocity,
+    f at x from the same germ pass, and the Gram condition number, fallback
+    state, and whether a null-space correction was applied (tube positivity
+    restore or radial corridor clamp). AxisProximity where |f| <= axis_floor.
     """
-    z = np.asarray(x, dtype=complex)
-    ds = differential_sample(germ, z, axis_floor=axis_floor)
-    xr = ds.point
-    gt = ds.grad_theta
-    gl = ds.grad_log_rho
-    r2 = float(xr.dot(xr))
-    xr_norm = math.sqrt(r2)
-    if math.sqrt(gt.dot(gt)) * xr_norm < GRAD_FLOOR:
+    f, gl, gt = differential_sample(germ, x, axis_floor)
+    r2 = float(x.dot(x))
+    x_norm = math.sqrt(r2)
+    if math.sqrt(gt.dot(gt)) * x_norm < GRAD_FLOOR:
         raise DegenerateGradient("phase gradient vanished at the flow point")
 
     fallback = False
@@ -173,22 +172,22 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x,
 
     if spec.kind is FlowKind.MONODROMY:
         try:
-            w, cond = _solve_min_norm([xr, gt, gl], [0.0, 1.0, 0.0],
+            w, cond = _solve_min_norm([x, gt, gl], [0.0, 1.0, 0.0],
                                       spec.cond_max)
         except GramSingular:
             # drop the tube row, keep the sphere and unit-rate rows
             try:
-                w, cond = _solve_min_norm([xr, gt], [0.0, 1.0], spec.cond_max)
+                w, cond = _solve_min_norm([x, gt], [0.0, 1.0], spec.cond_max)
             except GramSingular as exc:
                 raise GramSingular(f"fallback {exc}") from None
             fallback = True
     elif spec.kind is FlowKind.RADIAL:
-        w, cond = _solve_min_norm([gt, 2.0 * xr], [0.0, 1.0], spec.cond_max)
+        w, cond = _solve_min_norm([gt, 2.0 * x], [0.0, 1.0], spec.cond_max)
         # Keep the log|f| rate along the flow inside a corridor around the
         # conical scaling rate deg / (2 r^2); an unclamped inward orbit can
         # otherwise collapse onto the zero set before reaching its target
         # sphere.  Inside the corridor the untouched solution is returned.
-        if xr.size > 2:
+        if x.size > 2:
             lo_deg, hi_deg = germ.degree_span
             kappa = spec.corridor_factor
             lo = lo_deg / (2.0 * kappa * r2)
@@ -197,7 +196,7 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x,
             target = min(max(slope, lo), hi)
             if target != slope:
                 try:
-                    u, cond3 = _solve_min_norm([gt, 2.0 * xr, gl],
+                    u, cond3 = _solve_min_norm([gt, 2.0 * x, gl],
                                                [0.0, 0.0, 1.0], spec.cond_max)
                 except GramSingular:
                     u = None  # no clamp direction: keep the bare field
@@ -210,11 +209,11 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x,
         # Restore outward positivity inside the null space of the two
         # equality constraints when the minimum-norm velocity points along
         # or into the sphere.
-        radial = float(w @ xr)
-        floor = spec.pos_margin * math.sqrt(w.dot(w)) * xr_norm
+        radial = float(w @ x)
+        floor = spec.pos_margin * math.sqrt(w.dot(w)) * x_norm
         if radial <= floor:
             try:
-                u, cond3 = _solve_min_norm([gt, gl, xr], [0.0, 0.0, 1.0],
+                u, cond3 = _solve_min_norm([gt, gl, x], [0.0, 0.0, 1.0],
                                            spec.cond_max)
             except GramSingular:
                 raise PositivityViolation(
@@ -231,8 +230,8 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x,
         if abs(drift) >= 1.0:
             raise CompletenessViolation(
                 f"fallback drift |{drift:.6f}| >= 1")
-    return w, FieldDiagnostics(cond=cond, fallback=fallback, drift=drift,
-                               corrected=corrected)
+    return w, f, FieldDiagnostics(cond=cond, fallback=fallback, drift=drift,
+                                  corrected=corrected)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +310,11 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
               ) -> FlowTrace:
     """Adaptive transport of x0 across t_span under the kind's field.
 
+    The state is the stacked real vector (_num.to_real) of x0 throughout.
     Every accepted step is projected back onto the kind's exact invariant
-    set and the invariant drifts are recorded. The axis floor is the one at
-    the start radius throughout. Raises StepCollapse, AxisApproach, or
-    BallExit as typed failures.
+    set, f there is read off the slope refresh at the projected point, and
+    the invariant drifts are recorded. The axis floor is the one at the
+    start radius throughout. Raises StepCollapse, AxisApproach, or BallExit.
     """
     z0 = np.asarray(x0, dtype=complex)
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -329,11 +329,12 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
     ball = spec.ball_factor * max(r0, 1e-300)
 
     diag_counters = {"fallback": 0, "corrected": 0, "max_cond": 0.0}
+    K = np.empty((7, y.size))   # Dormand-Prince stages, row 0 the slope at y
 
-    def rhs(yv: np.ndarray) -> np.ndarray:
+    def rhs(s: int, yv: np.ndarray) -> complex:
+        """Write the field at yv into stage s; return f at yv."""
         try:
-            w, dg = synthesize_field(germ, spec, to_complex(yv),
-                                     axis_floor=axis_floor)
+            K[s], f, dg = synthesize_field(germ, spec, yv, axis_floor)
         except AxisProximity as exc:
             raise AxisApproach(str(exc)) from exc
         if dg.fallback:
@@ -341,11 +342,11 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
         if dg.corrected:
             diag_counters["corrected"] += 1
         diag_counters["max_cond"] = max(diag_counters["max_cond"], dg.cond)
-        return w
+        return complex(f)
 
     # trace accumulators
     ts = [t0]
-    pts = [z0.copy()]
+    ys = [y]
     norms = [r0]
     absf = [rho0]
     thetas = [theta0]
@@ -356,7 +357,7 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
 
     def trace(termination: str) -> FlowTrace:
         return FlowTrace(kind=spec.kind.value, t=np.array(ts),
-                         points=np.array(pts), norms=np.array(norms),
+                         points=to_complex(ys), norms=np.array(norms),
                          abs_f=np.array(absf), theta=np.array(thetas),
                          n_accepted=n_acc, n_rejected=n_rej,
                          fallback_steps=diag_counters["fallback"],
@@ -371,8 +372,7 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
     h = direction * min(spec.max_step, abs(span) / 10.0)
     h_floor = max(abs(span), 1.0) * 1e-14
     t = t0
-    K = np.empty((7, y.size))   # Dormand-Prince stages, row 0 the slope at y
-    K[0] = rhs(y)
+    rhs(0, y)
     f_prev = f0
     theta_unwrapped = theta0
 
@@ -384,7 +384,7 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
         failed = False
         for s in range(1, 7):
             try:
-                K[s] = rhs(y + h * (_DP_A[s] @ K[:s]))
+                rhs(s, y + h * (_DP_A[s] @ K[:s]))
             except (AxisApproach, DegenerateGradient, GramSingular):
                 failed = True
                 break
@@ -406,14 +406,13 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
         # accept
         t_new = t + h
         if spec.kind is FlowKind.MONODROMY:
-            y_new = _project_sphere(y5, r0)
+            y = _project_sphere(y5, r0)
         else:
-            y_new = _project_member(germ, theta0, y5)
-        z_new = to_complex(y_new)
-        f_new = complex(evaluate(germ, z_new))
-        if abs(f_new) <= axis_floor:
-            raise AxisApproach("|f| fell to the axis floor during transport")
-        r_new = float(np.linalg.norm(y_new))
+            y = _project_member(germ, theta0, y5)
+        # projection moved the state, so refresh the slope; that pass also
+        # raises AxisApproach where |f| fell to the axis floor
+        f_new = rhs(0, y)
+        r_new = float(np.linalg.norm(y))
         if r_new > ball:
             raise BallExit(f"|x| = {r_new:.3e} left the working ball")
         dtheta = math.atan2((f_new * f_prev.conjugate()).imag,
@@ -436,7 +435,7 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
                 drift["affine"],
                 abs(math.log(abs(f_new) / rho0) - (t_new - t0)))
         ts.append(t_new)
-        pts.append(z_new)
+        ys.append(y)
         norms.append(r_new)
         absf.append(abs(f_new))
         thetas.append(theta_unwrapped)
@@ -444,8 +443,6 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
         f_prev = f_new
         # next step
         t = t_new
-        y = y_new
-        K[0] = rhs(y)   # projection moved the state, so refresh the slope
         h_next = h * min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
         h = direction * min(abs(h_next), spec.max_step)
 
@@ -479,16 +476,13 @@ def monodromy_return(germ: MixedGerm, x0, revolutions: float = 1.0,
         spec = FlowSpec(kind=FlowKind.MONODROMY)
     if spec.kind is not FlowKind.MONODROMY:
         raise ValueError("monodromy_return needs a monodromy FlowSpec")
-    z0 = np.asarray(x0, dtype=complex)
-    f_start = complex(evaluate(germ, z0))
-    theta0 = math.atan2(f_start.imag, f_start.real)
-    trace = integrate(germ, spec, z0, (0.0, TWO_PI * float(revolutions)))
+    trace = integrate(germ, spec, x0, (0.0, TWO_PI * float(revolutions)))
     end = trace.points[-1]
     advance = float(trace.theta[-1] - trace.theta[0])
     winding = int(round(advance / TWO_PI))
     half_flip: Optional[bool] = None
     if abs((revolutions % 1.0) - 0.5) < 1e-12:
-        half_flip = bool(side_indicator(germ, theta0, end) < 0.0)
+        half_flip = bool(side_indicator(germ, trace.theta[0], end) < 0.0)
     return MonodromyReturn(endpoint=tuple(end), winding=winding,
                            theta_advance=advance,
                            drift_norm=trace.drift["norm"],

@@ -28,11 +28,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from ._num import to_real
+from ._num import to_complex
 from .errors import AxisProximity, GermSyntaxError
 
 Exponents = Tuple[int, ...]
@@ -565,51 +565,21 @@ def real_gradients(germ: MixedGerm, z):
     return (f,) + stacked_gradients(dz, dzb)
 
 
-@dataclass(frozen=True)
-class DifferentialSample:
-    """Per-point bundle of the value and the two phase-relevant gradients.
+def differential_sample(germ: MixedGerm, x, axis_floor: float):
+    """(f, grad_log_rho, grad_theta) at one stacked real point x (2n,).
 
     grad_log_rho is the real gradient of log|f| and grad_theta the real
-    gradient of the (local) phase angle of f; both live in the stacked
-    [Re ; Im] layout and are defined only where |f| is above the axis floor.
+    gradient of the (local) phase angle of f, both in the stacked [Re ; Im]
+    layout; AxisProximity if |f| is at or below axis_floor, where neither is
+    defined.
     """
-
-    point: np.ndarray        # real 2n
-    value: Tuple[float, float]
-    rho: float
-    grad_a: np.ndarray
-    grad_b: np.ndarray
-    grad_log_rho: np.ndarray
-    grad_theta: np.ndarray
-
-    @property
-    def theta(self) -> float:
-        a, b = self.value
-        return float(np.arctan2(b, a) % (2.0 * np.pi))
-
-
-def differential_sample(germ: MixedGerm, z, axis_floor: Optional[float] = None
-                        ) -> DifferentialSample:
-    """Assemble the value/gradient bundle at one point; AxisProximity if
-    |f| is at or below axis_floor (germ.on_axis when it is not given)."""
-    z = _as_points(z, germ.n)
-    if z.ndim != 1:
-        raise ValueError("differential_sample takes one point")
-    f, ga, gb = real_gradients(germ, z)
+    f, ga, gb = real_gradients(germ, to_complex(x))
     a, b = float(f.real), float(f.imag)
     rho2 = a * a + b * b
     rho = float(np.sqrt(rho2))
-    if (germ.on_axis(z, f) if axis_floor is None else rho <= axis_floor):
+    if rho <= axis_floor:
         raise AxisProximity(f"|f| = {rho:.3e} at or below the axis floor")
-    return DifferentialSample(
-        point=to_real(z),
-        value=(a, b),
-        rho=rho,
-        grad_a=ga,
-        grad_b=gb,
-        grad_log_rho=(a * ga + b * gb) / rho2,
-        grad_theta=(a * gb - b * ga) / rho2,
-    )
+    return f, (a * ga + b * gb) / rho2, (a * gb - b * ga) / rho2
 
 
 def jacobian_rank_margin(germ: MixedGerm, z) -> float:

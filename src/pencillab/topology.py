@@ -233,7 +233,10 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
         raise ValueError("link Euler counting is implemented for n = 2 only")
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if budget < 1:
+        raise ValueError("budget must be positive")
     theta = float(theta) % TWO_PI
+    batch = min(batch, budget)   # a larger batch would overdraw the budget
     dedup_tol = 1e-6 * radius
     scale_h = max(germ.scale(radius), 1e-300)
     r2 = radius * radius
@@ -259,7 +262,7 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
         batches = 0
         degenerate = False
 
-        max_batches = max(1, budget // batch)
+        max_batches = budget // batch
         b = 0
         while b < max_batches and stable_run < stability_batches:
             # the window cannot close before k more batches, so they are

@@ -94,6 +94,21 @@ def test_out_of_range_field_is_usage_error(capsys, name, bound, value):
     assert err == f"error: field '{name}': {RANGE_ERRORS[name]}\n"
 
 
+@pytest.mark.parametrize("argv,field,message", [
+    (("milnor-diag", "--direction", "0,0,0,0"), "direction", "nonzero"),
+    (("milnor-diag", "--direction", "inf,0,0,0"), "direction", "finite"),
+    (("milnor-diag", "--direction", "1,nan,0,0"), "direction", "finite"),
+    (("sample-link", "--pole", "nan,0,0,1"), "pole", "finite"),
+    (("sample-link", "--pole", "0,0,0,0"), "pole", "nonzero"),
+    (("flow", "--start=-inf,0.3,0,0.1"), "start", "finite"),
+])
+def test_bad_point_is_usage_error(capsys, argv, field, message):
+    code, out, err = run(capsys, argv[0], "--germ", "z1^2+z2^2", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: field '{field}': {field} must be {message}\n"
+
+
 def test_unknown_config_key_is_usage_error(capsys, tmp_path):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({"command": "info", "germ": "z1",

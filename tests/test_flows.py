@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from pencillab import germ as germ_module
+from pencillab._num import to_real
+from pencillab.cli import _fiber_starts
 from pencillab.errors import (AxisProximity, BallExit, CompletenessViolation,
                               GramSingular, PositivityViolation)
 from pencillab.flows import (FlowKind, FlowSpec, _solve_min_norm,
@@ -16,11 +19,17 @@ from pencillab.pencil import sample_fiber
 BRIESKORN = parse_germ("z1^2 + z2^3", 2)
 
 
+def _floor(g, x):
+    """The axis floor at the radius of the stacked real point x."""
+    return g.axis_floor(float(np.linalg.norm(x)))
+
+
 def test_monodromy_field_linear_closed_form():
     # f = z1: the field is (i z1, 0), a rigid rotation of the first plane
     g = parse_germ("z1", 2)
-    z = np.array([0.3 + 0.4j, 0.1 - 0.2j])
-    w, dg = synthesize_field(g, FlowSpec(FlowKind.MONODROMY), z)
+    x = np.array([0.3, 0.1, 0.4, -0.2])
+    w, _, dg = synthesize_field(g, FlowSpec(FlowKind.MONODROMY), x,
+                                _floor(g, x))
     np.testing.assert_allclose(w, [-0.4, 0.0, 0.3, 0.0], atol=1e-14)
     assert not dg.fallback and not dg.corrected
 
@@ -29,8 +38,9 @@ def test_monodromy_fallback_on_colinear_locus():
     # f = z1 with z2 = 0: the point is radial in the only active plane, so
     # the tube row is dropped and the drift vanishes identically
     g = parse_germ("z1", 2)
-    w, dg = synthesize_field(g, FlowSpec(FlowKind.MONODROMY),
-                             np.array([0.5 + 0.0j, 0.0 + 0.0j]))
+    x = np.array([0.5, 0.0, 0.0, 0.0])
+    w, _, dg = synthesize_field(g, FlowSpec(FlowKind.MONODROMY), x,
+                                _floor(g, x))
     assert dg.fallback
     assert abs(dg.drift) < 1e-14
     np.testing.assert_allclose(w, [0.0, 0.0, 0.5, 0.0], atol=1e-14)
@@ -43,79 +53,81 @@ def test_field_constraint_residuals(kind):
     rng = np.random.default_rng(17)
     for _ in range(10):
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        z = 0.5 * z / np.linalg.norm(z)
-        ds = differential_sample(BRIESKORN, z)
-        w, dg = synthesize_field(BRIESKORN, spec, z)
+        x = to_real(0.5 * z / np.linalg.norm(z))
+        floor = _floor(BRIESKORN, x)
+        _, gl, gt = differential_sample(BRIESKORN, x, floor)
+        w, _, dg = synthesize_field(BRIESKORN, spec, x, floor)
         wn = float(np.linalg.norm(w))
         if kind is FlowKind.MONODROMY:
-            assert abs(w @ ds.point) < 1e-12 * wn * np.linalg.norm(ds.point)
-            assert abs(w @ ds.grad_theta - 1.0) < 1e-10
+            assert abs(w @ x) < 1e-12 * wn * np.linalg.norm(x)
+            assert abs(w @ gt - 1.0) < 1e-10
             if not dg.fallback:
-                assert abs(w @ ds.grad_log_rho) \
-                    < 1e-12 * wn * np.linalg.norm(ds.grad_log_rho)
+                assert abs(w @ gl) < 1e-12 * wn * np.linalg.norm(gl)
         elif kind is FlowKind.RADIAL:
-            assert abs(w @ ds.grad_theta) \
-                < 1e-12 * wn * np.linalg.norm(ds.grad_theta)
-            assert abs(w @ (2.0 * ds.point) - 1.0) < 1e-10
+            assert abs(w @ gt) < 1e-12 * wn * np.linalg.norm(gt)
+            assert abs(w @ (2.0 * x) - 1.0) < 1e-10
         else:
-            assert abs(w @ ds.grad_theta) \
-                < 1e-12 * wn * np.linalg.norm(ds.grad_theta)
-            assert abs(w @ ds.grad_log_rho - 1.0) < 1e-10
-            assert w @ ds.point > 0.0
+            assert abs(w @ gt) < 1e-12 * wn * np.linalg.norm(gt)
+            assert abs(w @ gl - 1.0) < 1e-10
+            assert w @ x > 0.0
 
 
-ADVERSE = np.array([1j * math.sqrt(0.012), 0.01 ** (1.0 / 3.0)])
+ADVERSE = np.array([0.0, 0.01 ** (1.0 / 3.0), math.sqrt(0.012), 0.0])
+ADVERSE_FLOOR = _floor(BRIESKORN, ADVERSE)
 
 
 def test_tube_positivity_correction_engages():
     # adverse phases make the bare minimum-norm velocity point inward; the
     # null-space restore keeps both equality constraints exact
-    ds = differential_sample(BRIESKORN, ADVERSE)
-    w, dg = synthesize_field(BRIESKORN, FlowSpec(FlowKind.TUBE_EQUIVALENCE),
-                             ADVERSE)
+    _, gl, gt = differential_sample(BRIESKORN, ADVERSE, ADVERSE_FLOOR)
+    w, _, dg = synthesize_field(BRIESKORN,
+                                FlowSpec(FlowKind.TUBE_EQUIVALENCE), ADVERSE,
+                                ADVERSE_FLOOR)
     assert dg.corrected
-    assert w @ ds.point > 0.0
-    assert abs(w @ ds.grad_theta) < 1e-12
-    assert abs(w @ ds.grad_log_rho - 1.0) < 1e-12
+    assert w @ ADVERSE > 0.0
+    assert abs(w @ gt) < 1e-12
+    assert abs(w @ gl - 1.0) < 1e-12
 
 
 def test_tube_positivity_violation_without_null_space():
     # one complex variable leaves no room to restore positivity where
     # log|f| decreases radially
     g = parse_germ("z1 - 2*z1^2", 1)
+    x = np.array([0.4, 0.0])
     with pytest.raises(PositivityViolation):
-        synthesize_field(g, FlowSpec(FlowKind.TUBE_EQUIVALENCE),
-                         np.array([0.4 + 0.0j]))
+        synthesize_field(g, FlowSpec(FlowKind.TUBE_EQUIVALENCE), x,
+                         _floor(g, x))
 
 
 def test_radial_corridor_clamp_engages():
-    ds = differential_sample(BRIESKORN, ADVERSE)
+    _, gl, gt = differential_sample(BRIESKORN, ADVERSE, ADVERSE_FLOOR)
     bare_spec = FlowSpec(FlowKind.RADIAL)
-    w, dg = synthesize_field(BRIESKORN, bare_spec, ADVERSE)
+    w, _, dg = synthesize_field(BRIESKORN, bare_spec, ADVERSE, ADVERSE_FLOOR)
     assert dg.corrected
-    r2 = float(ds.point @ ds.point)
+    r2 = float(ADVERSE @ ADVERSE)
     lo = 2.0 / (2.0 * bare_spec.corridor_factor * r2)
     hi = bare_spec.corridor_factor * 3.0 / (2.0 * r2)
-    slope = float(w @ ds.grad_log_rho)
+    slope = float(w @ gl)
     assert lo - 1e-9 <= slope <= hi + 1e-9
-    assert abs(w @ ds.grad_theta) < 1e-12
-    assert abs(w @ (2.0 * ds.point) - 1.0) < 1e-12
+    assert abs(w @ gt) < 1e-12
+    assert abs(w @ (2.0 * ADVERSE) - 1.0) < 1e-12
 
 
 def test_radial_corridor_inactive_on_nominal_points():
     fs = sample_fiber(BRIESKORN, 0.0, 0.5, count=6, seed=2)
-    for z in fs.points:
-        _, dg = synthesize_field(BRIESKORN, FlowSpec(FlowKind.RADIAL), z)
+    for x in to_real(fs.points):
+        _, _, dg = synthesize_field(BRIESKORN, FlowSpec(FlowKind.RADIAL), x,
+                                    _floor(BRIESKORN, x))
         assert not dg.corrected
 
 
 def test_gram_singular_on_radially_tangent_stub():
     g = parse_germ("z1*zbar1 + i*z1^2*zbar1^2", 1)
-    z = np.array([0.5 + 0.1j])
+    x = np.array([0.5, 0.1])
     for kind in (FlowKind.TUBE_EQUIVALENCE, FlowKind.RADIAL,
                  FlowKind.MONODROMY):
         with pytest.raises(GramSingular):
-            synthesize_field(g, FlowSpec(kind), z)
+            synthesize_field(g, FlowSpec(kind), x, _floor(g, x))
 
 
 def _svd_lu_reference(rows, d, cond_max):
@@ -223,7 +235,8 @@ def test_monodromy_cond_max_boundary_takes_the_fallback():
     for factor, fallback in ((1.0 - 1e-6, False), (1.0 + 1e-6, True)):
         g = _pair_cosine(factor * spec.cond_max)
         delta = 0.5 * math.sqrt((1.0 - g) * (1.0 + g)) / g
-        w, dg = synthesize_field(g1, spec, np.array([0.5, delta]))
+        x = np.array([0.5, delta, 0.0, 0.0])
+        w, _, dg = synthesize_field(g1, spec, x, _floor(g1, x))
         assert dg.fallback is fallback
         if fallback:
             # the two remaining rows are orthogonal: w = grad theta / |.|^2
@@ -239,9 +252,9 @@ def test_completeness_violation_on_forced_fallback(monkeypatch):
     # cond_max is set between the two Gram conditions to force the fallback
     monkeypatch.setattr(FlowSpec, "cond_max", 2.0)
     g = parse_germ("z1^2*zbar2 + z2^2*zbar1", 2)
-    z = np.array([-0.08311743 - 0.43594811j, -0.14965865 - 0.1750515j])
+    x = np.array([-0.08311743, -0.14965865, -0.43594811, -0.1750515])
     with pytest.raises(CompletenessViolation):
-        synthesize_field(g, FlowSpec(FlowKind.MONODROMY), z)
+        synthesize_field(g, FlowSpec(FlowKind.MONODROMY), x, _floor(g, x))
 
 
 def test_integrate_zero_span():
@@ -358,3 +371,29 @@ def test_radial_transport_tracks_affine_radius():
     assert abs(tr.norms[-1] ** 2 - 0.01) < 1e-8
     assert tr.drift["theta"] < 1e-8
     assert tr.drift["affine"] < 1e-8
+
+
+@pytest.mark.parametrize("kind,k", [(FlowKind.MONODROMY, 1),
+                                    (FlowKind.RADIAL, 3),
+                                    (FlowKind.TUBE_EQUIVALENCE, 3)])
+def test_one_germ_pass_per_accepted_step(monkeypatch, kind, k):
+    # two passes at the start (f and the first slope), six stages per
+    # attempted step, and per accepted step the slope refresh, which also
+    # gives f; the member projection of radial and tube adds two more
+    z0 = _fiber_starts(BRIESKORN, 0.0, 0.5, 1, 0, 1e-10)[0]
+    eta = 1e-3 * BRIESKORN.scale(0.5)
+    t1 = {FlowKind.MONODROMY: 2.0 * math.pi,
+          FlowKind.RADIAL: -0.75 * 0.5 ** 2,
+          FlowKind.TUBE_EQUIVALENCE: math.log(
+              eta / abs(complex(evaluate(BRIESKORN, z0))))}[kind]
+    kernel, calls = germ_module._derivatives, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(germ_module, "_derivatives", counted)
+    tr = integrate(BRIESKORN, FlowSpec(kind), z0, (0.0, t1))
+    assert tr.termination == "completed" and tr.n_accepted > 10
+    assert len(calls) == (2 + 6 * (tr.n_accepted + tr.n_rejected)
+                          + k * tr.n_accepted)

@@ -99,6 +99,9 @@ def test_link_euler_unstable_on_tiny_budget():
     with pytest.raises(Unstable) as exc:
         link_surface_euler(g, 0.0, 0.5, budget=50, seed=0)
     assert exc.value.inventory is not None
+    assert exc.value.inventory.seeds_used <= 50
+    with pytest.raises(ValueError, match="budget"):
+        link_surface_euler(g, 0.0, 0.5, budget=0, seed=0)
 
 
 def _no_row_converges(stage):
