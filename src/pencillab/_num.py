@@ -7,11 +7,12 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
+import scipy
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +54,14 @@ def report_point(z) -> list:
 # All randomness flows from one 64-bit job seed through counter-based
 # streams: SeedSequence(seed, spawn_key=key) -> Philox. Quasi-random sphere
 # covers use scrambled Sobol points pushed through the Gaussian inverse CDF
-# ndtri and normalized; the scramble is seeded from the same stream family.
+# ndtri and normalized. The Sobol generator is the package's own: Joe and
+# Kuo's direction numbers ("Constructing Sobol sequences with better
+# two-dimensional projections", SIAM J. Sci. Comput. 30, 2008), read from
+# the table scipy ships with scipy.stats, scrambled by a linear matrix
+# scramble and a digital shift drawn from the stream (seed, *key, 0). Its
+# points are bit for bit those of scipy.stats.qmc.Sobol(dim, scramble=True,
+# seed=stream(seed, *key)).random_base2(m)[:count], without importing
+# scipy.stats.
 # ---------------------------------------------------------------------------
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -61,21 +69,105 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+SOBOL_BITS = 30
+SOBOL_MAXDIM = 21201
+
+
+@lru_cache(maxsize=None)
+def _joe_kuo() -> Tuple[np.ndarray, np.ndarray]:
+    """The primitive polynomials and initial direction numbers of Joe and
+    Kuo's table for 21201 dimensions, loaded once per process.
+
+    The initial numbers fit in 18 bits and are kept as uint32, so the
+    3 MB int64 array that np.load decompresses is freed at once. On glibc
+    that free also lifts the dynamic mmap threshold to 3 MB, which keeps
+    the MB-sized temporaries of the Newton systems on the heap instead of
+    mapping and faulting them in afresh on every call.
+    """
+    path = os.path.join(os.path.dirname(scipy.__file__), "stats",
+                        "_sobol_direction_numbers.npz")
+    with np.load(path) as table:
+        poly, vinit = table["poly"], table["vinit"].astype(np.uint32)
+    poly.setflags(write=False)
+    vinit.setflags(write=False)
+    return poly, vinit
+
+
+@lru_cache(maxsize=None)
+def _direction_numbers(dim: int) -> np.ndarray:
+    """(dim, SOBOL_BITS) unscrambled direction numbers, column j shifted to
+    bit SOBOL_BITS - 1 - j. Past its m initial numbers, a dimension whose
+    primitive polynomial p has degree m follows Bratley and Fox's
+    recurrence (ACM TOMS 14, 1988): v_j = v_{j-m} xor the sum over k < m of
+    2^(k+1) v_{j-k-1} where bit m-1-k of p is set. All dimensions step
+    through j together."""
+    poly, vinit = _joe_kuo()
+    poly = poly[:dim]
+    deg = np.frexp(poly)[1] - 1
+    v = np.zeros((dim, SOBOL_BITS), dtype=np.int64)
+    v[:, :vinit.shape[1]] = vinit[:dim]
+    v[0] = 1
+    for j in range(1, SOBOL_BITS):
+        rows = np.flatnonzero((deg > 0) & (deg <= j))
+        m, p = deg[rows], poly[rows]
+        new = v[rows, j - m]
+        for k in range(int(m.max(initial=0))):
+            # rows with k >= m read a wrapped column, masked out by tap
+            tap = (k < m) & ((p >> np.maximum(m - 1 - k, 0)) & 1 == 1)
+            new ^= np.where(tap, v[rows, j - k - 1] << (k + 1), 0)
+        v[rows, j] = new
+    v <<= SOBOL_BITS - 1 - np.arange(SOBOL_BITS)
+    v = v.astype(np.uint32)
+    v.setflags(write=False)
+    return v
+
+
 def _sobol_unit_cube(seed: int, key: Tuple[int, ...], count: int, dim: int) -> np.ndarray:
+    """count scrambled Sobol points in [0, 1)^dim, clipped away from 0 so
+    ndtri stays finite.
+
+    The stream (seed, *key, 0), the first child SeedSequence.spawn gives
+    stream(seed, *key), draws the digital shift as (dim, 30) bits
+    weighted by 2^j, then (dim, 30, 30) bits for the lower-triangular
+    scramble matrices L with unit diagonal, whose row p (its bits read with
+    column 0 as the highest) gives bit 29 - p of each scrambled direction
+    number as a parity over GF(2). Point k is the shift xor the scrambled
+    direction numbers at the bits of gray(k) = k xor (k >> 1); since
+    gray(2^j + i) = 2^j + gray(2^j - 1 - i), the points double block by
+    block as a reflection xor column j. Points are scaled by 2^-30.
+    """
+    if dim > SOBOL_MAXDIM:
+        raise ValueError(f"Sobol dimension {dim} > {SOBOL_MAXDIM}")
+    if count > 2 ** SOBOL_BITS:
+        raise ValueError(f"Sobol count {count} > 2**{SOBOL_BITS}")
     if count <= 0:
         return np.empty((0, dim))
-    eng = qmc.Sobol(d=dim, scramble=True, seed=stream(seed, *key))
-    m = max(1, int(math.ceil(math.log2(count))))
-    pts = eng.random_base2(m)[:count]
+    rng = stream(seed, *key, 0)
+    weights = np.uint32(1) << np.arange(SOBOL_BITS, dtype=np.uint32)
+    shift = rng.integers(0, 2, (dim, SOBOL_BITS), np.uint32) @ weights
+    L = np.tril(rng.integers(0, 2, (dim, SOBOL_BITS, SOBOL_BITS), np.uint32))
+    L[:, np.arange(SOBOL_BITS), np.arange(SOBOL_BITS)] = 1
+    high = SOBOL_BITS - 1 - np.arange(SOBOL_BITS, dtype=np.uint32)
+    vbits = (_direction_numbers(dim)[:, :, None] >> high) & 1
+    sv = (((vbits @ L.swapaxes(-1, -2)) & 1) << high).sum(
+        axis=-1, dtype=np.uint32)
+    # one row of points per dimension, so each xor runs over a contiguous
+    # stretch of points
+    pts = np.empty((dim, count), dtype=np.uint32)
+    pts[:, 0] = shift
+    n, j = 1, 0
+    while n < count:
+        step = min(n, count - n)
+        np.bitwise_xor(pts[:, n - step:n][:, ::-1], sv[:, j, None],
+                       out=pts[:, n:n + step])
+        n, j = n + step, j + 1
+    cube = np.multiply(pts.T, 2.0 ** -SOBOL_BITS, order="C")
     # guard against ndtri blowing up at the cube boundary
-    tiny = np.finfo(float).tiny
-    return np.clip(pts, tiny, 1.0 - 1e-16)
+    return np.clip(cube, np.finfo(float).tiny, 1.0 - 1e-16, out=cube)
 
 
-def _gaussian_directions(cube: np.ndarray) -> np.ndarray:
-    """Rows of a Sobol cube mapped to unit vectors: ndtri of each entry,
-    then each row divided by its norm in place (a zero row stays zero)."""
-    g = ndtri(cube)
+def _unit_rows(g: np.ndarray) -> np.ndarray:
+    """Each row of g divided by its norm in place (a zero row stays zero)."""
     nrm = norm_rows(g)
     nrm[nrm == 0.0] = 1.0
     g /= nrm[..., None]
@@ -83,14 +175,24 @@ def _gaussian_directions(cube: np.ndarray) -> np.ndarray:
 
 
 def sobol_unit_sphere(seed: int, key: Tuple[int, ...], count: int, dim: int) -> np.ndarray:
-    """Quasi-random unit vectors in R^dim, deterministic in (seed, key)."""
-    return _gaussian_directions(_sobol_unit_cube(seed, key, count, dim))
+    """Quasi-random unit vectors in R^dim, deterministic in (seed, key):
+    the package's scrambled Sobol points (Joe and Kuo's direction numbers
+    from scipy's table, see _sobol_unit_cube) mapped through ndtri and
+    normalized."""
+    cube = _sobol_unit_cube(seed, key, count, dim)
+    # ndtri writes over the cube: one count x dim float array fewer per
+    # cover, and glibc often maps arrays of that size afresh and faults
+    # them in page by page
+    return _unit_rows(ndtri(cube, out=cube))
 
 
 def sobol_ball(seed: int, key: Tuple[int, ...], count: int, dim: int, radius: float) -> np.ndarray:
-    """Quasi-random points in the ball of the given radius."""
+    """Quasi-random points in the ball of the given radius: the first dim
+    columns of a (dim + 1)-dimensional scrambled Sobol draw (Joe and Kuo's
+    direction numbers, see _sobol_unit_cube) give the direction, the last
+    one the radius as radius * u^(1/dim)."""
     cube = _sobol_unit_cube(seed, key, count, dim + 1)
-    g = _gaussian_directions(cube[:, :dim])
+    g = _unit_rows(ndtri(cube[:, :dim]))
     g *= (radius * cube[:, dim] ** (1.0 / dim))[..., None]
     return g
 

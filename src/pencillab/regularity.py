@@ -21,13 +21,24 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-# not called here: perfbench's tracer wraps regularity.optimize.minimize
-from scipy import optimize  # noqa: F401
 
 from ._num import (gauss_newton, map_chunks, norm_rows, report_point,
                    sobol_ball, sobol_unit_sphere, to_complex, to_real)
 from .errors import AxisProximity
 from .germ import GRAD_FLOOR, MixedGerm, evaluate, gram_margin, real_gradients
+
+
+def __getattr__(name: str):
+    """regularity.optimize is scipy.optimize, imported on first access.
+
+    Nothing here calls it; perfbench's tracer wraps
+    regularity.optimize.minimize, so only traced runs load scipy.optimize.
+    """
+    if name == "optimize":
+        from scipy import optimize
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_NEWTON_TOL = 1e-10
@@ -408,7 +419,10 @@ def radial_lambda_scan(germ: MixedGerm, direction, radii: Sequence[float]
                        ) -> List[RadialScanEntry]:
     """Diagnostics along t * direction for decreasing t; per-radius axis
     hits are recorded, not raised."""
-    d = np.asarray(direction, dtype=complex)
+    # scaled by a power of two, so its largest part lies in [1, 2) and its
+    # norm neither overflows nor underflows; the scaling is exact
+    d = np.array(direction, dtype=complex).view(float)
+    d = np.ldexp(d, 1 - np.frexp(np.max(np.abs(d)))[1]).view(complex)
     t = np.asarray(radii, dtype=float)
     Z = t[:, None] * (d / np.linalg.norm(d))
     f, ga, _ = real_gradients(germ, Z)

@@ -1,7 +1,12 @@
 """The public API: every exported name is used by the program, the
-benchmark or the acceptance criteria, not only by unit tests."""
+benchmark or the acceptance criteria, not only by unit tests; importing
+the package loads neither scipy.stats nor scipy.optimize."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pencillab
@@ -40,3 +45,30 @@ def test_every_export_is_used():
     used |= _used_names(ROOT / "tests" / "test_acceptance.py", strings=False)
     unused = sorted(set(pencillab.__all__) - used)
     assert unused == [], f"exported but unused: {unused}"
+
+
+IMPORT_PROBE = """
+import json, sys
+import pencillab, pencillab.cli
+heavy = sorted(m for m in sys.modules
+               if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"]))
+import scipy.optimize
+print(json.dumps({"heavy": heavy,
+                  "optimize": pencillab.regularity.optimize is scipy.optimize}))
+"""
+
+
+def test_import_loads_neither_scipy_stats_nor_optimize():
+    # a fresh interpreter, so modules the test session loaded do not count;
+    # regularity.optimize resolves to scipy.optimize on first access, which
+    # is what the benchmark's tracer wraps
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    probe = json.loads(out.stdout)
+    assert probe["heavy"] == []
+    assert probe["optimize"] is True

@@ -109,6 +109,16 @@ def test_bad_point_is_usage_error(capsys, argv, field, message):
     assert err == f"error: field '{field}': {field} must be {message}\n"
 
 
+def test_direction_with_an_overflowing_norm_is_scanned(capsys):
+    code, out, err = run(capsys, "milnor-diag", "--germ", "z1^2 + z2^2",
+                         "--budget", "400", "--direction",
+                         "1.7e308,1.7e308,1.7e308,1.7e308")
+    assert code == 0 and err == ""
+    radial = report_of(out)["result"]["radial"]
+    assert len(radial) == 12
+    assert all(e["error"] is None and e["arg"] == 0 for e in radial)
+
+
 def test_unknown_config_key_is_usage_error(capsys, tmp_path):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({"command": "info", "germ": "z1",

@@ -26,9 +26,12 @@ def _norm_ppf_directions(seed, key, count, dim, extra=0):
     return g / nrm[..., None], cube
 
 
-@pytest.mark.parametrize("count", [0, 1, 3, 200, 20000, 100000])
-@pytest.mark.parametrize("dim", [2, 4, 6])
+@pytest.mark.parametrize("count", [0, 1, 3, 200, 4095, 4096, 4097, 20000,
+                                   100000, 131073])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 13])
 def test_samplers_match_the_norm_ppf_formula_bit_for_bit(count, dim):
+    # scipy's qmc.Sobol and norm.ppf are the reference for the package's
+    # own Sobol generator and its ndtri map; the ball draws dim + 1 <= 14
     for seed in (0, 1, 7):
         key = (0xD4E6, seed)
         ref, _ = _norm_ppf_directions(seed, key, count, dim)
@@ -41,6 +44,19 @@ def test_samplers_match_the_norm_ppf_formula_bit_for_bit(count, dim):
         got = sobol_ball(seed, key, count, dim, 0.7)
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert got.tobytes() == ref.tobytes()
+
+
+def test_samplers_refuse_what_scipy_refuses():
+    # at most 21201 dimensions (Joe and Kuo's table) and 2^30 points (the
+    # 30 bits of the generator), as qmc.Sobol(d, bits=30) allows
+    with pytest.raises(ValueError):
+        qmc.Sobol(d=21202, scramble=True, seed=stream(0, 1))
+    with pytest.raises(ValueError):
+        sobol_unit_sphere(0, (1,), 10, 21202)
+    with pytest.raises(ValueError):
+        sobol_ball(0, (1,), 10, 21201, 0.5)
+    with pytest.raises(ValueError):
+        sobol_unit_sphere(0, (1,), 2 ** 30 + 1, 4)
 
 
 def _cubic_system(A, b):

@@ -277,6 +277,21 @@ def test_radial_scan_matches_the_pointwise_diagnostic():
             colin[0], arg[0], not violated[0])
 
 
+@pytest.mark.parametrize("exponent", [1000, -1000])
+def test_radial_scan_ignores_the_direction_scale(exponent):
+    # a finite direction whose norm overflows (or underflows) is rescaled by
+    # a power of two first, which is exact: entries keep their bytes
+    g = parse_germ("z1^2 + z2^2", 2)
+    radii = [0.5 * 2.0 ** (-k) for k in range(10)]
+    d = np.array([2.0, 1.0], dtype=complex)
+    entries = radial_lambda_scan(g, d, radii)
+    assert all(e.error is None for e in entries)
+    ref = [repr(e) for e in entries]
+    scaled = np.ldexp(d.view(float), exponent).view(complex)
+    assert np.isfinite(scaled).all() and (scaled != 0).all()
+    assert [repr(e) for e in radial_lambda_scan(g, scaled, radii)] == ref
+
+
 @pytest.mark.parametrize("factor", [0.999, 1.001])
 @pytest.mark.parametrize("unit", [1.0, 1j, np.exp(2.0j)],
                          ids=["real", "imaginary", "complex"])
