@@ -30,22 +30,31 @@ def to_real(z: np.ndarray) -> np.ndarray:
 
 
 def to_complex(v: np.ndarray) -> np.ndarray:
-    """Inverse of to_real."""
+    """Inverse of to_real, filled in one complex array."""
     v = np.asarray(v, dtype=float)
     n = v.shape[-1] // 2
-    return v[..., :n] + 1j * v[..., n:]
+    z = np.empty(v.shape[:-1] + (n,), dtype=complex)
+    z.real, z.imag = v[..., :n], v[..., n:]
+    return z
 
 
 def norm_rows(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.asarray(v) ** 2, axis=-1))
 
 
-def report_point(z) -> list:
-    """A complex point as reports print it: (Re z1, Im z1, Re z2, Im z2, ...),
-    one (Re, Im) pair per coordinate. Point options (--start, --direction,
-    --pole), euler points and files.pole use the stacked to_real order
-    instead."""
-    return [c for w in np.atleast_1d(z) for c in (w.real, w.imag)]
+def prescaled(v) -> np.ndarray:
+    """v times the power of two that puts its largest |entry| in [1, 2): an
+    exact scaling after which |v| neither overflows nor underflows."""
+    v = np.asarray(v, dtype=float)
+    return np.ldexp(v, 1 - np.frexp(np.max(np.abs(v)))[1])
+
+
+def report_point(x) -> list:
+    """A point as reports print it: 2n reals in the stacked layout (real
+    parts first, then imaginary), the layout --start, --direction and
+    --pole take. Complex points are stacked by to_real."""
+    x = np.atleast_1d(x)
+    return (to_real(x) if np.iscomplexobj(x) else x).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +350,7 @@ def fmt17(x: float) -> str:
         # JSON has no literals for these; a quoted token keeps the report
         # parseable and byte-stable
         return json.dumps(repr(float(x)))
-    s = format(float(x), ".17g")
-    return s
+    return format(float(x), ".17g")
 
 
 def jsonable(obj):
@@ -359,8 +367,6 @@ def jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    if isinstance(obj, complex):
-        return {"re": float(obj.real), "im": float(obj.imag)}
     return obj
 
 

@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from ._num import (canonical_json, report_point, sobol_unit_sphere,
-                   to_complex, to_real)
+from ._num import (canonical_json, prescaled, report_point,
+                   sobol_unit_sphere, to_complex, to_real)
 from .errors import GermSyntaxError, PencilLabError, ProjectionFailure
 from .flows import (FlowKind, FlowSpec, equivalence_transport, integrate,
                     monodromy_return)
@@ -36,9 +36,8 @@ from .topology import (closed_form_mu, double_fiber_consistency,
 
 TWO_PI = 2.0 * math.pi
 
-COMMANDS = ("info", "dreg", "milnor-diag", "strong-milnor", "tube-check",
-            "crit-scan", "flow", "monodromy", "equivalence", "euler", "mu",
-            "double-check", "sample-link")
+# report and .partial schema; "2" prints points in the --start layout
+SCHEMA = "2"
 
 FLOW_KINDS = {"monodromy": FlowKind.MONODROMY, "radial": FlowKind.RADIAL,
               "tube": FlowKind.TUBE_EQUIVALENCE}
@@ -192,13 +191,9 @@ def load_job(args: argparse.Namespace
             if key not in DEFAULTS:
                 raise UsageError(str(key), "unknown config field")
 
-    overrides: Dict[str, object] = {}
-    for key in DEFAULTS:
-        if key == "command":
-            if args.command is not None:
-                overrides[key] = args.command
-        elif hasattr(args, key) and getattr(args, key) is not None:
-            overrides[key] = getattr(args, key)
+    overrides: Dict[str, object] = {
+        key: getattr(args, key) for key in DEFAULTS
+        if getattr(args, key, None) is not None}
 
     cfg = dict(DEFAULTS)
     if file_vals:
@@ -304,7 +299,7 @@ def _resolve_point(cfg: dict, field: str, n: int) -> np.ndarray:
     if len(vals) != 2 * n:
         raise UsageError(field, f"expected {2 * n} reals (real parts then "
                                 f"imaginary), got {len(vals)}")
-    return to_complex(np.asarray(vals, dtype=float))
+    return np.asarray(vals, dtype=float)
 
 
 def _resolve_metric(cfg: dict, n: int) -> Optional[np.ndarray]:
@@ -374,7 +369,7 @@ def _resolve_pole(germ: MixedGerm, theta: float, radius: float,
         pole = np.zeros(dim)
         pole[-1] = radius
     else:
-        p = np.asarray(pole_cfg, dtype=float)
+        p = prescaled(pole_cfg)
         pole = radius * p / float(np.linalg.norm(p))
     scale_h = max(germ.scale(radius), 1e-300)
     r2 = radius * radius
@@ -385,8 +380,7 @@ def _resolve_pole(germ: MixedGerm, theta: float, radius: float,
             if float(np.min(np.abs(denom))) < 1e-3:
                 return True
         if surface_test:
-            h = float(np.atleast_1d(
-                h_theta(germ, theta, to_complex(p[None, :])))[0])
+            h = float(h_theta(germ, theta, to_complex(p)))
             if abs(h) < 1e-3 * scale_h:
                 return True
         return False
@@ -409,10 +403,8 @@ def _resolve_pole(germ: MixedGerm, theta: float, radius: float,
 
 def _emit_cloud(cfg: dict, germ: MixedGerm, Z: np.ndarray, base: str,
                 warnings: List[str], surface_test: bool) -> dict:
-    files: dict = {}
-    csv_path = base + ".csv"
-    files["csv"] = csv_path
-    files["csv_rows"] = _write_csv(csv_path, germ, Z)
+    files: dict = {"csv": base + ".csv"}
+    files["csv_rows"] = _write_csv(files["csv"], germ, Z)
     if germ.n == 2:
         X = to_real(Z)
         pole, perturbed = _resolve_pole(germ, cfg["theta"], cfg["radius"],
@@ -442,10 +434,7 @@ def _fiber_starts(germ: MixedGerm, theta: float, radius: float, quota: int,
         want = max(2 * (quota - len(pts)), 64)
         fs = sample_fiber(germ, theta, radius, want, seed + 7919 * k,
                           newton_tol=min(newton_tol, 1e-12))
-        for p in fs.points:
-            pts.append(p)
-            if len(pts) == quota:
-                break
+        pts.extend(fs.points[:quota - len(pts)])
     if len(pts) < quota:
         raise ProjectionFailure(
             f"collected {len(pts)}/{quota} fiber start points")
@@ -509,7 +498,10 @@ def _cmd_milnor_diag(cfg, germ, warnings):
             {"radius": e.radius, "colinearity": e.colinearity,
              "arg": e.arg_lambda_prime, "error": e.error}
             for e in entries]
-        ok = ok and all(e.condition_ok is not False for e in entries)
+        # axis rows (condition_ok None) check nothing; one must be checked
+        checked = [e.condition_ok for e in entries
+                   if e.condition_ok is not None]
+        ok = ok and bool(checked) and all(checked)
     return result, bool(ok)
 
 
@@ -537,17 +529,19 @@ def _cmd_crit_scan(cfg, germ, warnings):
     return rep.to_json_dict(), rep.verdict is True
 
 
-def _flow_start(cfg, germ) -> np.ndarray:
+def _start_points(cfg, germ, quota: int) -> np.ndarray:
+    """Complex start points (k, n) of a flow command, the form the flow
+    entry points take: --start, else quota points of the theta fiber."""
     if cfg["start"] is not None:
-        return _resolve_point(cfg, "start", germ.n)
-    return _fiber_starts(germ, cfg["theta"], cfg["radius"], 1, cfg["seed"],
-                         cfg["newton_tol"])[0]
+        return to_complex(_resolve_point(cfg, "start", germ.n))[None, :]
+    return _fiber_starts(germ, cfg["theta"], cfg["radius"], quota,
+                         cfg["seed"], cfg["newton_tol"])
 
 
 def _cmd_flow(cfg, germ, warnings):
     kind = FLOW_KINDS[cfg["kind"]]
     spec = FlowSpec(kind=kind, rtol=cfg["rtol"], atol=cfg["atol"])
-    x0 = _flow_start(cfg, germ)
+    x0 = _start_points(cfg, germ, 1)[0]
     t0 = cfg["t0"]
     t1 = cfg["t1"]
     eta = None
@@ -555,7 +549,7 @@ def _cmd_flow(cfg, germ, warnings):
         if kind is FlowKind.MONODROMY:
             t1 = t0 + TWO_PI * cfg["revolutions"]
         elif kind is FlowKind.RADIAL:
-            r0 = float(np.linalg.norm(to_real(np.asarray(x0)[None, :])[0]))
+            r0 = float(np.linalg.norm(to_real(x0)))
             t1 = t0 - 0.75 * r0 * r0
         else:
             eta = _default_eta(cfg, germ)
@@ -592,11 +586,7 @@ def _cmd_flow(cfg, germ, warnings):
 def _cmd_monodromy(cfg, germ, warnings):
     spec = FlowSpec(kind=FlowKind.MONODROMY, rtol=cfg["rtol"],
                     atol=cfg["atol"])
-    if cfg["start"] is not None:
-        starts = _resolve_point(cfg, "start", germ.n)[None, :]
-    else:
-        starts = _fiber_starts(germ, cfg["theta"], cfg["radius"],
-                               cfg["count"], cfg["seed"], cfg["newton_tol"])
+    starts = _start_points(cfg, germ, cfg["count"])
     revolutions = cfg["revolutions"]
     integral = abs(revolutions - round(revolutions)) < 1e-12
     records = []
@@ -640,7 +630,7 @@ def _cmd_equivalence(cfg, germ, warnings):
     spec = FlowSpec(kind=FlowKind.TUBE_EQUIVALENCE, rtol=cfg["rtol"],
                     atol=cfg["atol"], max_step=0.25)
     if cfg["start"] is not None:
-        starts = _resolve_point(cfg, "start", germ.n)[None, :]
+        starts = _start_points(cfg, germ, 1)
     else:
         starts = _sphere_starts(germ, cfg["radius"], eta, cfg["count"],
                                 cfg["seed"])
@@ -741,6 +731,7 @@ DISPATCH = {
     "double-check": _cmd_double_check,
     "sample-link": _cmd_sample_link,
 }
+COMMANDS = tuple(DISPATCH)
 
 
 def run_job(cfg: dict, file_vals: Optional[dict],
@@ -753,7 +744,7 @@ def run_job(cfg: dict, file_vals: Optional[dict],
     resolved["germ"] = format_germ(germ) if germ is not None else None
     resolved["n"] = germ.n if germ is not None else None
     report = {
-        "schema": "1",
+        "schema": SCHEMA,
         "version": __version__,
         "command": cfg["command"],
         "config": resolved,
@@ -785,7 +776,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 or f"pencillab-{cfg.get('command', 'job')}"
             partial = str(base) + ".partial"
             payload = {
-                "schema": "1",
+                "schema": SCHEMA,
                 "version": __version__,
                 "command": cfg.get("command"),
                 "error": type(exc).__name__,

@@ -238,7 +238,6 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x: np.ndarray,
 # embedded Dormand-Prince 4(5)
 # ---------------------------------------------------------------------------
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),

@@ -21,6 +21,11 @@ order that does not depend on which other orders were requested, so f from
 evaluate and f from value_and_gradient agree bit for bit. evaluate,
 value_and_gradient, wirtinger_gradient, wirtinger_hessian, real_gradients,
 real_hessians and the rank margins are thin wrappers around it.
+
+Point layout: the complex kernels (evaluate, value_and_gradient and the
+wirtinger_* ones) take complex points z (..., n). The real ones (real_*,
+differential_sample, the rank margins) take the stacked real points x
+(..., 2n) the package computes with, and make the kernel's complex copy.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ._num import to_complex
+from ._num import norm_rows, to_complex
 from .errors import AxisProximity, GermSyntaxError
 
 Exponents = Tuple[int, ...]
@@ -103,11 +108,10 @@ class MixedGerm:
     def f_floor(self, radius: float) -> float:
         return F_FLOOR * self.scale(radius)
 
-    def on_axis(self, z, f) -> np.ndarray:
-        """True where |f| <= axis_floor(|z|), row by row over the points z
-        (..., n) and their values f (...)."""
-        z = np.asarray(z)
-        r = np.sqrt(np.sum(z.real ** 2 + z.imag ** 2, axis=-1))
+    def on_axis(self, x, f) -> np.ndarray:
+        """True where |f| <= axis_floor(|x|), row by row over the stacked
+        real points x (..., 2n) and their values f (...)."""
+        r = norm_rows(x)
         scale = np.max([abs(c) * r ** (sum(p) + sum(q))
                         for c, p, q in self.terms], axis=0, initial=0.0)
         return np.abs(f) <= AXIS_FLOOR * scale
@@ -534,14 +538,15 @@ def wirtinger_hessian(germ: MixedGerm, z, gradient: bool = False):
     return _derivatives(germ, z, (0, 1, 2) if gradient else (2,))
 
 
-def real_hessians(germ: MixedGerm, z):
-    """Real 2n x 2n Hessians (H_a, H_b) of a = Re f and b = Im f.
+def real_hessians(germ: MixedGerm, x):
+    """Real 2n x 2n Hessians (H_a, H_b) of a = Re f and b = Im f at stacked
+    real points x (..., 2n).
 
     In the stacked [Re ; Im] layout the complex-valued real Hessian is
     H = [[uu, i*w], [(i*w)^T, vv]] with complex n x n blocks formed from
     the second Wirtinger derivatives, so H_a = Re H and H_b = Im H exactly.
     """
-    A, B, C = wirtinger_hessian(germ, z)
+    A, B, C = wirtinger_hessian(germ, to_complex(x))
     Bt = np.swapaxes(B, -1, -2)
     uu, vv = A + B + Bt + C, -A + B + Bt - C
     uv = 1j * (A + Bt - B - C)
@@ -559,9 +564,10 @@ def stacked_gradients(dz, dzb):
     return gf.real, gf.imag
 
 
-def real_gradients(germ: MixedGerm, z):
-    """Return (f, grad_a, grad_b) with gradients in the stacked real layout."""
-    f, dz, dzb = _derivatives(germ, z, (0, 1))
+def real_gradients(germ: MixedGerm, x):
+    """(f, grad_a, grad_b) at stacked real points x (..., 2n), the gradients
+    in the same layout."""
+    f, dz, dzb = _derivatives(germ, to_complex(x), (0, 1))
     return (f,) + stacked_gradients(dz, dzb)
 
 
@@ -573,7 +579,7 @@ def differential_sample(germ: MixedGerm, x, axis_floor: float):
     layout; AxisProximity if |f| is at or below axis_floor, where neither is
     defined.
     """
-    f, ga, gb = real_gradients(germ, to_complex(x))
+    f, ga, gb = real_gradients(germ, x)
     a, b = float(f.real), float(f.imag)
     rho2 = a * a + b * b
     rho = float(np.sqrt(rho2))
@@ -582,18 +588,17 @@ def differential_sample(germ: MixedGerm, x, axis_floor: float):
     return f, (a * ga + b * gb) / rho2, (a * gb - b * ga) / rho2
 
 
-def jacobian_rank_margin(germ: MixedGerm, z) -> float:
-    """Second singular value of the real 2 x 2n Jacobian of (Re f, Im f).
-
-    Positive means the point is a submersion point of the pair map; the
-    value is 0 at genuinely critical points.
-    """
-    return float(jacobian_rank_margin_batch(germ, _as_points(z, germ.n)))
+def jacobian_rank_margin(germ: MixedGerm, x) -> float:
+    """Second singular value of the real 2 x 2n Jacobian of (Re f, Im f) at
+    one stacked real point x (2n,): positive at a submersion point of the
+    pair map, 0 at a critical point."""
+    return float(jacobian_rank_margin_batch(germ, np.atleast_1d(x)))
 
 
-def jacobian_rank_margin_batch(germ: MixedGerm, Z) -> np.ndarray:
-    """Vectorized second singular value of the (Re f, Im f) Jacobian."""
-    _, ga, gb = real_gradients(germ, Z)
+def jacobian_rank_margin_batch(germ: MixedGerm, X) -> np.ndarray:
+    """Vectorized second singular value of the (Re f, Im f) Jacobian at
+    stacked real points X (..., 2n)."""
+    _, ga, gb = real_gradients(germ, X)
     return gram_margin(ga, gb)
 
 

@@ -95,7 +95,7 @@ def member_gradient(germ: MixedGerm, theta: float, X: np.ndarray):
     h_theta = cos(theta) Im f - sin(theta) Re f, so its gradient is the same
     combination of the real gradients of Im f and Re f.
     """
-    f, ga, gb = real_gradients(germ, to_complex(X))
+    f, ga, gb = real_gradients(germ, X)
     return _member(theta, f.real, f.imag), _member(theta, ga, gb), f
 
 

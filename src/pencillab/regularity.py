@@ -22,10 +22,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._num import (gauss_newton, map_chunks, norm_rows, report_point,
-                   sobol_ball, sobol_unit_sphere, to_complex, to_real)
+from ._num import (gauss_newton, map_chunks, norm_rows, prescaled,
+                   report_point, sobol_ball, sobol_unit_sphere, to_complex)
 from .errors import AxisProximity
-from .germ import GRAD_FLOOR, MixedGerm, evaluate, gram_margin, real_gradients
+from .germ import GRAD_FLOOR, MixedGerm, gram_margin, real_gradients
 
 
 def __getattr__(name: str):
@@ -83,27 +83,26 @@ def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # batched field assembly shared by the scans
 # ---------------------------------------------------------------------------
 
-def _phase_fields(germ: MixedGerm, Z: np.ndarray):
-    """(f, grad_a, rho, grad_theta_scaled) from one germ-kernel call, where
-    grad_theta_scaled = rho^2 * grad_theta = a*grad_b - b*grad_a (well-defined
-    on the axis too)."""
-    f, ga, gb = real_gradients(germ, Z)
+def _phase_fields(germ: MixedGerm, X: np.ndarray):
+    """(f, grad_a, rho, grad_theta_scaled) at X from one germ-kernel call,
+    where grad_theta_scaled = rho^2 * grad_theta = a*grad_b - b*grad_a
+    (well-defined on the axis too)."""
+    f, ga, gb = real_gradients(germ, X)
     a, b = f.real, f.imag
     return f, ga, np.sqrt(a * a + b * b), a[..., None] * gb - b[..., None] * ga
 
 
-def _defects(germ: MixedGerm, Z: np.ndarray, floor: float,
+def _defects(germ: MixedGerm, X: np.ndarray, floor: float,
              Q: Optional[np.ndarray] = None):
     """The batch defect kernel: (defect, axis, degenerate, f, grad_a) at the
-    points Z, batched over leading axes.
+    stacked real points X, batched over leading axes.
 
     The defect is measured between grad_theta = (a*grad_b - b*grad_a)/rho^2
     and the metric normal Q x. Axis rows (rho <= floor) and degenerate rows
     (|grad_theta| |x| < GRAD_FLOOR) read inf. f and grad_a come back for
     callers that need more of the same derivatives.
     """
-    f, ga, rho, gts = _phase_fields(germ, Z)
-    X = to_real(Z)
+    f, ga, rho, gts = _phase_fields(germ, X)
     with np.errstate(invalid="ignore", divide="ignore"):
         grad_theta = gts / (f.real ** 2 + f.imag ** 2)[..., None]
     axis = rho <= floor
@@ -121,10 +120,10 @@ def _metric_normal(Q: Optional[np.ndarray], X: np.ndarray) -> np.ndarray:
                                          np.asarray(Q, dtype=float), X)
 
 
-def _cover(fn, Z: np.ndarray):
-    """fn over the row chunks of Z, each of its per-row outputs
+def _cover(fn, X: np.ndarray):
+    """fn over the row chunks of X, each of its per-row outputs
     concatenated over the chunks."""
-    parts = map_chunks(fn, Z) or [fn(Z)]
+    parts = map_chunks(fn, X) or [fn(X)]
     return [np.concatenate(column) for column in zip(*parts)]
 
 
@@ -133,7 +132,7 @@ class TransversalityReport:
     radius: float
     metric: str
     min_defect: float
-    witness: Tuple[complex, ...]
+    witness: Tuple[float, ...]      # stacked real point
     samples: int
     usable: int
     axis_excluded: int
@@ -221,8 +220,7 @@ def _polish(germ: MixedGerm, Y0: np.ndarray, radius: float,
     Returns (values, points on the sphere).
     """
     def objective(Y):
-        Zs = to_complex(_on_sphere(Y, radius, Q))
-        d = _defects(germ, Zs, f_floor, Q)[0]
+        d = _defects(germ, _on_sphere(Y, radius, Q), f_floor, Q)[0]
         return np.where(np.isfinite(d), d, 1.0)
 
     def gradient(Y):
@@ -311,17 +309,16 @@ def d_regularity_search(germ: MixedGerm, radius: float,
         collect_milnor = germ.is_holomorphic
     f_floor = germ.f_floor(radius)
     lift, Qm = _metric_mapper(Q, radius)
-    Z = to_complex(lift(sobol_unit_sphere(seed, (0xD4E6, 0), budget,
-                                          2 * germ.n)))
+    X = lift(sobol_unit_sphere(seed, (0xD4E6, 0), budget, 2 * germ.n))
 
-    def cover_rows(Zc: np.ndarray):
-        defect, axis, degenerate, f, ga = _defects(germ, Zc, f_floor, Qm)
+    def cover_rows(Xc: np.ndarray):
+        defect, axis, degenerate, f, ga = _defects(germ, Xc, f_floor, Qm)
         if not collect_milnor:
             return defect, axis, degenerate
-        colin, _, arg, violated = _colinearity(f, ga, Zc)
+        colin, _, arg, violated = _colinearity(f, ga, Xc)
         return defect, axis, degenerate, colin, np.abs(arg), violated
 
-    defects, axis, degenerate, *tally = _cover(cover_rows, Z)
+    defects, axis, degenerate, *tally = _cover(cover_rows, X)
     usable_mask = ~axis & ~degenerate
     usable = int(np.count_nonzero(usable_mask))
     milnor = None
@@ -354,21 +351,21 @@ def d_regularity_search(germ: MixedGerm, radius: float,
     order = _smallest_first(defects, max(1, polish_runs))
     best_idx = int(order[0])
     min_defect = float(defects[best_idx])
-    witness = Z[best_idx]
+    witness = X[best_idx]
 
     # local polishing from the worst (smallest-defect) usable samples
     starts = order[:max(0, polish_runs)]
     starts = starts[np.isfinite(defects[starts])]
     if starts.size:
-        values, X = _polish(germ, to_real(Z[starts]), radius, Qm, f_floor)
-        Zp = to_complex(X)
-        better = (values < min_defect) & (np.abs(evaluate(germ, Zp)) > f_floor)
+        values, Xp = _polish(germ, X[starts], radius, Qm, f_floor)
+        f = real_gradients(germ, Xp)[0]
+        better = (values < min_defect) & (np.abs(f) > f_floor)
         if np.any(better):
             k = int(np.argmin(np.where(better, values, np.inf)))
-            min_defect, witness = float(values[k]), Zp[k]
+            min_defect, witness = float(values[k]), Xp[k]
 
     return TransversalityReport(
-        min_defect=min_defect, witness=tuple(np.atleast_1d(witness)),
+        min_defect=min_defect, witness=tuple(witness),
         polish_runs=int(starts.size),
         verdict=bool(min_defect > pass_threshold),
         **common)
@@ -378,10 +375,10 @@ def d_regularity_search(germ: MixedGerm, radius: float,
 # phase-colinearity diagnostic
 # ---------------------------------------------------------------------------
 
-def _colinearity(f, grad_a, Z):
-    """Batched phase-colinearity test at points Z of a holomorphic germ,
-    from f and the real gradient of Re f, which in complex form is the
-    Hermitian gradient conj(d_z f).
+def _colinearity(f, grad_a, X):
+    """Batched phase-colinearity test at stacked real points X of a
+    holomorphic germ, from f and the real gradient of Re f, which in complex
+    form is the Hermitian gradient conj(d_z f).
 
     Returns (colinearity, lambda_prime, arg lambda_prime, violated).
     Colinearity is 1 - |<grad f, x>| / (||grad f|| ||x||) under the
@@ -394,8 +391,9 @@ def _colinearity(f, grad_a, Z):
     """
     # named operands: numpy would otherwise reuse a temporary operand of a
     # large product and swap the factors, which moves the last bits
-    grad, zbar = to_complex(grad_a), np.conj(Z)
-    norms = norm_rows(np.abs(grad)) * norm_rows(np.abs(Z))
+    grad, zbar = to_complex(grad_a), to_complex(X)
+    np.conjugate(zbar, out=zbar)
+    norms = norm_rows(np.abs(grad)) * norm_rows(np.abs(zbar))
     inner = np.sum(grad * zbar, axis=-1)
     lam = f * inner
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -417,17 +415,19 @@ class RadialScanEntry:
 
 def radial_lambda_scan(germ: MixedGerm, direction, radii: Sequence[float]
                        ) -> List[RadialScanEntry]:
-    """Diagnostics along t * direction for decreasing t; per-radius axis
-    hits are recorded, not raised."""
-    # scaled by a power of two, so its largest part lies in [1, 2) and its
-    # norm neither overflows nor underflows; the scaling is exact
-    d = np.array(direction, dtype=complex).view(float)
-    d = np.ldexp(d, 1 - np.frexp(np.max(np.abs(d)))[1]).view(complex)
+    """Diagnostics along t * direction / |direction| for decreasing t, the
+    direction a stacked real (2n,) vector; per-radius axis hits are
+    recorded, not raised."""
+    d = prescaled(direction)
+    n = d.size // 2
+    # rounded as the complex quotient d / |d| is (|Re d|^2 + |Im d|^2, then
+    # a reciprocal), so the scan reads the same bits as on complex points
+    unit = d * (1.0 / np.sqrt(d[:n] @ d[:n] + d[n:] @ d[n:]))
     t = np.asarray(radii, dtype=float)
-    Z = t[:, None] * (d / np.linalg.norm(d))
-    f, ga, _ = real_gradients(germ, Z)
-    colin, _, arg, violated = _colinearity(f, ga, Z)
-    hits = germ.on_axis(Z, f)
+    X = t[:, None] * unit
+    f, ga, _ = real_gradients(germ, X)
+    colin, _, arg, violated = _colinearity(f, ga, X)
+    hits = germ.on_axis(X, f)
     return [RadialScanEntry(float(r), None, None, AxisProximity.__name__)
             if hit else RadialScanEntry(float(r), float(c), float(a),
                                         condition_ok=not v)
@@ -460,7 +460,7 @@ class ScanReport:
     usable: int
     excluded: int
     min_value: float
-    witness: Tuple[complex, ...]
+    witness: Tuple[float, ...]      # stacked real point
     threshold: float
     verdict: object
     extra: Dict[str, object] = field(default_factory=dict)
@@ -483,9 +483,9 @@ class ScanReport:
 
 
 def _scan_report(kind: str, radius: float, budget: int, seed: int,
-                 usable: int, conclusive: bool, values, Z, threshold: float,
+                 usable: int, conclusive: bool, values, X, threshold: float,
                  extra: Optional[dict] = None) -> ScanReport:
-    """The minimum of values over the rows of Z with its witness, or an
+    """The minimum of values over the rows of X with its witness, or an
     inconclusive report when too few rows were usable."""
     common = dict(kind=kind, radius=radius, budget=budget, seed=seed,
                   usable=usable, excluded=budget - usable,
@@ -495,7 +495,7 @@ def _scan_report(kind: str, radius: float, budget: int, seed: int,
                           verdict="inconclusive", **common)
     best = int(np.argmin(values))
     return ScanReport(min_value=float(values[best]),
-                      witness=tuple(np.atleast_1d(Z[best])),
+                      witness=tuple(X[best]),
                       verdict=bool(values[best] > threshold), **common)
 
 
@@ -511,12 +511,10 @@ def strong_milnor_check(germ: MixedGerm, radius: float, budget: int = 10000,
         raise ValueError("radius must be positive")
     f_floor = germ.f_floor(radius)
     threshold = default_pass_threshold(newton_tol)
-    Z = to_complex(radius * sobol_unit_sphere(seed, (0x5713, 0), budget,
-                                              2 * germ.n))
+    X = radius * sobol_unit_sphere(seed, (0x5713, 0), budget, 2 * germ.n)
 
-    def cover_rows(Zc: np.ndarray):
-        _, _, rho, gts = _phase_fields(germ, Zc)
-        Xc = to_real(Zc)
+    def cover_rows(Xc: np.ndarray):
+        _, _, rho, gts = _phase_fields(germ, Xc)
         r = norm_rows(Xc)[..., None]
         with np.errstate(invalid="ignore", divide="ignore"):
             margins = phase_margin_from_fields(
@@ -524,10 +522,10 @@ def strong_milnor_check(germ: MixedGerm, radius: float, budget: int = 10000,
         usable = rho > f_floor
         return np.where(usable, margins, np.inf), usable
 
-    margins, usable_mask = _cover(cover_rows, Z)
+    margins, usable_mask = _cover(cover_rows, X)
     usable = int(np.count_nonzero(usable_mask))
     return _scan_report("phase-submersion", radius, budget, seed, usable,
-                        usable >= max(1, budget // 10), margins, Z, threshold)
+                        usable >= max(1, budget // 10), margins, X, threshold)
 
 
 def tube_sphere_transversality(germ: MixedGerm, radius: float, eta: float,
@@ -548,8 +546,7 @@ def tube_sphere_transversality(germ: MixedGerm, radius: float, eta: float,
     eta2 = eta * eta
 
     def system(X):
-        Zc = to_complex(X)
-        f, ga, gb = real_gradients(germ, Zc)
+        f, ga, gb = real_gradients(germ, X)
         a, b = f.real, f.imag
         r2 = np.sum(X * X, axis=-1)
         R = np.stack([r2 - radius * radius, a * a + b * b - eta2], axis=-1)
@@ -566,8 +563,7 @@ def tube_sphere_transversality(germ: MixedGerm, radius: float, eta: float,
         return _scan_report("tube-boundary", radius, budget, seed, converged,
                             False, None, None, threshold, {"eta": eta})
     Xok = X[ok]
-    Zok = to_complex(Xok)
-    _, ga, gb = real_gradients(germ, Zok)
+    _, ga, gb = real_gradients(germ, Xok)
     xu = Xok / norm_rows(Xok)[..., None]
     # distance of the radial direction from span(grad_a, grad_b)
     span = np.stack([ga, gb], axis=-1)          # (N, 2n, 2)
@@ -575,7 +571,7 @@ def tube_sphere_transversality(germ: MixedGerm, radius: float, eta: float,
     proj = np.einsum("nik,nk->ni", Qs, np.einsum("nik,ni->nk", Qs, xu))
     resid = norm_rows(xu - proj)
     return _scan_report("tube-boundary", radius, budget, seed, converged,
-                        True, resid, Zok, threshold, {"eta": eta})
+                        True, resid, Xok, threshold, {"eta": eta})
 
 
 def critical_value_isolation_scan(germ: MixedGerm, radius: float,
@@ -590,19 +586,19 @@ def critical_value_isolation_scan(germ: MixedGerm, radius: float,
     if radius <= 0:
         raise ValueError("radius must be positive")
     f_floor = germ.f_floor(radius)
-    Z = to_complex(sobol_ball(seed, (0xC517, 0), budget, 2 * germ.n, radius))
+    X = sobol_ball(seed, (0xC517, 0), budget, 2 * germ.n, radius)
     # dimensional gradient scale: |f| over length at the working radius
     grad_scale = max(germ.scale(radius) / radius, 1e-300)
     threshold = default_pass_threshold(newton_tol) * grad_scale
 
-    def cover_rows(Zc: np.ndarray):
-        f, ga, gb = real_gradients(germ, Zc)
+    def cover_rows(Xc: np.ndarray):
+        f, ga, gb = real_gradients(germ, Xc)
         usable = np.abs(f) > f_floor
         return np.where(usable, gram_margin(ga, gb), np.inf), usable
 
-    margins, usable_mask = _cover(cover_rows, Z)
+    margins, usable_mask = _cover(cover_rows, X)
     usable = int(np.count_nonzero(usable_mask))
     return _scan_report("critical-value-isolation", radius, budget, seed,
-                        usable, usable > 0, margins, Z, threshold,
+                        usable, usable > 0, margins, X, threshold,
                         {"f_floor": f_floor,
                          "excluded_fraction": 1.0 - usable / budget})

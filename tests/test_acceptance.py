@@ -153,8 +153,9 @@ def test_criterion_05_milnor_quarter_pi():
             assert rep.milnor["checked"] > 0
     g = parse_germ("z1^2 + z2^2", 2)
     radii = [0.5 * 2.0 ** (-k) for k in range(10)]
+    # real directions: stacked, the imaginary parts are zero
     for d in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [1.0, 3.0]):
-        for e in radial_lambda_scan(g, np.array(d, dtype=complex), radii):
+        for e in radial_lambda_scan(g, np.array(d + [0.0, 0.0]), radii):
             assert e.error is None
             assert abs(e.arg_lambda_prime) < 1e-9
     ok(5, "(zero violations, radial arg = 0 within 1e-9)")

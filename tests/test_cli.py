@@ -5,6 +5,7 @@ import os
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pencillab import cli
@@ -26,7 +27,7 @@ def test_info_command(capsys):
     code, out, _ = run(capsys, "info", "--germ", "z1^2+z2^3")
     assert code == 0
     rep = report_of(out)
-    assert rep["schema"] == "1"
+    assert rep["schema"] == "2"
     assert rep["passed"] is True
     assert rep["result"]["n"] == 2 if "n" in rep["result"] else True
     assert rep["result"]["holomorphic"] is True
@@ -117,6 +118,50 @@ def test_direction_with_an_overflowing_norm_is_scanned(capsys):
     radial = report_of(out)["result"]["radial"]
     assert len(radial) == 12
     assert all(e["error"] is None and e["arg"] == 0 for e in radial)
+
+
+@pytest.mark.parametrize("pole,unit", [
+    ("1.7e308,1.7e308,1.7e308,1.7e308", [0.5, 0.5, 0.5, 0.5]),
+    ("1e-320,0,0,1e-320", [0.5 ** 0.5, 0.0, 0.0, 0.5 ** 0.5]),
+], ids=["overflowing", "underflowing"])
+def test_pole_with_an_extreme_norm_is_projected_from(capsys, tmp_path, pole,
+                                                      unit):
+    # the pole is rescaled by a power of two before it is normalised, so
+    # its norm neither overflows to a zero pole nor underflows to inf/NaN
+    base = tmp_path / "link"
+    code, out, err = run(capsys, "sample-link", "--germ", "z1^2+z2^3",
+                         "--count", "40", "--pole", pole, "--out", str(base))
+    assert code == 0 and err == ""
+    files = report_of(out)["result"]["files"]
+    assert files["pole_perturbed"] is False
+    np.testing.assert_allclose(files["pole"], 0.5 * np.array(unit),
+                               rtol=0.0, atol=1e-15)
+    vertices = np.array([[float(v) for v in ln.split()[1:]] for ln in
+                         (tmp_path / "link.obj").read_text().splitlines()
+                         if ln.startswith("v ")])
+    assert vertices.shape == (40, 3) and np.isfinite(vertices).all()
+
+
+def _start_flag(point) -> str:
+    return "--start=" + ",".join(repr(float(v)) for v in point)
+
+
+def test_report_points_feed_back_as_start(capsys):
+    # a flow endpoint and a dreg witness, passed to --start unchanged, are
+    # the start the next job reports
+    flow = ("flow", "--germ", "z1^2+z2^3", "--kind", "monodromy", "--t1",
+            "0.5")
+    code, out, _ = run(capsys, *flow, "--seed", "1")
+    assert code == 0
+    endpoint = report_of(out)["result"]["endpoint"]
+    code, out, _ = run(capsys, "dreg", "--germ", "z1^2+z2^3", "--budget",
+                       "2000", "--polish", "0")
+    assert code == 0
+    witness = report_of(out)["result"]["witness"]
+    for point in (endpoint, witness):
+        code, out, _ = run(capsys, *flow, _start_flag(point))
+        assert code == 0
+        assert report_of(out)["result"]["start"] == point
 
 
 def test_unknown_config_key_is_usage_error(capsys, tmp_path):

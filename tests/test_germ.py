@@ -173,8 +173,8 @@ def test_real_gradients_match_finite_differences():
     g = parse_germ("z1^2*zbar2 + z2^3", 2)
     rng = np.random.default_rng(3)
     z = rng.normal(size=2) + 1j * rng.normal(size=2)
-    f, ga, gb = real_gradients(g, z[None, :])
-    y = to_real(z[None, :])[0]
+    y = to_real(z)
+    f, ga, gb = real_gradients(g, y[None, :])
     h = 1e-6
     for k in range(4):
         e = np.zeros(4)
@@ -192,17 +192,14 @@ def test_real_gradients_match_finite_differences():
 def test_real_hessians_match_gradient_differences(text, n):
     g = parse_germ(text, n)
     rng = np.random.default_rng(11)
-    z = rng.normal(size=n) + 1j * rng.normal(size=n)
-    Ha, Hb = real_hessians(g, z[None, :])
-    y = to_real(z[None, :])[0]
+    y = to_real(rng.normal(size=n) + 1j * rng.normal(size=n))
+    Ha, Hb = real_hessians(g, y[None, :])
     h = 1e-6
     for k in range(2 * n):
         e = np.zeros(2 * n)
         e[k] = h
-        zp = (y + e)[:n] + 1j * (y + e)[n:]
-        zm = (y - e)[:n] + 1j * (y - e)[n:]
-        _, gap, gbp = real_gradients(g, zp[None, :])
-        _, gam, gbm = real_gradients(g, zm[None, :])
+        _, gap, gbp = real_gradients(g, (y + e)[None, :])
+        _, gam, gbm = real_gradients(g, (y - e)[None, :])
         np.testing.assert_allclose(Ha[0][:, k], (gap[0] - gam[0]) / (2 * h),
                                    atol=5e-7)
         np.testing.assert_allclose(Hb[0][:, k], (gbp[0] - gbm[0]) / (2 * h),
@@ -250,27 +247,27 @@ def test_jacobian_rank_margin_linear_is_one():
     g = parse_germ("z1", 2)
     rng = np.random.default_rng(1)
     for _ in range(3):
-        z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert abs(jacobian_rank_margin(g, z) - 1.0) < 1e-14
+        x = to_real(rng.normal(size=2) + 1j * rng.normal(size=2))
+        assert abs(jacobian_rank_margin(g, x) - 1.0) < 1e-14
 
 
 def test_jacobian_rank_margin_frozen_value():
     # independent SVD oracle on the explicit 2 x 4 Jacobian gives sqrt(13)
     g = parse_germ("z1^2 + z2^3", 2)
-    z = np.array([1.0 + 0.0j, 1.0 + 0.0j])
-    _, ga, gb = real_gradients(g, z[None, :])
+    x = np.array([1.0, 1.0, 0.0, 0.0])     # z = (1, 1)
+    _, ga, gb = real_gradients(g, x[None, :])
     s = np.linalg.svd(np.stack([ga[0], gb[0]]), compute_uv=False)
     assert abs(s[1] - math.sqrt(13)) < 1e-12
-    assert abs(jacobian_rank_margin(g, z) - math.sqrt(13)) < 1e-12
+    assert abs(jacobian_rank_margin(g, x) - math.sqrt(13)) < 1e-12
 
 
 def test_jacobian_rank_margin_batch_matches_pointwise():
     g = parse_germ("z1^2*zbar2 + z2^2*zbar1", 2)
     rng = np.random.default_rng(13)
-    Z = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
-    batch = jacobian_rank_margin_batch(g, Z)
+    X = to_real(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))
+    batch = jacobian_rank_margin_batch(g, X)
     for i in range(8):
-        assert abs(batch[i] - jacobian_rank_margin(g, Z[i])) < 1e-10
+        assert abs(batch[i] - jacobian_rank_margin(g, X[i])) < 1e-10
 
 
 def test_json_round_trip():

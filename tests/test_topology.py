@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pencillab import topology
 from pencillab._num import (canonical_json, gauss_newton, sobol_unit_sphere,
-                            stream, to_complex)
+                            stream)
 from pencillab.errors import DegenerateAfterRetries, Unstable
 from pencillab.germ import parse_germ, real_hessians
 from pencillab.pencil import member_gradient, sphere_member_system
@@ -295,7 +295,7 @@ def test_morse_data_of_a_batch_matches_the_pointwise_formula(theta):
         top = ell - 2.0 * lam[0] * x - lam[1] * gh[0]
         assert r == max(np.max(np.abs(top)), abs(np.sum(x * x) - r2) / r2,
                         abs(h[0]) / scale_h)
-        Ha, Hb = real_hessians(g, to_complex(x))
+        Ha, Hb = real_hessians(g, x)
         Hl = (-2.0 * lam[0] * np.eye(4)
               - lam[1] * (np.cos(theta) * Hb - np.sin(theta) * Ha))
         frame = np.stack([x / np.linalg.norm(x), gh[0]], axis=1)
