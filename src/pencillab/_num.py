@@ -3,6 +3,7 @@ the batched Newton driver, worker pool sizing, canonical JSON."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -47,14 +48,6 @@ def prescaled(v) -> np.ndarray:
     exact scaling after which |v| neither overflows nor underflows."""
     v = np.asarray(v, dtype=float)
     return np.ldexp(v, 1 - np.frexp(np.max(np.abs(v)))[1])
-
-
-def report_point(x) -> list:
-    """A point as reports print it: 2n reals in the stacked layout (real
-    parts first, then imaginary), the layout --start, --direction and
-    --pole take. Complex points are stacked by to_real."""
-    x = np.atleast_1d(x)
-    return (to_real(x) if np.iscomplexobj(x) else x).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -353,43 +346,37 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def jsonable(obj):
-    """Convert numpy containers/scalars to plain Python."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 def canonical_json(obj) -> str:
-    """Serialize with deterministic float formatting."""
-    obj = jsonable(obj)
+    """A report as canonical JSON text.
 
-    def emit(o) -> str:
-        if o is None:
-            return "null"
-        if isinstance(o, bool):
-            return "true" if o else "false"
-        if isinstance(o, int):
-            return str(o)
-        if isinstance(o, float):
-            return fmt17(o)
-        if isinstance(o, str):
-            return json.dumps(o)
-        if isinstance(o, list):
-            return "[" + ",".join(emit(v) for v in o) + "]"
-        if isinstance(o, dict):
-            return "{" + ",".join(json.dumps(str(k)) + ":" + emit(v)
-                                  for k, v in o.items()) + "}"
-        raise TypeError(f"not serializable: {type(o)!r}")
-
-    return emit(obj)
+    Dicts are written in insertion order and dataclasses field by field in
+    declaration order, so a result object is its own report. numpy arrays
+    and scalars become plain values. A sequence of complex numbers is a
+    point: it prints as 2n reals in the stacked layout (real parts first,
+    then imaginary), the layout --start, --direction and --pole take; a
+    complex array prints each point along its last axis that way. A bare
+    complex scalar has no report form and raises TypeError.
+    """
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return fmt17(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(str(k)) + ":" + canonical_json(v)
+                              for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)) and obj and all(
+            isinstance(v, (complex, np.complexfloating)) for v in obj):
+        obj = np.asarray(obj)
+    if isinstance(obj, np.ndarray):
+        obj = (to_real(obj) if np.iscomplexobj(obj) else obj).tolist()
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
+    raise TypeError(f"not serializable: {type(obj)!r}")

@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from ._num import (canonical_json, prescaled, report_point,
-                   sobol_unit_sphere, to_complex, to_real)
+from ._num import (canonical_json, prescaled, sobol_unit_sphere, to_complex,
+                   to_real)
 from .errors import GermSyntaxError, PencilLabError, ProjectionFailure
 from .flows import (FlowKind, FlowSpec, equivalence_transport, integrate,
                     monodromy_return)
@@ -36,8 +36,8 @@ from .topology import (closed_form_mu, double_fiber_consistency,
 
 TWO_PI = 2.0 * math.pi
 
-# report and .partial schema; "2" prints points in the --start layout
-SCHEMA = "2"
+# report and .partial schema; "3" prints result objects field by field
+SCHEMA = "3"
 
 FLOW_KINDS = {"monodromy": FlowKind.MONODROMY, "radial": FlowKind.RADIAL,
               "tube": FlowKind.TUBE_EQUIVALENCE}
@@ -129,10 +129,6 @@ def parse_angle(text) -> float:
     """Angle literal: a float, or an arithmetic expression over 'pi'."""
     if isinstance(text, (int, float)):
         return float(text)
-    try:
-        node = ast.parse(str(text).strip(), mode="eval").body
-    except SyntaxError as exc:
-        raise ValueError(f"bad angle {text!r}") from exc
 
     def ev(nd):
         if isinstance(nd, ast.Constant) and isinstance(nd.value, (int, float)):
@@ -155,7 +151,14 @@ def parse_angle(text) -> float:
             return a / b
         raise ValueError(f"bad angle {text!r}")
 
-    return ev(node)
+    try:
+        return ev(ast.parse(str(text).strip(), mode="eval").body)
+    except SyntaxError as exc:
+        raise ValueError(f"bad angle {text!r}") from exc
+    except ZeroDivisionError as exc:
+        raise ValueError(f"division by zero in angle {text!r}") from exc
+    except RecursionError as exc:
+        raise ValueError("angle expression nested too deeply") from exc
 
 
 def _number_list(value, field: str, cast) -> list:
@@ -183,7 +186,7 @@ def load_job(args: argparse.Namespace
                 file_vals = json.load(fh)
         except OSError as exc:
             raise UsageError("config", f"cannot read {args.config}: {exc}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise UsageError("config", f"invalid JSON: {exc}")
         if not isinstance(file_vals, dict):
             raise UsageError("config", "job file must hold a JSON object")
@@ -221,17 +224,15 @@ def _normalize(cfg: dict) -> None:
     if cfg["metric"] is not None and not isinstance(cfg["metric"], list):
         try:
             cfg["metric"] = json.loads(str(cfg["metric"]))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise UsageError("metric", f"invalid JSON: {exc}")
     for key, _, kind, _, _ in FIELDS:
-        if kind is float and cfg[key] is not None:
-            cfg[key] = float(cfg[key])
-        elif kind is int and cfg[key] is not None:
+        if kind is not None and cfg[key] is not None:
             try:
-                cfg[key] = int(cfg[key])
+                cfg[key] = kind(cfg[key])
             except (TypeError, ValueError):
-                raise UsageError(key, f"expected an integer, "
-                                      f"got {cfg[key]!r}")
+                noun = "an integer" if kind is int else "a real"
+                raise UsageError(key, f"expected {noun}, got {cfg[key]!r}")
 
 
 def _validate(cfg: dict) -> None:
@@ -278,7 +279,7 @@ def resolve_germ(cfg: dict) -> MixedGerm:
     if text.startswith("{"):
         try:
             return MixedGerm.from_json_dict(json.loads(text))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, RecursionError, TypeError, ValueError) as exc:
             raise UsageError("germ", f"bad germ JSON: {exc}")
     n = cfg["n"]
     if n is None:
@@ -478,7 +479,7 @@ def _cmd_dreg(cfg, germ, warnings):
     rep = d_regularity_search(
         germ, cfg["radius"], Q=Q, budget=cfg["budget"], seed=cfg["seed"],
         polish_runs=cfg["polish"], newton_tol=cfg["newton_tol"])
-    return rep.to_json_dict(), rep.verdict is True
+    return rep, rep.verdict is True
 
 
 def _cmd_milnor_diag(cfg, germ, warnings):
@@ -488,16 +489,12 @@ def _cmd_milnor_diag(cfg, germ, warnings):
     rep = d_regularity_search(
         germ, cfg["radius"], budget=cfg["budget"], seed=cfg["seed"],
         polish_runs=0, newton_tol=cfg["newton_tol"], collect_milnor=True)
-    result = {"samples": dict(rep.milnor or {})}
-    ok = (rep.milnor or {}).get("violations", 0) == 0
+    result = {"samples": rep.milnor}
+    ok = rep.milnor["violations"] == 0
     if cfg["direction"] is not None:
         d = _resolve_point(cfg, "direction", germ.n)
         radii = [cfg["radius"] * 2.0 ** (-k) for k in range(12)]
-        entries = radial_lambda_scan(germ, d, radii)
-        result["radial"] = [
-            {"radius": e.radius, "colinearity": e.colinearity,
-             "arg": e.arg_lambda_prime, "error": e.error}
-            for e in entries]
+        entries = result["radial"] = radial_lambda_scan(germ, d, radii)
         # axis rows (condition_ok None) check nothing; one must be checked
         checked = [e.condition_ok for e in entries
                    if e.condition_ok is not None]
@@ -509,7 +506,7 @@ def _cmd_strong_milnor(cfg, germ, warnings):
     rep = strong_milnor_check(germ, cfg["radius"], budget=cfg["budget"],
                               seed=cfg["seed"],
                               newton_tol=cfg["newton_tol"])
-    return rep.to_json_dict(), rep.verdict is True
+    return rep, rep.verdict is True
 
 
 def _cmd_tube_check(cfg, germ, warnings):
@@ -518,7 +515,7 @@ def _cmd_tube_check(cfg, germ, warnings):
         raise UsageError("eta", "eta must be below the sphere radius")
     rep = tube_sphere_transversality(germ, cfg["radius"], eta,
                                      budget=cfg["budget"], seed=cfg["seed"])
-    return rep.to_json_dict(), rep.verdict is True
+    return rep, rep.verdict is True
 
 
 def _cmd_crit_scan(cfg, germ, warnings):
@@ -526,7 +523,7 @@ def _cmd_crit_scan(cfg, germ, warnings):
                                         budget=cfg["budget"],
                                         seed=cfg["seed"],
                                         newton_tol=cfg["newton_tol"])
-    return rep.to_json_dict(), rep.verdict is True
+    return rep, rep.verdict is True
 
 
 def _start_points(cfg, germ, quota: int) -> np.ndarray:
@@ -561,7 +558,7 @@ def _cmd_flow(cfg, germ, warnings):
     trace = integrate(germ, spec, x0, (t0, t1))
     result = {
         "kind": cfg["kind"],
-        "start": report_point(x0),
+        "start": x0,
         "t0": t0,
         "t1": t1,
         "eta": eta,
@@ -570,9 +567,9 @@ def _cmd_flow(cfg, germ, warnings):
         "fallback_steps": trace.fallback_steps,
         "corrected_steps": trace.corrected_steps,
         "max_cond": trace.max_cond,
-        "drift": dict(trace.drift),
+        "drift": trace.drift,
         "termination": trace.termination,
-        "endpoint": report_point(trace.points[-1]),
+        "endpoint": trace.points[-1],
         "theta_advance": float(trace.theta[-1] - trace.theta[0]),
     }
     if cfg["out"]:
@@ -589,37 +586,18 @@ def _cmd_monodromy(cfg, germ, warnings):
     starts = _start_points(cfg, germ, cfg["count"])
     revolutions = cfg["revolutions"]
     integral = abs(revolutions - round(revolutions)) < 1e-12
-    records = []
-    ok = True
-    max_dn = 0.0
-    max_df = 0.0
-    for z0 in starts:
-        ret = monodromy_return(germ, z0, revolutions=revolutions, spec=spec)
-        max_dn = max(max_dn, ret.drift_norm)
-        max_df = max(max_df, ret.drift_absf_rel)
-        rec = {
-            "start": report_point(z0),
-            "endpoint": report_point(ret.endpoint),
-            "winding": ret.winding,
-            "theta_advance": ret.theta_advance,
-            "drift_norm": ret.drift_norm,
-            "drift_absf_rel": ret.drift_absf_rel,
-            "half_side_flipped": ret.half_side_flipped,
-        }
-        records.append(rec)
-        if ret.drift_norm >= 1e-6 * cfg["radius"]:
-            ok = False
-        if ret.drift_absf_rel >= 1e-6:
-            ok = False
-        if integral and ret.winding != int(round(revolutions)):
-            ok = False
-        if ret.half_side_flipped is False:
-            ok = False
+    records = [monodromy_return(germ, z0, revolutions=revolutions, spec=spec)
+               for z0 in starts]
+    ok = not any(r.drift_norm >= 1e-6 * cfg["radius"]
+                 or r.drift_absf_rel >= 1e-6
+                 or (integral and r.winding != int(round(revolutions)))
+                 or r.half_side_flipped is False for r in records)
     result = {
         "revolutions": revolutions,
         "starts": len(starts),
-        "max_drift_norm": max_dn,
-        "max_drift_absf_rel": max_df,
+        "max_drift_norm": max([0.0] + [r.drift_norm for r in records]),
+        "max_drift_absf_rel": max([0.0] + [r.drift_absf_rel
+                                           for r in records]),
         "records": records,
     }
     return result, ok
@@ -643,16 +621,7 @@ def _cmd_equivalence(cfg, germ, warnings):
         "count": len(records),
         "succeeded": succeeded,
         "max_theta_drift": max(drifts) if drifts else None,
-        "records": [
-            {"start": report_point(r.start),
-             "end": report_point(r.end),
-             "success": r.success,
-             "theta_drift": r.theta_drift,
-             "max_norm": r.max_norm,
-             "end_abs_f": r.end_abs_f,
-             "steps": r.steps,
-             "error": r.error}
-            for r in records],
+        "records": records,
     }
     passed = succeeded == len(records)
     if cfg["out"] and succeeded:
@@ -670,7 +639,7 @@ def _cmd_euler(cfg, germ, warnings):
         seed=cfg["seed"], batch=cfg["batch"],
         stability_batches=cfg["stability"], ell_redraws=cfg["redraws"],
         newton_tol=cfg["newton_tol"])
-    return {"chi": chi, "inventory": inv.to_json_dict()}, True
+    return {"chi": chi, "inventory": inv}, True
 
 
 def _cmd_mu(cfg, germ, warnings):
@@ -692,7 +661,7 @@ def _cmd_double_check(cfg, germ, warnings):
         seed=cfg["seed"], batch=cfg["batch"],
         stability_batches=cfg["stability"], ell_redraws=cfg["redraws"],
         newton_tol=cfg["newton_tol"])
-    return rep.to_json_dict(), rep.passed
+    return rep, rep.passed
 
 
 def _cmd_sample_link(cfg, germ, warnings):
@@ -781,7 +750,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "command": cfg.get("command"),
                 "error": type(exc).__name__,
                 "message": str(exc),
-                "inventory": inv.to_json_dict(),
+                "inventory": inv,
             }
             try:
                 with open(partial, "w") as fh:

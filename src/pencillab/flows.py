@@ -454,13 +454,13 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
 
 @dataclass(frozen=True)
 class MonodromyReturn:
+    start: Tuple[complex, ...]
     endpoint: Tuple[complex, ...]
     winding: int
     theta_advance: float
     drift_norm: float
     drift_absf_rel: float
     half_side_flipped: Optional[bool]
-    trace: FlowTrace
 
 
 def monodromy_return(germ: MixedGerm, x0, revolutions: float = 1.0,
@@ -482,11 +482,12 @@ def monodromy_return(germ: MixedGerm, x0, revolutions: float = 1.0,
     half_flip: Optional[bool] = None
     if abs((revolutions % 1.0) - 0.5) < 1e-12:
         half_flip = bool(side_indicator(germ, trace.theta[0], end) < 0.0)
-    return MonodromyReturn(endpoint=tuple(end), winding=winding,
+    return MonodromyReturn(start=tuple(np.asarray(x0, dtype=complex)),
+                           endpoint=tuple(end), winding=winding,
                            theta_advance=advance,
                            drift_norm=trace.drift["norm"],
                            drift_absf_rel=trace.drift["absf_rel"],
-                           half_side_flipped=half_flip, trace=trace)
+                           half_side_flipped=half_flip)
 
 
 @dataclass(frozen=True)

@@ -352,8 +352,12 @@ def parse_germ(text: str, n_vars: int) -> MixedGerm:
     """
     if n_vars < 1:
         raise ValueError("n_vars must be a positive integer")
-    toks = _tokenize(text)
-    poly = _Parser(toks, n_vars).parse()
+    try:
+        poly = _Parser(_tokenize(text), n_vars).parse()
+    except RecursionError:
+        # reported at the start: where the parser gave up depends on the
+        # depth of the caller's stack
+        raise GermSyntaxError("expression nested too deeply", 0) from None
     return _germ_from_dict(n_vars, poly)
 
 

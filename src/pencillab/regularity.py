@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._num import (gauss_newton, map_chunks, norm_rows, prescaled,
-                   report_point, sobol_ball, sobol_unit_sphere, to_complex)
+                   sobol_ball, sobol_unit_sphere, to_complex)
 from .errors import AxisProximity
 from .germ import GRAD_FLOOR, MixedGerm, gram_margin, real_gradients
 
@@ -131,38 +131,24 @@ def _cover(fn, X: np.ndarray):
 class TransversalityReport:
     radius: float
     metric: str
+    budget: int
+    seed: int
     min_defect: float
     witness: Tuple[float, ...]      # stacked real point
-    samples: int
     usable: int
     axis_excluded: int
     degenerate_excluded: int
     polish_runs: int
     pass_threshold: float
-    verdict: object               # True / False / "inconclusive"
     histogram: Tuple[int, ...]
-    seed: int
+    verdict: object               # True / False / "inconclusive"
     milnor: Optional[dict] = None  # phase-colinearity condition tally
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "radius": self.radius,
-            "metric": self.metric,
-            "budget": self.samples,
-            "seed": self.seed,
-            "min_defect": self.min_defect,
-            "witness": report_point(self.witness),
-            "usable": self.usable,
-            "axis_excluded": self.axis_excluded,
-            "degenerate_excluded": self.degenerate_excluded,
-            "polish_runs": self.polish_runs,
-            "pass_threshold": self.pass_threshold,
-            "histogram": list(self.histogram),
-            "verdict": self.verdict,
-        }
-        if self.milnor is not None:
-            d["milnor"] = dict(self.milnor)
-        return d
+    @property
+    def samples(self) -> int:
+        # perfbench's tracer reads the cover size under this name
+        # (_dreg_counts)
+        return self.budget
 
 
 def _metric_mapper(Q: Optional[np.ndarray], radius: float):
@@ -337,7 +323,7 @@ def d_regularity_search(germ: MixedGerm, radius: float,
     hist, _ = np.histogram(defects[usable_mask], bins=HIST_BINS,
                            range=(0.0, 1.0))
     common = dict(radius=radius, metric="identity" if Q is None else "custom",
-                  samples=budget, usable=usable,
+                  budget=budget, usable=usable,
                   axis_excluded=int(np.count_nonzero(axis)),
                   degenerate_excluded=int(np.count_nonzero(degenerate)),
                   pass_threshold=pass_threshold,
@@ -465,22 +451,6 @@ class ScanReport:
     verdict: object
     extra: Dict[str, object] = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "radius": self.radius,
-            "budget": self.budget,
-            "seed": self.seed,
-            "usable": self.usable,
-            "excluded": self.excluded,
-            "min_value": self.min_value,
-            "witness": report_point(self.witness),
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-        }
-        d.update({k: v for k, v in sorted(self.extra.items())})
-        return d
-
 
 def _scan_report(kind: str, radius: float, budget: int, seed: int,
                  usable: int, conclusive: bool, values, X, threshold: float,
@@ -600,5 +570,5 @@ def critical_value_isolation_scan(germ: MixedGerm, radius: float,
     usable = int(np.count_nonzero(usable_mask))
     return _scan_report("critical-value-isolation", radius, budget, seed,
                         usable, usable > 0, margins, X, threshold,
-                        {"f_floor": f_floor,
-                         "excluded_fraction": 1.0 - usable / budget})
+                        {"excluded_fraction": 1.0 - usable / budget,
+                         "f_floor": f_floor})

@@ -88,38 +88,20 @@ def staircase_mu(exponents: Sequence[int]) -> MilnorNumberResult:
 
 @dataclass
 class MorseInventory:
+    theta: float
+    radius: float
+    ell: np.ndarray               # (4,) the linear functional used
     points: np.ndarray            # real (K, 4)
     values: np.ndarray            # (K,) functional values at the points
     multipliers: np.ndarray       # (K, 2)
     signs: np.ndarray             # (K,) of +1/-1
     residuals: np.ndarray         # (K,) verified system residuals
-    ell: np.ndarray               # (4,) the linear functional used
     chi: int
-    theta: float
-    radius: float
     seeds_used: int
     batches: int
     stability: int
     ell_draws: int
     termination: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "radius": self.radius,
-            "ell": list(self.ell),
-            "points": [list(p) for p in self.points],
-            "values": list(self.values),
-            "multipliers": [list(m) for m in self.multipliers],
-            "signs": [int(s) for s in self.signs],
-            "residuals": list(self.residuals),
-            "chi": self.chi,
-            "seeds_used": self.seeds_used,
-            "batches": self.batches,
-            "stability": self.stability,
-            "ell_draws": self.ell_draws,
-            "termination": self.termination,
-        }
 
 
 def _stationarity_system(germ: MixedGerm, theta: float, radius: float,
@@ -380,19 +362,6 @@ class DoubleFiberReport:
     passed: bool
     genus: int
     note: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "exponents": list(self.exponents),
-            "theta": self.theta,
-            "radius": self.radius,
-            "chi": self.chi,
-            "mu": self.mu,
-            "expected_chi": self.expected_chi,
-            "passed": self.passed,
-            "genus": self.genus,
-            "note": self.note,
-        }
 
 
 def brieskorn_exponents(germ: MixedGerm) -> Tuple[int, int]:

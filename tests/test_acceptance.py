@@ -106,8 +106,8 @@ def test_criterion_04_d_regularity():
     g = parse_germ("z1^2 + z2^3", 2)
     again = d_regularity_search(g, 0.5, budget=100000, seed=0,
                                 polish_runs=100, collect_milnor=True)
-    assert canonical_json(again.to_json_dict()) == canonical_json(
-        search_report("z1^2 + z2^3", 2, 0.5, True).to_json_dict())
+    assert canonical_json(again) == canonical_json(
+        search_report("z1^2 + z2^3", 2, 0.5, True))
     lin = d_regularity_search(parse_germ("z1", 2), 0.5, budget=20000, seed=0,
                               polish_runs=20)
     assert abs(lin.min_defect - 1.0) < 1e-10

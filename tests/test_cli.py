@@ -27,7 +27,7 @@ def test_info_command(capsys):
     code, out, _ = run(capsys, "info", "--germ", "z1^2+z2^3")
     assert code == 0
     rep = report_of(out)
-    assert rep["schema"] == "2"
+    assert rep["schema"] == "3"
     assert rep["passed"] is True
     assert rep["result"]["n"] == 2 if "n" in rep["result"] else True
     assert rep["result"]["holomorphic"] is True
@@ -95,19 +95,105 @@ def test_out_of_range_field_is_usage_error(capsys, name, bound, value):
     assert err == f"error: field '{name}': {RANGE_ERRORS[name]}\n"
 
 
+A2 = "z1^2+z2^2"
+METRIC = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
+# job files the usage table reads as {tmp}/<name>
+JOB_FILES = {
+    "bad.json": "{",
+    "list.json": "[1]",
+    "budget.json": '{"command": "info", "germ": "z1", "budget": "many"}',
+    "radius.json": '{"command": "info", "germ": "z1", "radius": [1]}',
+    "germ.json": '{"command": "info", "germ": {"n": 2}}',
+    "deep.json": "[" * 10000 + "]" * 10000,
+}
+DEEP_JSON = ("maximum recursion depth exceeded while decoding a JSON array "
+             "from a unicode string")
+NOT_FOUND = "[Errno 2] No such file or directory: '{tmp}/missing.json'"
+
+
+# each job exits 2, prints no report and names its field:
+# stderr is exactly "error: field '<field>': <message>"
 @pytest.mark.parametrize("argv,field,message", [
-    (("milnor-diag", "--direction", "0,0,0,0"), "direction", "nonzero"),
-    (("milnor-diag", "--direction", "inf,0,0,0"), "direction", "finite"),
-    (("milnor-diag", "--direction", "1,nan,0,0"), "direction", "finite"),
-    (("sample-link", "--pole", "nan,0,0,1"), "pole", "finite"),
-    (("sample-link", "--pole", "0,0,0,0"), "pole", "nonzero"),
-    (("flow", "--start=-inf,0.3,0,0.1"), "start", "finite"),
-])
-def test_bad_point_is_usage_error(capsys, argv, field, message):
-    code, out, err = run(capsys, argv[0], "--germ", "z1^2+z2^2", *argv[1:])
+    pytest.param(argv, field, message, id=name)
+    for name, argv, field, message in [
+        ("argv0-direction-nonzero", ("milnor-diag", "--germ", A2,
+         "--direction", "0,0,0,0"), "direction", "direction must be nonzero"),
+        ("argv1-direction-finite", ("milnor-diag", "--germ", A2,
+         "--direction", "inf,0,0,0"), "direction", "direction must be finite"),
+        ("argv2-direction-finite", ("milnor-diag", "--germ", A2,
+         "--direction", "1,nan,0,0"), "direction", "direction must be finite"),
+        ("argv3-pole-finite", ("sample-link", "--germ", A2, "--pole",
+         "nan,0,0,1"), "pole", "pole must be finite"),
+        ("argv4-pole-nonzero", ("sample-link", "--germ", A2, "--pole",
+         "0,0,0,0"), "pole", "pole must be nonzero"),
+        ("argv5-start-finite", ("flow", "--germ", A2,
+         "--start=-inf,0.3,0,0.1"), "start", "start must be finite"),
+        ("start-length", ("flow", "--germ", A2, "--start", "1,2"), "start",
+         "expected 4 reals (real parts then imaginary), got 2"),
+        ("theta-division-by-zero", ("info", "--germ", "z1", "--theta",
+         "1/0"), "theta", "division by zero in angle '1/0'"),
+        ("theta-deep", ("info", "--germ", "z1", "--theta",
+         "+".join(["1"] * 5000)), "theta", "angle expression nested too "
+         "deeply"),
+        ("germ-deep", ("info", "--germ", "(" * 3000 + "z1" + ")" * 3000),
+         "germ", "expression nested too deeply (at position 0)"),
+        ("germ-json", ("info", "--germ", "{bad"), "germ", "bad germ JSON: "
+         "Expecting property name enclosed in double quotes: line 1 column 2 "
+         "(char 1)"),
+        ("germ-json-object", ("--config", "{tmp}/germ.json"), "germ",
+         "bad germ JSON: 'terms'"),
+        ("germ-no-variables", ("info", "--germ", "1+i"), "germ",
+         "no variables found in the expression"),
+        ("n-below-one", ("info", "--germ", "z1", "--n", "0"), "n",
+         "n must be at least 1"),
+        ("config-unreadable", ("--config", "{tmp}/missing.json"), "config",
+         "cannot read {tmp}/missing.json: " + NOT_FOUND),
+        ("config-invalid", ("--config", "{tmp}/bad.json"), "config",
+         "invalid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        ("config-not-object", ("--config", "{tmp}/list.json"), "config",
+         "job file must hold a JSON object"),
+        ("config-deep", ("--config", "{tmp}/deep.json"), "config",
+         "invalid JSON: " + DEEP_JSON),
+        ("integer-cast", ("--config", "{tmp}/budget.json"), "budget",
+         "expected an integer, got 'many'"),
+        ("real-cast", ("--config", "{tmp}/radius.json"), "radius",
+         "expected a real, got [1]"),
+        ("unknown-command", ("bogus", "--germ", "z1"), "command",
+         "unknown command 'bogus'; expected one of " + ", ".join(
+             cli.COMMANDS)),
+        ("mu-no-exponents", ("mu",), "exponents", "mu needs --exponents"),
+        ("mu-exponent-below-two", ("mu", "--exponents", "1,3"), "exponents",
+         "all exponents must be at least 2"),
+        ("seed-negative", ("info", "--germ", "z1", "--seed=-1"), "seed",
+         "seed must fit in 64 bits"),
+        ("seed-too-large", ("info", "--germ", "z1", "--seed",
+         str(2 ** 64)), "seed", "seed must fit in 64 bits"),
+        ("metric-json", ("dreg", "--germ", A2, "--metric", "[[1,2"),
+         "metric", "invalid JSON: Expecting ',' delimiter: line 1 column 6 "
+         "(char 5)"),
+        ("metric-deep", ("dreg", "--germ", A2, "--metric",
+         "[" * 10000 + "]" * 10000), "metric", "invalid JSON: " + DEEP_JSON),
+        ("germ-json-deep", ("info", "--germ", '{"n": ' + "[" * 10000),
+         "germ", "bad germ JSON: " + DEEP_JSON),
+        ("metric-shape", ("dreg", "--germ", A2, "--metric", "[[1,0],[0,1]]"),
+         "metric", "expected a 4x4 matrix"),
+        ("metric-symmetric", ("dreg", "--germ", A2, "--metric",
+         METRIC.replace("[1,0,0,0]", "[1,1,0,0]")), "metric",
+         "matrix must be symmetric"),
+        ("metric-positive-definite", ("dreg", "--germ", A2, "--metric",
+         METRIC.replace("[0,1,0,0]", "[0,-1,0,0]")), "metric",
+         "matrix must be positive definite"),
+    ]])
+def test_bad_point_is_usage_error(capsys, tmp_path, argv, field, message):
+    for name, text in JOB_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path))
+                                   for a in argv))
     assert code == 2
     assert out == ""
-    assert err == f"error: field '{field}': {field} must be {message}\n"
+    assert err == (f"error: field '{field}': "
+                   f"{message.replace('{tmp}', str(tmp_path))}\n")
 
 
 def test_direction_with_an_overflowing_norm_is_scanned(capsys):
@@ -117,7 +203,8 @@ def test_direction_with_an_overflowing_norm_is_scanned(capsys):
     assert code == 0 and err == ""
     radial = report_of(out)["result"]["radial"]
     assert len(radial) == 12
-    assert all(e["error"] is None and e["arg"] == 0 for e in radial)
+    assert all(e["error"] is None and e["arg_lambda_prime"] == 0
+               for e in radial)
 
 
 @pytest.mark.parametrize("pole,unit", [

@@ -1,15 +1,18 @@
 """Field synthesis contracts, corrections, and monitored transport."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from pencillab import flows
 from pencillab import germ as germ_module
-from pencillab._num import to_real
-from pencillab.cli import _fiber_starts
-from pencillab.errors import (AxisProximity, BallExit, CompletenessViolation,
-                              GramSingular, PositivityViolation)
+from pencillab._num import canonical_json, to_real
+from pencillab.cli import _fiber_starts, _sphere_starts
+from pencillab.errors import (AxisApproach, AxisProximity, BallExit,
+                              CompletenessViolation, GramSingular,
+                              PositivityViolation, StepCollapse)
 from pencillab.flows import (FlowKind, FlowSpec, _solve_min_norm,
                              equivalence_transport, integrate,
                              monodromy_return, synthesize_field)
@@ -397,3 +400,66 @@ def test_one_germ_pass_per_accepted_step(monkeypatch, kind, k):
     assert tr.termination == "completed" and tr.n_accepted > 10
     assert len(calls) == (2 + 6 * (tr.n_accepted + tr.n_rejected)
                           + k * tr.n_accepted)
+
+
+def _injected(monkeypatch, fail):
+    """Patch flows.synthesize_field to raise fail(call index, x) where that
+    is an exception, and to synthesize the field elsewhere."""
+    calls = itertools.count()
+
+    def patched(germ, spec, x, axis_floor):
+        exc = fail(next(calls), x)
+        if exc is not None:
+            raise exc
+        return synthesize_field(germ, spec, x, axis_floor)
+
+    monkeypatch.setattr(flows, "synthesize_field", patched)
+
+
+LINEAR = parse_germ("z1", 2)
+LINEAR_START = np.array([0.5 + 0.0j, 0.2 + 0.1j])
+# loose enough that no step of the clean run is rejected
+LOOSE = FlowSpec(FlowKind.MONODROMY, rtol=1e-6, atol=1e-8)
+
+
+def test_stage_failure_rejects_the_step_and_the_run_completes(monkeypatch):
+    # call 0 is the start slope and calls 1-6 the stages of the first step
+    clean = integrate(LINEAR, LOOSE, LINEAR_START, (0.0, 1.0))
+    assert clean.n_rejected == 0
+    _injected(monkeypatch, lambda k, x: GramSingular("injected")
+              if k == 2 else None)
+    tr = integrate(LINEAR, LOOSE, LINEAR_START, (0.0, 1.0))
+    assert tr.termination == "completed"
+    assert tr.n_rejected == 1
+    np.testing.assert_allclose(tr.points[-1], clean.points[-1], atol=1e-9)
+
+
+def test_persistent_stage_failure_collapses_the_step(monkeypatch):
+    _injected(monkeypatch, lambda k, x: GramSingular("injected")
+              if k > 0 else None)
+    with pytest.raises(StepCollapse, match="below floor"):
+        integrate(LINEAR, LOOSE, LINEAR_START, (0.0, 1.0))
+
+
+def test_axis_hit_on_the_slope_refresh_is_an_axis_approach(monkeypatch):
+    # call 7 refreshes the slope at the first accepted point
+    _injected(monkeypatch, lambda k, x: AxisProximity("injected")
+              if k == 7 else None)
+    with pytest.raises(AxisApproach, match="injected"):
+        integrate(LINEAR, LOOSE, LINEAR_START, (0.0, 1.0))
+
+
+def test_failed_transport_fails_only_its_own_record(monkeypatch):
+    eta = 1e-3 * BRIESKORN.scale(0.5)
+    starts = _sphere_starts(BRIESKORN, 0.5, eta, 3, 4)
+    solo = [equivalence_transport(BRIESKORN, 0.5, eta, z[None, :])[0]
+            for z in starts[[0, 2]]]
+    middle = to_real(starts[1])
+    _injected(monkeypatch, lambda k, x: GramSingular("injected")
+              if np.array_equal(x, middle) else None)
+    recs = equivalence_transport(BRIESKORN, 0.5, eta, starts)
+    assert [r.success for r in recs] == [True, False, True]
+    assert recs[1].error == "GramSingular" and recs[1].steps == 0
+    assert canonical_json(recs[1].start) == canonical_json(starts[1])
+    assert [canonical_json(r) for r in recs[::2]] == [
+        canonical_json(r) for r in solo]

@@ -1,13 +1,16 @@
-"""The quasi-random samplers and the batched Newton driver gauss_newton."""
+"""The quasi-random samplers, the batched Newton driver gauss_newton and
+the report serializer canonical_json."""
 
 import math
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
 from scipy.stats import norm, qmc
 
-from pencillab._num import (_newton_step, gauss_newton, sobol_ball,
-                            sobol_unit_sphere, solve_rows, stream)
+from pencillab._num import (_newton_step, canonical_json, gauss_newton,
+                            sobol_ball, sobol_unit_sphere, solve_rows, stream)
 
 
 def _norm_ppf_directions(seed, key, count, dim, extra=0):
@@ -170,3 +173,31 @@ def test_square_step_is_the_stacked_solve(d):
     R = rng.normal(size=(500, d))
     assert (_newton_step(J, R).tobytes()
             == np.linalg.solve(J, R[..., None])[..., 0].tobytes())
+
+
+@dataclass(frozen=True)
+class _Result:
+    point: Tuple[complex, ...]
+    count: int
+    value: float
+    note: Optional[str] = None
+
+
+def test_canonical_json_writes_results_field_by_field():
+    # dataclass fields in declaration order, dicts in insertion order,
+    # numpy values as plain ones, complex points in the stacked layout
+    rep = {"b": _Result(tuple(np.array([0.5 + 1j, complex(0, -2)])), np.int64(3),
+                        np.float64(0.1)),
+           "a": [np.array([[1.0, 2.0]]), np.bool_(True), math.inf],
+           "z": np.array([[1 + 2j], [3 + 4j]])}
+    assert canonical_json(rep) == (
+        '{"b":{"point":[0.5,0,1,-2],"count":3,'
+        '"value":0.10000000000000001,"note":null},'
+        '"a":[[[1,2]],true,"inf"],"z":[[1,2],[3,4]]}')
+
+
+@pytest.mark.parametrize("value", [1j, np.complex128(1j), object()],
+                         ids=["complex", "numpy-complex", "object"])
+def test_canonical_json_refuses_what_has_no_report_form(value):
+    with pytest.raises(TypeError):
+        canonical_json({"x": value})

@@ -132,7 +132,7 @@ def test_dreg_search_deterministic_bytes():
     g = parse_germ("z1^2 + z2^3", 2)
     a = d_regularity_search(g, 0.5, budget=3000, seed=7, polish_runs=3)
     b = d_regularity_search(g, 0.5, budget=3000, seed=7, polish_runs=3)
-    assert canonical_json(a.to_json_dict()) == canonical_json(b.to_json_dict())
+    assert canonical_json(a) == canonical_json(b)
 
 
 def test_dreg_histogram_accounts_for_usable():
@@ -145,7 +145,7 @@ def test_dreg_custom_metric_changes_normal():
     g = parse_germ("z1^2 + z2^3", 2)
     Q = np.diag([1.0, 2.0, 1.0, 2.0])
     rep = d_regularity_search(g, 0.5, Q=Q, budget=1500, seed=2, polish_runs=0)
-    assert rep.to_json_dict()["metric"] == "custom"
+    assert rep.metric == "custom"
     assert 0.0 < rep.min_defect <= 1.0
 
 
@@ -191,8 +191,7 @@ def test_dreg_search_with_more_polish_runs_than_usable_rows(monkeypatch):
     assert rep.polish_runs == rep.usable
     monkeypatch.setattr(regularity, "_smallest_first",
                         lambda v, k: np.argsort(v, kind="stable")[:k])
-    assert (canonical_json(rep.to_json_dict())
-            == canonical_json(search().to_json_dict()))
+    assert canonical_json(rep) == canonical_json(search())
 
 
 def _polish_starts(count=100):

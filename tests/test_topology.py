@@ -81,7 +81,7 @@ def test_link_euler_deterministic():
     g = parse_germ("z1^2 + z2^3", 2)
     a, _ = link_surface_euler(g, 0.0, 0.5, budget=100000, seed=4)
     b, _ = link_surface_euler(g, 0.0, 0.5, budget=100000, seed=4)
-    assert canonical_json(a.to_json_dict()) == canonical_json(b.to_json_dict())
+    assert canonical_json(a) == canonical_json(b)
 
 
 def test_link_euler_stable_under_ell_redraw():
