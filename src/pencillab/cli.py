@@ -337,21 +337,16 @@ def _out_base(cfg: dict, fallback: str) -> str:
 
 def _write_csv(path: str, germ: MixedGerm, Z: np.ndarray) -> int:
     rows = pointcloud_rows(germ, Z)
-    n2 = 2 * germ.n
-    header = ",".join([f"x{j}" for j in range(n2)] + ["theta", "norm",
-                                                      "absf"])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    header = ",".join([f"x{j}" for j in range(2 * germ.n)]
+                      + ["theta", "norm", "absf"])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header,
+               comments="")
     return len(rows)
 
 
 def _write_obj(path: str, Y: np.ndarray) -> int:
-    with open(path, "w") as fh:
-        fh.write("# stereographic point cloud\n")
-        for row in Y:
-            fh.write("v " + " ".join(format(v, ".17g") for v in row) + "\n")
+    np.savetxt(path, Y, fmt="v" + " %.17g" * Y.shape[1],
+               header="stereographic point cloud")
     return len(Y)
 
 
@@ -535,6 +530,15 @@ def _start_points(cfg, germ, quota: int) -> np.ndarray:
                          cfg["seed"], cfg["newton_tol"])
 
 
+def _above_tube(germ: MixedGerm, x0: np.ndarray, eta: float) -> float:
+    """|f| at a tube-flow start, which must lie above the tube level."""
+    f0 = abs(complex(evaluate(germ, np.asarray(x0))))
+    if f0 <= eta:
+        raise UsageError("start", "start point has |f| at or below the tube "
+                                  "level")
+    return f0
+
+
 def _cmd_flow(cfg, germ, warnings):
     kind = FLOW_KINDS[cfg["kind"]]
     spec = FlowSpec(kind=kind, rtol=cfg["rtol"], atol=cfg["atol"])
@@ -550,11 +554,7 @@ def _cmd_flow(cfg, germ, warnings):
             t1 = t0 - 0.75 * r0 * r0
         else:
             eta = _default_eta(cfg, germ)
-            f0 = abs(complex(evaluate(germ, np.asarray(x0))))
-            if f0 <= eta:
-                raise UsageError("eta", "start point has |f| at or below "
-                                        "the tube level")
-            t1 = t0 + math.log(eta / f0)
+            t1 = t0 + math.log(eta / _above_tube(germ, x0, eta))
     trace = integrate(germ, spec, x0, (t0, t1))
     result = {
         "kind": cfg["kind"],
@@ -609,6 +609,7 @@ def _cmd_equivalence(cfg, germ, warnings):
                     atol=cfg["atol"], max_step=0.25)
     if cfg["start"] is not None:
         starts = _start_points(cfg, germ, 1)
+        _above_tube(germ, starts[0], eta)
     else:
         starts = _sphere_starts(germ, cfg["radius"], eta, cfg["count"],
                                 cfg["seed"])

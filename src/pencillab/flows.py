@@ -279,13 +279,10 @@ class FlowTrace:
         n2 = self.points.shape[1]
         header = ",".join(
             ["t"] + [f"x{j}" for j in range(2 * n2)] + ["norm", "absf", "theta"])
-        X = to_real(self.points)
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for i in range(1, len(self.t)):
-                row = ([self.t[i]] + list(X[i]) +
-                       [self.norms[i], self.abs_f[i], self.theta[i]])
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        rows = np.column_stack([self.t, to_real(self.points), self.norms,
+                                self.abs_f, self.theta])
+        np.savetxt(path, rows[1:], fmt="%.17g", delimiter=",", header=header,
+                   comments="")
 
 
 def _project_sphere(x: np.ndarray, r0: float) -> np.ndarray:

@@ -13,11 +13,13 @@ The window cannot close before as many more batches as it still lacks, so
 those batches are drawn in one Sobol call, projected and polished as one
 stacked chunk; both stages are systems for _num.gauss_newton, the
 package's one Newton loop. The chunk is then classified batch by batch in
-its original order, each batch's candidates in one call. The solvers are
-row-independent, so the chunk gives the points, counters and stop of a
-batch-by-batch loop over the same seeds (those of later batches are
-slices of the chunk's draw, not one-batch draws); only a degenerate
-critical point, which ends the draw, discards the rest of its chunk.
+its original order by _classify_batch, the one place where a point is
+judged new, degenerate or accepted. The solvers are row-independent, so
+the chunk gives the points, counters and stop of a batch-by-batch loop
+over the same seeds (those of later batches are slices of the chunk's
+draw, not one-batch draws); only a degenerate critical point, which ends
+the draw, discards the rest of its chunk. One counter, the batches
+classified, keys the draws: seeds_used = batches * batch.
 """
 
 from __future__ import annotations
@@ -189,6 +191,36 @@ def _morse_data(system, scale, X: np.ndarray, L: np.ndarray):
             np.linalg.det(np.swapaxes(B, -1, -2) @ J[:, :4, :4] @ B))
 
 
+def _classify_batch(system, scale, X: np.ndarray, L: np.ndarray,
+                    stored: np.ndarray, dedup_tol: float, newton_tol: float):
+    """One batch's new critical points: (X, L, residual, det) rows in
+    lexicographic order, or None when one of them is degenerate.
+
+    Candidates within dedup_tol of a stored point drop out at their
+    pre-step positions, in one distance array; the rest take _morse_data's
+    final step, after which each is compared with the rows kept earlier in
+    the batch. A row whose residual misses newton_tol is skipped. This is
+    the one place where a point is accepted; its sign is that of det.
+    """
+    order = np.lexsort(X.T[::-1])
+    if len(stored):
+        dists = np.linalg.norm(stored - X[order, None, :], axis=-1)
+        order = order[np.min(dists, axis=-1) > dedup_tol]
+    if not len(order):
+        return X[order], L[order], np.empty(0), np.empty(0)
+    X, L, res, det = _morse_data(system, scale, X[order], L[order])
+    keep: List[int] = []
+    for i, x in enumerate(X):
+        if keep and np.min(np.linalg.norm(X[keep] - x, axis=-1)) <= dedup_tol:
+            continue
+        if not res[i] < newton_tol:
+            continue
+        if abs(det[i]) < DEGENERACY_TOL:
+            return None
+        keep.append(i)
+    return X[keep], L[keep], res[keep], det[keep]
+
+
 def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
                        budget: int = 100000, seed: int = 0,
                        batch: int = 200, stability_batches: int = 20,
@@ -200,151 +232,96 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
     the link surface; returns the inventory and chi = sum of signs.
 
     n = 2 only. A batch is quiet when some of its rows converge and none
-    is new (within 1e-6 * radius of a stored point). Batches are solved in
-    stacked chunks of the window's remaining length (capped by the
-    budget), which changes neither the stop rule nor seeds_used and
-    batches: both count only the batches classified. A chunk draws its
-    seeds in one call keyed by its first batch, so only batch 0 has the
-    seeds of a one-batch draw. A degenerate point discards the rest of its
-    chunk along with the draw. Raises Unstable when the budget runs out
-    before the stability window closes (the partial inventory rides on the
-    error), and DegenerateAfterRetries when every functional redraw met a
-    degenerate critical point.
+    is new (within 1e-6 * radius of a stored point); _classify_batch
+    decides which rows are new. Batches are solved in stacked chunks of the
+    window's remaining length (capped by the budget). One counter, batches,
+    counts the batches classified; seeds_used is always batches * batch. A
+    chunk draws its seeds in one call keyed by its first batch, so only
+    batch 0 has the seeds of a one-batch draw. A degenerate point discards
+    the rest of its chunk along with the draw. Raises Unstable when the
+    budget runs out before the stability window closes, or chi is odd (the
+    inventory rides on the error), and DegenerateAfterRetries when every
+    functional redraw met a degenerate critical point.
     """
     if germ.n != 2:
         raise ValueError("link Euler counting is implemented for n = 2 only")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if budget < 1:
-        raise ValueError("budget must be positive")
+    for name, value in (("budget", budget), ("batch", batch),
+                        ("stability_batches", stability_batches),
+                        ("ell_redraws", ell_redraws)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive")
     theta = float(theta) % TWO_PI
     batch = min(batch, budget)   # a larger batch would overdraw the budget
+    max_batches = budget // batch
     dedup_tol = 1e-6 * radius
     scale_h = max(germ.scale(radius), 1e-300)
-    r2 = radius * radius
+    project = sphere_member_system(germ, theta, radius)
+    project_scale = np.array([radius * radius, scale_h])
 
-    last_error: Optional[str] = None
-    for draw in range(ell_redraws):
-        if ell_seed is not None and draw == 0:
-            ell = np.asarray(ell_seed, dtype=float)
-            ell = ell / np.linalg.norm(ell)
-        else:
-            g = stream(seed, 0xE11, draw).normal(size=4)
-            ell = g / np.linalg.norm(g)
-
+    def one_draw(draw: int, ell: np.ndarray) -> Optional[MorseInventory]:
+        """The inventory of one functional, or None if it meets a
+        degenerate critical point; raises Unstable as above."""
         system, scale = _stationarity_system(germ, theta, radius, ell,
                                              scale_h)
-        points: List[np.ndarray] = []
-        values: List[float] = []
-        mults: List[np.ndarray] = []
-        signs: List[int] = []
-        resids: List[float] = []
-        stable_run = 0
-        seeds_used = 0
-        batches = 0
-        degenerate = False
-
-        max_batches = budget // batch
-        b = 0
-        while b < max_batches and stable_run < stability_batches:
+        found = (np.empty((0, 4)), np.empty((0, 2)), np.empty(0), np.empty(0))
+        batches = stable_run = 0
+        while batches < max_batches and stable_run < stability_batches:
             # the window cannot close before k more batches, so they are
-            # drawn, projected and polished together, then classified in
-            # order; the stacked solvers are row-independent
-            k = min(stability_batches - stable_run, max_batches - b)
-            seeds0 = radius * sobol_unit_sphere(seed, (0x5EED, draw, b),
-                                                k * batch, 4)
-            b += k
-            # project onto the link before polishing the full system
-            Xp, okp = gauss_newton(
-                sphere_member_system(germ, theta, radius), seeds0,
-                np.array([r2, scale_h]), tol=1e-12, step_cap=0.5 * radius)
+            # drawn, projected onto the link and polished together, then
+            # classified in order; the stacked solvers are row-independent
+            k = min(stability_batches - stable_run, max_batches - batches)
+            seeds0 = radius * sobol_unit_sphere(
+                seed, (0x5EED, draw, batches), k * batch, 4)
+            Xp, okp = gauss_newton(project, seeds0, project_scale, tol=1e-12,
+                                   step_cap=0.5 * radius)
             Xc, Lc, okc = _lagrange_newton(germ, theta, radius, ell, Xp[okp],
                                            newton_tol, scale_h)
             owner = np.repeat(np.arange(k), batch)[okp]
             for j in range(k):
-                seeds_used += batch
                 batches += 1
                 mine = okc & (owner == j)
                 # a stalled batch, with no projected or no polished row,
                 # is not a quiet one
                 if not np.any(mine):
                     continue
-                cand = Xc[mine]
-                candL = Lc[mine]
-                # deterministic insertion order: lexicographic within the
-                # batch; candidates near a point stored before the batch
-                # drop out in one distance array
-                order = np.lexsort(cand.T[::-1])
-                if points:
-                    dists = np.linalg.norm(
-                        np.stack(points)[None, :, :] - cand[order, None, :],
-                        axis=-1)
-                    order = order[np.min(dists, axis=-1) > dedup_tol]
-                first_new = len(points)
-                X, L = cand[order], candL[order]
-                if len(X):
-                    X, L, res, det = _morse_data(system, scale, X, L)
-                for i, x in enumerate(X):
-                    if len(points) > first_new:
-                        dists = np.linalg.norm(
-                            np.stack(points[first_new:]) - x, axis=-1)
-                        if float(np.min(dists)) <= dedup_tol:
-                            continue
-                    if not res[i] < newton_tol:
-                        continue
-                    if abs(det[i]) < DEGENERACY_TOL:
-                        degenerate = True
-                        break
-                    points.append(x.copy())
-                    values.append(float(ell @ x))
-                    mults.append(L[i].copy())
-                    signs.append(1 if det[i] > 0 else -1)
-                    resids.append(float(res[i]))
-                if degenerate:
-                    break
-                stable_run = stable_run + 1 if len(points) == first_new else 0
-            if degenerate:
-                break
-
-        if degenerate:
-            last_error = "degenerate critical point"
-            continue
-        chi = int(sum(signs))
+                new = _classify_batch(system, scale, Xc[mine], Lc[mine],
+                                      found[0], dedup_tol, newton_tol)
+                if new is None:
+                    return None
+                found = tuple(map(np.concatenate, zip(found, new)))
+                stable_run = 0 if len(new[0]) else stable_run + 1
+        X, L, res, det = found
+        signs = np.where(det > 0, 1, -1)
+        chi = int(signs.sum())
         termination = ("budget-exhausted" if stable_run < stability_batches
                        else "odd-chi" if chi % 2 != 0 else "stable")
-        inv = _inventory(points, values, mults, signs, resids, ell, theta,
-                         radius, seeds_used, batches, stable_run, draw + 1,
-                         termination)
-        if termination == "budget-exhausted":
-            raise Unstable(
-                f"no stability after {seeds_used} seeds "
-                f"({stable_run}/{stability_batches} quiet batches)",
-                inventory=inv)
-        if termination == "odd-chi":
-            raise Unstable(
-                f"odd Euler characteristic {chi}: inventory incomplete",
-                inventory=inv)
-        return inv, chi
+        inv = MorseInventory(
+            theta=theta, radius=radius, ell=ell, points=X,
+            values=np.array([float(ell @ x) for x in X]), multipliers=L,
+            signs=signs, residuals=res, chi=chi, seeds_used=batches * batch,
+            batches=batches, stability=stable_run, ell_draws=draw + 1,
+            termination=termination)
+        if termination == "stable":
+            return inv
+        raise Unstable(
+            f"no stability after {inv.seeds_used} seeds "
+            f"({stable_run}/{stability_batches} quiet batches)"
+            if termination == "budget-exhausted" else
+            f"odd Euler characteristic {chi}: inventory incomplete",
+            inventory=inv)
 
+    for draw in range(ell_redraws):
+        ell = (np.asarray(ell_seed, dtype=float)
+               if ell_seed is not None and draw == 0
+               else stream(seed, 0xE11, draw).normal(size=4))
+        inv = one_draw(draw, ell / np.linalg.norm(ell))
+        if inv is not None:
+            return inv, inv.chi
     raise DegenerateAfterRetries(
         f"all {ell_redraws} functional draws failed "
-        f"(last: {last_error or 'unknown'})")
-
-
-def _inventory(points, values, mults, signs, resids, ell, theta, radius,
-               seeds_used, batches, stability, draws,
-               termination) -> MorseInventory:
-    K = len(points)
-    return MorseInventory(
-        points=np.stack(points) if K else np.empty((0, 4)),
-        values=np.array(values, dtype=float),
-        multipliers=np.stack(mults) if K else np.empty((0, 2)),
-        signs=np.array(signs, dtype=int),
-        residuals=np.array(resids, dtype=float),
-        ell=np.asarray(ell, dtype=float),
-        chi=int(sum(signs)),
-        theta=theta, radius=radius, seeds_used=seeds_used, batches=batches,
-        stability=stability, ell_draws=draws, termination=termination)
+        "(last: degenerate critical point)")
 
 
 # ---------------------------------------------------------------------------

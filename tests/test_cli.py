@@ -130,6 +130,12 @@ NOT_FOUND = "[Errno 2] No such file or directory: '{tmp}/missing.json'"
          "--start=-inf,0.3,0,0.1"), "start", "start must be finite"),
         ("start-length", ("flow", "--germ", A2, "--start", "1,2"), "start",
          "expected 4 reals (real parts then imaginary), got 2"),
+        ("start-in-tube-flow", ("flow", "--kind", "tube", "--germ",
+         "z1^2+z2^3", "--start", "0.001,0,0,0"), "start",
+         "start point has |f| at or below the tube level"),
+        ("start-in-tube-equivalence", ("equivalence", "--germ", "z1^2+z2^3",
+         "--start", "0.001,0,0,0"), "start",
+         "start point has |f| at or below the tube level"),
         ("theta-division-by-zero", ("info", "--germ", "z1", "--theta",
          "1/0"), "theta", "division by zero in angle '1/0'"),
         ("theta-deep", ("info", "--germ", "z1", "--theta",

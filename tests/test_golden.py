@@ -7,14 +7,23 @@ change that is meant to move the numbers rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and says why. Polished `dreg` jobs are left out on purpose: the polish
-steps along finite-difference gradients, which turn one-ulp changes into
-visible ones.
+and says why. A change that is meant to keep the bytes checks them against
+a checkout of its parent with
+
+    PYTHONPATH=src python tests/test_golden.py --compare PARENT_DIR
+
+which runs every job in JOBS under this checkout's src/ and under
+PARENT_DIR/src, prints "same" or "DIFF" per job (exit code and report
+bytes), and exits 1 on any difference. Polished `dreg` jobs are left out
+on purpose: the polish steps along finite-difference gradients, which turn
+one-ulp changes into visible ones.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -154,10 +163,32 @@ def test_comparison_rules():
     assert mismatches({"b": 1, "a": 2}, {"a": 2, "b": 1}) != []
 
 
+def job_output(src: Path, name: str):
+    """(exit code, stdout bytes) of job name, run in a fresh interpreter on
+    the package under src."""
+    done = subprocess.run([sys.executable, "-m", "pencillab.cli", *JOBS[name]],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True)
+    return done.returncode, done.stdout
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden.py --write")
-    GOLDEN.mkdir(exist_ok=True)
-    for job in JOBS:
-        (GOLDEN / f"{job}.json").write_text(run_report(job))
-        print(f"wrote {GOLDEN / job}.json")
+    args = sys.argv[1:]
+    if args == ["--write"]:
+        GOLDEN.mkdir(exist_ok=True)
+        for job in JOBS:
+            (GOLDEN / f"{job}.json").write_text(run_report(job))
+            print(f"wrote {GOLDEN / job}.json")
+    elif len(args) == 2 and args[0] == "--compare":
+        here = Path(__file__).resolve().parents[1] / "src"
+        parent = Path(args[1]).resolve() / "src"
+        if not (parent / "pencillab").is_dir():
+            sys.exit(f"no package under {parent}")
+        diffs = 0
+        for job in JOBS:
+            same = job_output(here, job) == job_output(parent, job)
+            diffs += not same
+            print(f"{'same' if same else 'DIFF'} {job}", flush=True)
+        sys.exit(1 if diffs else 0)
+    else:
+        sys.exit("usage: python tests/test_golden.py --write | --compare DIR")

@@ -1,5 +1,6 @@
 """Milnor numbers, Morse counting on links, and the doubling check."""
 
+import json
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pencillab import topology
+from pencillab.cli import main as cli_main
 from pencillab._num import (canonical_json, gauss_newton, sobol_unit_sphere,
                             stream)
 from pencillab.errors import DegenerateAfterRetries, Unstable
@@ -102,6 +104,67 @@ def test_link_euler_unstable_on_tiny_budget():
     assert exc.value.inventory.seeds_used <= 50
     with pytest.raises(ValueError, match="budget"):
         link_surface_euler(g, 0.0, 0.5, budget=0, seed=0)
+
+
+@pytest.mark.parametrize("name", ["batch", "stability_batches",
+                                  "ell_redraws"])
+def test_link_euler_rejects_a_count_below_one(name):
+    # with 0 of any of these the run would look at nothing: a
+    # ZeroDivisionError, chi = 0 and "stable" after 0 batches, or a failed
+    # draw with no draw made
+    g = parse_germ("z1^2 + z2^3", 2)
+    with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+        link_surface_euler(g, 0.0, 0.5, seed=0, **{name: 0})
+    with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+        double_fiber_consistency(g, 0.0, 0.5, seed=0, **{name: 0})
+
+
+def _hide_first_point(monkeypatch):
+    """Wraps _morse_data so that the first point it returns reads a NaN
+    residual wherever it is found again: that critical point is never
+    stored, so the inventory holds an odd number of points. Flipping a
+    sign instead would keep chi even, the parity of the point count."""
+    morse_data = topology._morse_data
+    hidden = []
+
+    def wrapped(system, scale, X, L):
+        X, L, res, det = morse_data(system, scale, X, L)
+        if not hidden:
+            hidden.append(X[0].copy())
+        near = np.linalg.norm(X - hidden[0], axis=-1) <= 1e-6
+        return X, L, np.where(near, np.nan, res), det
+
+    monkeypatch.setattr(topology, "_morse_data", wrapped)
+
+
+def test_odd_chi_raises_unstable_with_the_inventory(monkeypatch):
+    _hide_first_point(monkeypatch)
+    g = parse_germ("z1^2 + z2^3", 2)
+    with pytest.raises(Unstable, match="odd Euler characteristic") as exc:
+        link_surface_euler(g, 0.0, 0.5, seed=0)
+    inv = exc.value.inventory
+    assert inv.termination == "odd-chi"
+    assert inv.chi % 2 == 1 and inv.chi == int(inv.signs.sum())
+    assert len(inv.points) % 2 == 1
+    assert inv.stability == 20
+    assert inv.seeds_used == inv.batches * 200
+
+
+def test_odd_chi_euler_exits_three_with_partial(capsys, monkeypatch,
+                                                tmp_path):
+    _hide_first_point(monkeypatch)
+    report = tmp_path / "r.json"
+    code = cli_main(["euler", "--germ", "z1^2+z2^3", "--report",
+                     str(report)])
+    assert code == 3
+    assert "odd Euler characteristic" in capsys.readouterr().err
+    assert not report.exists()
+    payload = json.loads((tmp_path / "r.json.partial").read_text())
+    assert payload["error"] == "Unstable"
+    inv = payload["inventory"]
+    assert inv["termination"] == "odd-chi"
+    assert inv["chi"] % 2 == 1
+    assert inv["seeds_used"] == inv["batches"] * 200
 
 
 def _no_row_converges(stage):
