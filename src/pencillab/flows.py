@@ -36,14 +36,17 @@ minimum-norm solution misbehaves, both with a `corrected` diagnostic:
 
 Transport uses an embedded Dormand-Prince 4(5) pair with per-accepted-step
 projection back onto the exact invariant set of the kind (the start sphere
-for monodromy, the start member surface for the other two) and invariant
-monitors recorded along the trace. The state is the stacked real vector
-(_num.to_real) throughout, and the monitors read f off the germ pass of
-the slope refresh at each projected point.
+for monodromy, the start member surface for the other two). The state is
+the stacked real vector (_num.to_real) throughout. Each accepted point is
+recorded with f from the germ pass of the slope refresh there, and the
+invariant drifts are measured from that record once, where the run ends.
+Every flow ends: past MAX_STEPS attempted steps per unit of span it raises
+StepCollapse.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -251,10 +254,10 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
                    11 / 84, 0.0])
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                   22 / 525, -1 / 40])
-# Cap on rejected steps per transport. Only a stage failure (a typed field
-# failure at some stage) can trip it; the count it is compared with is every
-# reject so far, error-control rejects included.
-MAX_REJECTS = 3000
+# Attempted steps, accepted and rejected, allowed per unit of |t1 - t0| (a
+# span below 1 counts as 1); a flow that has not ended by then raises
+# StepCollapse.
+MAX_STEPS = 2000
 
 
 @dataclass
@@ -285,10 +288,6 @@ class FlowTrace:
                    comments="")
 
 
-def _project_sphere(x: np.ndarray, r0: float) -> np.ndarray:
-    return x * (r0 / float(np.linalg.norm(x)))
-
-
 def _project_member(germ: MixedGerm, theta0: float, x: np.ndarray
                     ) -> np.ndarray:
     """Two Newton steps onto {Im(exp(-i*theta0) f) = 0} along its gradient."""
@@ -302,30 +301,55 @@ def _project_member(germ: MixedGerm, theta0: float, x: np.ndarray
     return x
 
 
+def _drift(kind: FlowKind, t: np.ndarray, r: np.ndarray, absf: np.ndarray,
+           theta: np.ndarray) -> Dict[str, float]:
+    """Largest departure of each invariant the kind monitors over the
+    record; a key the kind does not monitor reads 0. monodromy: |x| (norm),
+    |f| relative to |f0| (absf_rel), phase advance - (t - t0) (affine);
+    radial: phase (theta), |x|^2 - (r0^2 + t - t0) (affine); tube: phase,
+    log(|f| / |f0|) - (t - t0). Exact IEEE array operations (|a| / c equals
+    |a / c| for c > 0), and math.log per point."""
+    dt, dtheta = t - t[0], theta - theta[0]
+    if kind is FlowKind.MONODROMY:
+        dev = {"norm": r - r[0], "absf_rel": (absf - absf[0]) / absf[0],
+               "affine": dtheta - dt}
+    elif kind is FlowKind.RADIAL:
+        dev = {"theta": dtheta, "affine": r * r - (r[0] * r[0] + dt)}
+    else:
+        dev = {"theta": dtheta, "affine": np.array(
+            [math.log(a / absf[0]) for a in absf]) - dt}
+    return {k: float(np.max(np.abs(dev[k]))) if k in dev else 0.0
+            for k in ("norm", "absf_rel", "theta", "affine")}
+
+
 def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
               ) -> FlowTrace:
     """Adaptive transport of x0 across t_span under the kind's field.
 
-    The state is the stacked real vector (_num.to_real) of x0 throughout.
-    Every accepted step is projected back onto the kind's exact invariant
-    set, f there is read off the slope refresh at the projected point, and
-    the invariant drifts are recorded. The axis floor is the one at the
-    start radius throughout. Raises StepCollapse, AxisApproach, or BallExit.
+    The state is the stacked real vector of x0 throughout. Each accepted
+    step is projected back onto the kind's invariant set, and the slope
+    refresh there gives f; the point goes into one record (t, state, |x|,
+    f, unwrapped phase), from which _drift measures the drifts where the
+    run ends. The axis floor is the one at the start radius. Raises
+    StepCollapse (step below its floor, or MAX_STEPS * max(1, |t1 - t0|)
+    attempts without reaching t1), AxisApproach or BallExit.
     """
     z0 = np.asarray(x0, dtype=complex)
     t0, t1 = float(t_span[0]), float(t_span[1])
+    span = t1 - t0
+    if not math.isfinite(span):
+        raise ValueError("flow span must be finite")
     y = to_real(z0)
     r0 = float(np.linalg.norm(y))
     f0 = complex(evaluate(germ, z0))
     axis_floor = germ.axis_floor(r0)
     if abs(f0) <= axis_floor:
         raise AxisProximity("flow start lies on the axis")
-    rho0 = abs(f0)
-    theta0 = math.atan2(f0.imag, f0.real)
+    theta0 = cmath.phase(f0)
     ball = spec.ball_factor * max(r0, 1e-300)
-
-    diag_counters = {"fallback": 0, "corrected": 0, "max_cond": 0.0}
+    budget = MAX_STEPS * max(1.0, abs(span))
     K = np.empty((7, y.size))   # Dormand-Prince stages, row 0 the slope at y
+    diags: List[FieldDiagnostics] = []
 
     def rhs(s: int, yv: np.ndarray) -> complex:
         """Write the field at yv into stage s; return f at yv."""
@@ -333,62 +357,32 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
             K[s], f, dg = synthesize_field(germ, spec, yv, axis_floor)
         except AxisProximity as exc:
             raise AxisApproach(str(exc)) from exc
-        if dg.fallback:
-            diag_counters["fallback"] += 1
-        if dg.corrected:
-            diag_counters["corrected"] += 1
-        diag_counters["max_cond"] = max(diag_counters["max_cond"], dg.cond)
+        diags.append(dg)
         return complex(f)
 
-    # trace accumulators
-    ts = [t0]
-    ys = [y]
-    norms = [r0]
-    absf = [rho0]
-    thetas = [theta0]
-    drift = {"norm": 0.0, "absf_rel": 0.0, "theta": 0.0, "affine": 0.0}
-
-    n_acc = 0
+    record = [(t0, y, r0, f0, theta0)]
     n_rej = 0
-
-    def trace(termination: str) -> FlowTrace:
-        return FlowTrace(kind=spec.kind.value, t=np.array(ts),
-                         points=to_complex(ys), norms=np.array(norms),
-                         abs_f=np.array(absf), theta=np.array(thetas),
-                         n_accepted=n_acc, n_rejected=n_rej,
-                         fallback_steps=diag_counters["fallback"],
-                         corrected_steps=diag_counters["corrected"],
-                         max_cond=diag_counters["max_cond"],
-                         drift=dict(drift), termination=termination)
-
-    span = t1 - t0
-    if span == 0.0:
-        return trace("empty-span")
     direction = 1.0 if span > 0 else -1.0
     h = direction * min(spec.max_step, abs(span) / 10.0)
     h_floor = max(abs(span), 1.0) * 1e-14
     t = t0
-    rhs(0, y)
-    f_prev = f0
-    theta_unwrapped = theta0
-
+    if span:  # an empty span synthesizes no field
+        rhs(0, y)
     while (t1 - t) * direction > 0.0:
+        attempts = len(record) - 1 + n_rej
+        if attempts >= budget:
+            raise StepCollapse(f"{attempts} attempted steps, t1 not reached "
+                               f"at t={t:.6g}")
         if abs(h) < h_floor:
             raise StepCollapse(f"step size {abs(h):.3e} below floor at t={t:.6g}")
         if (t + h - t1) * direction > 0.0:
             h = t1 - t
-        failed = False
-        for s in range(1, 7):
-            try:
+        try:
+            for s in range(1, 7):
                 rhs(s, y + h * (_DP_A[s] @ K[:s]))
-            except (AxisApproach, DegenerateGradient, GramSingular):
-                failed = True
-                break
-        if failed:
+        except (AxisApproach, DegenerateGradient, GramSingular):
             h *= 0.25
             n_rej += 1
-            if n_rej > MAX_REJECTS:
-                raise StepCollapse("too many rejected steps")
             continue
         y5 = y + h * (_DP_B5 @ K)
         err_vec = h * (_DP_E @ K)
@@ -399,50 +393,34 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
             h *= max(0.2, 0.9 * (max(err, 1e-10)) ** -0.2)
             n_rej += 1
             continue
-        # accept
-        t_new = t + h
+        t += h
         if spec.kind is FlowKind.MONODROMY:
-            y = _project_sphere(y5, r0)
+            y = y5 * (r0 / float(np.linalg.norm(y5)))
         else:
             y = _project_member(germ, theta0, y5)
         # projection moved the state, so refresh the slope; that pass also
         # raises AxisApproach where |f| fell to the axis floor
-        f_new = rhs(0, y)
-        r_new = float(np.linalg.norm(y))
-        if r_new > ball:
-            raise BallExit(f"|x| = {r_new:.3e} left the working ball")
-        dtheta = math.atan2((f_new * f_prev.conjugate()).imag,
-                            (f_new * f_prev.conjugate()).real)
-        theta_unwrapped += dtheta
-        # invariant monitors
-        if spec.kind is FlowKind.MONODROMY:
-            drift["norm"] = max(drift["norm"], abs(r_new - r0))
-            drift["absf_rel"] = max(drift["absf_rel"],
-                                    abs(abs(f_new) - rho0) / rho0)
-            drift["affine"] = max(drift["affine"],
-                                  abs((theta_unwrapped - theta0) - (t_new - t0)))
-        elif spec.kind is FlowKind.RADIAL:
-            drift["theta"] = max(drift["theta"], abs(theta_unwrapped - theta0))
-            drift["affine"] = max(drift["affine"],
-                                  abs(r_new * r_new - (r0 * r0 + (t_new - t0))))
-        else:
-            drift["theta"] = max(drift["theta"], abs(theta_unwrapped - theta0))
-            drift["affine"] = max(
-                drift["affine"],
-                abs(math.log(abs(f_new) / rho0) - (t_new - t0)))
-        ts.append(t_new)
-        ys.append(y)
-        norms.append(r_new)
-        absf.append(abs(f_new))
-        thetas.append(theta_unwrapped)
-        n_acc += 1
-        f_prev = f_new
-        # next step
-        t = t_new
+        f = rhs(0, y)
+        r = float(np.linalg.norm(y))
+        if r > ball:
+            raise BallExit(f"|x| = {r:.3e} left the working ball")
+        f_prev, theta = record[-1][3:]
+        theta += cmath.phase(f * f_prev.conjugate())
+        record.append((t, y, r, f, theta))
         h_next = h * min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
         h = direction * min(abs(h_next), spec.max_step)
 
-    return trace("completed")
+    ts, ys, rs, fs, thetas = zip(*record)
+    ts, rs, thetas = np.array(ts), np.array(rs), np.array(thetas)
+    abs_f = np.array([abs(f) for f in fs])   # complex abs, not numpy's
+    return FlowTrace(kind=spec.kind.value, t=ts, points=to_complex(ys),
+                     norms=rs, abs_f=abs_f, theta=thetas,
+                     n_accepted=len(record) - 1, n_rejected=n_rej,
+                     fallback_steps=sum(d.fallback for d in diags),
+                     corrected_steps=sum(d.corrected for d in diags),
+                     max_cond=max([0.0] + [d.cond for d in diags]),
+                     drift=_drift(spec.kind, ts, rs, abs_f, thetas),
+                     termination="completed" if span else "empty-span")
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +483,7 @@ def equivalence_transport(germ: MixedGerm, radius: float, eta: float,
     """Carry sphere points backward along the tube-equivalence field until
     |f| = eta; records angle drift and the norm excursion check.
 
-    Starts must satisfy |f| >= eta; any |x| above the start radius during
+    Starts must satisfy |f| > eta; any |x| above the start radius during
     transport marks the record failed (never silently accepted).
     """
     if spec is None:
@@ -514,31 +492,28 @@ def equivalence_transport(germ: MixedGerm, radius: float, eta: float,
         raise ValueError("equivalence_transport needs a tube FlowSpec")
     if not 0.0 < eta:
         raise ValueError("eta must be positive")
-    Z = np.asarray(starts, dtype=complex)
-    if Z.ndim == 1:
-        Z = Z[None, :]
+    Z = np.atleast_2d(np.asarray(starts, dtype=complex))
     out: List[TransportRecord] = []
     norm_cap = radius * (1.0 + 1e-9)
     for z0 in Z:
         f0 = complex(evaluate(germ, z0))
-        if abs(f0) < eta:
-            raise ValueError("start point has |f| below the target tube level")
+        if abs(f0) <= eta:
+            raise ValueError("start point has |f| at or below the tube level")
         t_end = math.log(eta / abs(f0))
         try:
             trace = integrate(germ, spec, z0, (0.0, t_end))
         except PencilLabError as exc:  # typed numerical failure per record
             out.append(TransportRecord(
-                start=tuple(np.atleast_1d(z0)), end=tuple(np.atleast_1d(z0)),
-                success=False, theta_drift=float("nan"),
-                max_norm=float("nan"), end_abs_f=float("nan"), steps=0,
-                error=type(exc).__name__))
+                start=tuple(z0), end=tuple(z0), success=False,
+                theta_drift=float("nan"), max_norm=float("nan"),
+                end_abs_f=float("nan"), steps=0, error=type(exc).__name__))
             continue
         max_norm = float(np.max(trace.norms))
         end = trace.points[-1]
         ok = (max_norm <= norm_cap
               and abs(trace.abs_f[-1] - eta) <= 1e-6 * eta + 1e-300)
         out.append(TransportRecord(
-            start=tuple(np.atleast_1d(z0)), end=tuple(np.atleast_1d(end)),
+            start=tuple(z0), end=tuple(end),
             success=bool(ok), theta_drift=float(trace.drift["theta"]),
             max_norm=max_norm, end_abs_f=float(trace.abs_f[-1]),
             steps=trace.n_accepted))

@@ -267,6 +267,24 @@ def test_integrate_zero_span():
     assert tr.n_accepted == 0 and len(tr.t) == 1
 
 
+def test_integrate_rejects_a_non_finite_span():
+    for t1 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(BRIESKORN, FlowSpec(FlowKind.MONODROMY),
+                      np.array([0.4 + 0.1j, 0.2 + 0.0j]), (0.0, t1))
+
+
+def test_step_budget_ends_a_flow(monkeypatch):
+    z0 = np.array([0.4 + 0.1j, 0.2 + 0.0j])
+    spec = FlowSpec(FlowKind.MONODROMY)
+    tr = integrate(BRIESKORN, spec, z0, (0.0, 2.0 * math.pi))
+    assert tr.termination == "completed" and tr.n_accepted > 40
+    # 5 per unit of span allow 31.4 attempts over 2 pi
+    monkeypatch.setattr(flows, "MAX_STEPS", 5)
+    with pytest.raises(StepCollapse, match="^32 attempted steps"):
+        integrate(BRIESKORN, spec, z0, (0.0, 2.0 * math.pi))
+
+
 def test_integrate_raises_on_axis_start():
     g = parse_germ("z1", 2)
     with pytest.raises(AxisProximity):
@@ -331,10 +349,11 @@ def test_equivalence_transport_linear_closed_form():
 
 
 def test_equivalence_transport_rejects_points_inside_tube():
+    # |f| = 0.1 and |f| = eta = 0.5: the CLI's tube-start condition
     g = parse_germ("z1", 2)
-    with pytest.raises(ValueError):
-        equivalence_transport(g, 0.5, 0.5,
-                              np.array([[0.1 + 0.0j, 0.4 + 0.0j]]))
+    for start in ([0.1 + 0.0j, 0.4 + 0.0j], [0.5 + 0.0j, 0.0j]):
+        with pytest.raises(ValueError, match="at or below the tube level"):
+            equivalence_transport(g, 0.5, 0.5, np.array([start]))
 
 
 def test_flow_trace_csv_row_contract(tmp_path):
@@ -376,6 +395,45 @@ def test_radial_transport_tracks_affine_radius():
     assert tr.drift["affine"] < 1e-8
 
 
+def _fiber_flow(kind):
+    """A fiber start at r = 0.5 and the end time of its default CLI flow:
+    one revolution, r^2 down by 0.75 r0^2, or |f| down to the tube level."""
+    z0 = _fiber_starts(BRIESKORN, 0.0, 0.5, 1, 0, 1e-10)[0]
+    eta = 1e-3 * BRIESKORN.scale(0.5)
+    t1 = {FlowKind.MONODROMY: 2.0 * math.pi,
+          FlowKind.RADIAL: -0.75 * 0.5 ** 2,
+          FlowKind.TUBE_EQUIVALENCE: math.log(
+              eta / abs(complex(evaluate(BRIESKORN, z0))))}[kind]
+    return z0, t1
+
+
+@pytest.mark.parametrize("kind", list(FlowKind))
+def test_drift_entries_follow_their_definitions(kind):
+    # the definitions as a per-point loop in Python floats; the keys a
+    # kind does not monitor stay 0
+    z0, t1 = _fiber_flow(kind)
+    tr = integrate(BRIESKORN, FlowSpec(kind), z0, (0.0, t1))
+    assert tr.termination == "completed" and tr.n_accepted > 10
+    want = {"norm": 0.0, "absf_rel": 0.0, "theta": 0.0, "affine": 0.0}
+    t0, r0, a0, th0 = (float(v[0]) for v in
+                       (tr.t, tr.norms, tr.abs_f, tr.theta))
+    for t, r, a, th in zip(*(v.tolist() for v in
+                             (tr.t, tr.norms, tr.abs_f, tr.theta))):
+        if kind is FlowKind.MONODROMY:
+            dev = {"norm": r - r0, "absf_rel": abs(a - a0) / a0,
+                   "affine": (th - th0) - (t - t0)}
+        elif kind is FlowKind.RADIAL:
+            dev = {"theta": th - th0, "affine": r * r - (r0 * r0 + (t - t0))}
+        else:
+            dev = {"theta": th - th0,
+                   "affine": math.log(a / a0) - (t - t0)}
+        for key, v in dev.items():
+            want[key] = max(want[key], abs(v))
+    assert list(tr.drift) == list(want)
+    assert tr.drift == want
+    assert tr.drift["affine"] > 0.0
+
+
 @pytest.mark.parametrize("kind,k", [(FlowKind.MONODROMY, 1),
                                     (FlowKind.RADIAL, 3),
                                     (FlowKind.TUBE_EQUIVALENCE, 3)])
@@ -383,12 +441,7 @@ def test_one_germ_pass_per_accepted_step(monkeypatch, kind, k):
     # two passes at the start (f and the first slope), six stages per
     # attempted step, and per accepted step the slope refresh, which also
     # gives f; the member projection of radial and tube adds two more
-    z0 = _fiber_starts(BRIESKORN, 0.0, 0.5, 1, 0, 1e-10)[0]
-    eta = 1e-3 * BRIESKORN.scale(0.5)
-    t1 = {FlowKind.MONODROMY: 2.0 * math.pi,
-          FlowKind.RADIAL: -0.75 * 0.5 ** 2,
-          FlowKind.TUBE_EQUIVALENCE: math.log(
-              eta / abs(complex(evaluate(BRIESKORN, z0))))}[kind]
+    z0, t1 = _fiber_flow(kind)
     kernel, calls = germ_module._derivatives, []
 
     def counted(*args):

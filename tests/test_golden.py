@@ -13,8 +13,10 @@ a checkout of its parent with
     PYTHONPATH=src python tests/test_golden.py --compare PARENT_DIR
 
 which runs every job in JOBS under this checkout's src/ and under
-PARENT_DIR/src, prints "same" or "DIFF" per job (exit code and report
-bytes), and exits 1 on any difference. Polished `dreg` jobs are left out
+PARENT_DIR/src, prints "same" or "DIFF" per job (exit code, report bytes
+and written files), and exits 1 on any difference. The flow and
+equivalence jobs run a second time with `--out <job>`, so their trace and
+point files are compared byte for byte too. Polished `dreg` jobs are left out
 on purpose: the polish steps along finite-difference gradients, which turn
 one-ulp changes into visible ones.
 """
@@ -25,6 +27,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -163,13 +166,21 @@ def test_comparison_rules():
     assert mismatches({"b": 1, "a": 2}, {"a": 2, "b": 1}) != []
 
 
-def job_output(src: Path, name: str):
-    """(exit code, stdout bytes) of job name, run in a fresh interpreter on
-    the package under src."""
-    done = subprocess.run([sys.executable, "-m", "pencillab.cli", *JOBS[name]],
-                          env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True)
-    return done.returncode, done.stdout
+# the commands whose --out files the comparison checks too
+OUT_COMMANDS = ("flow", "equivalence")
+
+
+def job_output(src: Path, argv):
+    """(exit code, stdout bytes, {relative path: bytes} of every file
+    written) of the CLI run with argv in a fresh interpreter on the package
+    under src, in a new temporary working directory."""
+    with tempfile.TemporaryDirectory() as cwd:
+        done = subprocess.run([sys.executable, "-m", "pencillab.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, cwd=cwd)
+        files = {str(p.relative_to(cwd)): p.read_bytes()
+                 for p in sorted(Path(cwd).rglob("*")) if p.is_file()}
+    return done.returncode, done.stdout, files
 
 
 if __name__ == "__main__":
@@ -184,11 +195,15 @@ if __name__ == "__main__":
         parent = Path(args[1]).resolve() / "src"
         if not (parent / "pencillab").is_dir():
             sys.exit(f"no package under {parent}")
+        # the --out runs write relative paths, so both trees report the same
+        runs = list(JOBS.items()) + [
+            (f"{job} --out", [*argv, "--out", job])
+            for job, argv in JOBS.items() if argv[0] in OUT_COMMANDS]
         diffs = 0
-        for job in JOBS:
-            same = job_output(here, job) == job_output(parent, job)
+        for name, argv in runs:
+            same = job_output(here, argv) == job_output(parent, argv)
             diffs += not same
-            print(f"{'same' if same else 'DIFF'} {job}", flush=True)
+            print(f"{'same' if same else 'DIFF'} {name}", flush=True)
         sys.exit(1 if diffs else 0)
     else:
         sys.exit("usage: python tests/test_golden.py --write | --compare DIR")
