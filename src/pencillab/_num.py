@@ -1,5 +1,6 @@
-"""Shared numerical plumbing: real/complex layout, deterministic sampling,
-the batched Newton driver, worker pool sizing, canonical JSON."""
+"""Shared numerical plumbing: real/complex layout, deterministic sampling
+(scrambled Sobol draws made chunk by chunk), the row-range worker pool, the
+batched Newton driver, canonical JSON."""
 
 from __future__ import annotations
 
@@ -63,7 +64,11 @@ def prescaled(v) -> np.ndarray:
 # scramble and a digital shift drawn from the stream (seed, *key, 0). Its
 # points are bit for bit those of scipy.stats.qmc.Sobol(dim, scramble=True,
 # seed=stream(seed, *key)).random_base2(m)[:count], without importing
-# scipy.stats.
+# scipy.stats. A SobolDraw makes them by row range or by row index: rows
+# [a, a + CHUNK_ROWS) at a multiple a of the power of two CHUNK_ROWS are
+# one shared Gray-code block xor the point of gray(a), since then
+# gray(a + i) = gray(a) xor gray(i). So a cover never holds more than a
+# chunk of points, and its rows have the same bits however it is chunked.
 # ---------------------------------------------------------------------------
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -124,48 +129,118 @@ def _direction_numbers(dim: int) -> np.ndarray:
     return v
 
 
-def _sobol_unit_cube(seed: int, key: Tuple[int, ...], count: int, dim: int) -> np.ndarray:
-    """count scrambled Sobol points in [0, 1)^dim, clipped away from 0 so
-    ndtri stays finite.
+def _sobol_scramble(seed: int, key: Tuple[int, ...], d: int
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """The digital shift (d,) and the scrambled direction numbers sv (d, 30)
+    of a draw in d dimensions.
 
     The stream (seed, *key, 0), the first child SeedSequence.spawn gives
-    stream(seed, *key), draws the digital shift as (dim, 30) bits
-    weighted by 2^j, then (dim, 30, 30) bits for the lower-triangular
-    scramble matrices L with unit diagonal, whose row p (its bits read with
-    column 0 as the highest) gives bit 29 - p of each scrambled direction
-    number as a parity over GF(2). Point k is the shift xor the scrambled
-    direction numbers at the bits of gray(k) = k xor (k >> 1); since
-    gray(2^j + i) = 2^j + gray(2^j - 1 - i), the points double block by
-    block as a reflection xor column j. Points are scaled by 2^-30.
+    stream(seed, *key), draws the shift as (d, 30) bits weighted by 2^j,
+    then (d, 30, 30) bits for the lower-triangular scramble matrices L with
+    unit diagonal, whose row p (its bits read with column 0 as the highest)
+    gives bit 29 - p of each scrambled direction number as a parity over
+    GF(2). The parities come from float matrix products of 0/1 entries,
+    exact since each sum has at most 30 terms, taken mod 2.
     """
-    if dim > SOBOL_MAXDIM:
-        raise ValueError(f"Sobol dimension {dim} > {SOBOL_MAXDIM}")
-    if count > 2 ** SOBOL_BITS:
-        raise ValueError(f"Sobol count {count} > 2**{SOBOL_BITS}")
-    if count <= 0:
-        return np.empty((0, dim))
     rng = stream(seed, *key, 0)
     weights = np.uint32(1) << np.arange(SOBOL_BITS, dtype=np.uint32)
-    shift = rng.integers(0, 2, (dim, SOBOL_BITS), np.uint32) @ weights
-    L = np.tril(rng.integers(0, 2, (dim, SOBOL_BITS, SOBOL_BITS), np.uint32))
+    shift = rng.integers(0, 2, (d, SOBOL_BITS), np.uint32) @ weights
+    L = np.tril(rng.integers(0, 2, (d, SOBOL_BITS, SOBOL_BITS), np.uint32))
     L[:, np.arange(SOBOL_BITS), np.arange(SOBOL_BITS)] = 1
     high = SOBOL_BITS - 1 - np.arange(SOBOL_BITS, dtype=np.uint32)
-    vbits = (_direction_numbers(dim)[:, :, None] >> high) & 1
-    sv = (((vbits @ L.swapaxes(-1, -2)) & 1) << high).sum(
-        axis=-1, dtype=np.uint32)
-    # one row of points per dimension, so each xor runs over a contiguous
-    # stretch of points
-    pts = np.empty((dim, count), dtype=np.uint32)
-    pts[:, 0] = shift
+    vbits = (_direction_numbers(d)[:, :, None] >> high) & 1
+    parity = (vbits.astype(float) @ L.swapaxes(-1, -2).astype(float)
+              ).astype(np.uint32) & 1
+    return shift, (parity << high).sum(axis=-1, dtype=np.uint32)
+
+
+def _gray_block(sv: np.ndarray, m: int) -> np.ndarray:
+    """(d, m): the first m points in Gray-code order without the shift, one
+    row per dimension so that each xor runs over a contiguous stretch of
+    points. Since gray(2^j + i) = 2^j + gray(2^j - 1 - i), the points
+    double block by block as a reflection xor column j of sv."""
+    block = np.zeros((sv.shape[0], m), dtype=np.uint32)
     n, j = 1, 0
-    while n < count:
-        step = min(n, count - n)
-        np.bitwise_xor(pts[:, n - step:n][:, ::-1], sv[:, j, None],
-                       out=pts[:, n:n + step])
+    while n < m:
+        step = min(n, m - n)
+        np.bitwise_xor(block[:, n - step:n][:, ::-1], sv[:, j, None],
+                       out=block[:, n:n + step])
         n, j = n + step, j + 1
-    cube = np.multiply(pts.T, 2.0 ** -SOBOL_BITS, order="C")
-    # guard against ndtri blowing up at the cube boundary
-    return np.clip(cube, np.finfo(float).tiny, 1.0 - 1e-16, out=cube)
+    return block
+
+
+class SobolDraw:
+    """count points of one scrambled Sobol draw, made on demand by row range
+    or by row index: unit vectors in R^dim, or, given a radius, points in
+    the ball of that radius in R^dim.
+
+    The draw has d = dim dimensions for the sphere and dim + 1 for the
+    ball. Point k is the shift xor the scrambled direction numbers sv_j
+    (_sobol_scramble) at the bits j of gray(k) = k xor (k >> 1), scaled by
+    2^-30 and clipped away from 0 so ndtri stays finite.
+
+    Rows come block by block. With P = CHUNK_ROWS, a power of two, and a
+    start a that is a multiple of P, gray(a + i) = gray(a) xor gray(i) for
+    i < P; so the rows [a, a + P) are one unshifted block of the first P
+    points (_gray_block, made once per draw) xor the point of gray(a), in
+    exact integer work. A range is cut at the multiples of P. Rows at an
+    index set take the xor over the bits of each gray(k) directly. Either
+    way a row has the same bits as in the whole draw, which is
+    sobol_unit_sphere or sobol_ball.
+
+    The sphere maps the cube through ndtri and normalizes each row. The
+    ball maps its first dim columns so for the direction and takes the
+    radius as radius * u^(1/dim) from the last column u.
+    """
+
+    def __init__(self, seed: int, key: Tuple[int, ...], count: int, dim: int,
+                 radius: Optional[float] = None):
+        d = dim if radius is None else dim + 1
+        if d > SOBOL_MAXDIM:
+            raise ValueError(f"Sobol dimension {d} > {SOBOL_MAXDIM}")
+        if count > 2 ** SOBOL_BITS:
+            raise ValueError(f"Sobol count {count} > 2**{SOBOL_BITS}")
+        self.count, self.dim, self.radius = max(0, count), dim, radius
+        self._shift, self._sv = _sobol_scramble(seed, key, d)
+        self._period = CHUNK_ROWS
+        self._block = _gray_block(self._sv, min(self.count, CHUNK_ROWS))
+
+    def _at_bits(self, k: np.ndarray) -> np.ndarray:
+        """(d, len(k)) integer points at the indices k."""
+        gray = k ^ (k >> 1)
+        bits = ((gray[:, None] >> np.arange(SOBOL_BITS)) & 1).astype(np.uint32)
+        return (np.bitwise_xor.reduce(self._sv[:, None, :] * bits, axis=-1)
+                ^ self._shift[:, None])
+
+    def _map(self, pts: np.ndarray) -> np.ndarray:
+        cube = np.multiply(pts.T, 2.0 ** -SOBOL_BITS, order="C")
+        # guard against ndtri blowing up at the cube boundary
+        np.clip(cube, np.finfo(float).tiny, 1.0 - 1e-16, out=cube)
+        if self.radius is None:
+            # ndtri writes over the cube: one float array fewer per draw
+            return _unit_rows(ndtri(cube, out=cube))
+        g = _unit_rows(ndtri(cube[:, :self.dim]))
+        g *= (self.radius * cube[:, self.dim] ** (1.0 / self.dim))[..., None]
+        return g
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The points start, ..., stop - 1 as a (stop - start, dim) array."""
+        P = self._period
+        pts = np.empty((self._block.shape[0], max(0, stop - start)),
+                       dtype=np.uint32)
+        a = start
+        while a < stop:
+            a0 = a - a % P
+            b = min(a0 + P, stop)
+            np.bitwise_xor(self._block[:, a - a0:b - a0],
+                           self._at_bits(np.array([a0])),
+                           out=pts[:, a - start:b - start])
+            a = b
+        return self._map(pts)
+
+    def at(self, index) -> np.ndarray:
+        """The points at the given indices as a (len(index), dim) array."""
+        return self._map(self._at_bits(np.asarray(index, dtype=np.int64)))
 
 
 def _unit_rows(g: np.ndarray) -> np.ndarray:
@@ -177,33 +252,30 @@ def _unit_rows(g: np.ndarray) -> np.ndarray:
 
 
 def sobol_unit_sphere(seed: int, key: Tuple[int, ...], count: int, dim: int) -> np.ndarray:
-    """Quasi-random unit vectors in R^dim, deterministic in (seed, key):
-    the package's scrambled Sobol points (Joe and Kuo's direction numbers
-    from scipy's table, see _sobol_unit_cube) mapped through ndtri and
-    normalized."""
-    cube = _sobol_unit_cube(seed, key, count, dim)
-    # ndtri writes over the cube: one count x dim float array fewer per
-    # cover, and glibc often maps arrays of that size afresh and faults
-    # them in page by page
-    return _unit_rows(ndtri(cube, out=cube))
+    """Quasi-random unit vectors in R^dim, deterministic in (seed, key): the
+    whole of a SobolDraw, scrambled Sobol points (Joe and Kuo's direction
+    numbers from scipy's table) mapped through ndtri and normalized."""
+    draw = SobolDraw(seed, key, count, dim)
+    return draw.rows(0, draw.count)
 
 
 def sobol_ball(seed: int, key: Tuple[int, ...], count: int, dim: int, radius: float) -> np.ndarray:
-    """Quasi-random points in the ball of the given radius: the first dim
-    columns of a (dim + 1)-dimensional scrambled Sobol draw (Joe and Kuo's
-    direction numbers, see _sobol_unit_cube) give the direction, the last
-    one the radius as radius * u^(1/dim)."""
-    cube = _sobol_unit_cube(seed, key, count, dim + 1)
-    g = _unit_rows(ndtri(cube[:, :dim]))
-    g *= (radius * cube[:, dim] ** (1.0 / dim))[..., None]
-    return g
+    """Quasi-random points in the ball of the given radius: the whole of a
+    SobolDraw whose first dim columns give the direction and whose last one
+    the radius as radius * u^(1/dim)."""
+    draw = SobolDraw(seed, key, count, dim, radius)
+    return draw.rows(0, draw.count)
 
 
 # ---------------------------------------------------------------------------
 # worker pool
 # ---------------------------------------------------------------------------
 
-CHUNK_ROWS = 32768
+# rows per cover chunk: one chunk's points and kernel temporaries are what
+# a worker holds at a time. A power of two, so that chunk starts are
+# aligned with the blocks of a SobolDraw.
+CHUNK_ROWS = 8192
+assert CHUNK_ROWS & (CHUNK_ROWS - 1) == 0, "CHUNK_ROWS must be a power of two"
 
 def worker_count() -> int:
     cap = os.environ.get("PENCILLAB_THREADS", "")
@@ -217,22 +289,22 @@ def worker_count() -> int:
     return max(1, min(4, hw))
 
 
-def map_chunks(fn: Callable[[np.ndarray], object], rows: np.ndarray
-               ) -> List[object]:
-    """Apply fn to CHUNK_ROWS-row chunks of a 2d array, in index order.
+def map_chunks(fn: Callable[[int, int], object], count: int) -> List[object]:
+    """fn(start, stop) over the CHUNK_ROWS-row ranges of range(count), in
+    index order.
 
-    Results come back in chunk order regardless of worker count, so any
+    Results come back in range order regardless of worker count, so any
     min/concat reduction over them is deterministic.
     """
-    pieces = [rows[i:i + CHUNK_ROWS]
-              for i in range(0, len(rows), CHUNK_ROWS)]
-    if not pieces:
+    starts = range(0, count, CHUNK_ROWS)
+    stops = [min(a + CHUNK_ROWS, count) for a in starts]
+    if not stops:
         return []
     nw = worker_count()
-    if nw <= 1 or len(pieces) <= 1:
-        return [fn(p) for p in pieces]
+    if nw <= 1 or len(stops) <= 1:
+        return [fn(a, b) for a, b in zip(starts, stops)]
     with ThreadPoolExecutor(max_workers=nw) as pool:
-        return list(pool.map(fn, pieces))
+        return list(pool.map(fn, starts, stops))
 
 
 # ---------------------------------------------------------------------------

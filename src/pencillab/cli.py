@@ -586,8 +586,15 @@ def _cmd_monodromy(cfg, germ, warnings):
     starts = _start_points(cfg, germ, cfg["count"])
     revolutions = cfg["revolutions"]
     integral = abs(revolutions - round(revolutions)) < 1e-12
-    records = [monodromy_return(germ, z0, revolutions=revolutions, spec=spec)
-               for z0 in starts]
+    records = []
+    for i, z0 in enumerate(starts):
+        try:
+            records.append(monodromy_return(germ, z0, revolutions=revolutions,
+                                            spec=spec))
+        except PencilLabError as exc:
+            # main writes the finished starts to the .partial report
+            exc.inventory = {"failed_start": i, "records": records}
+            raise
     ok = not any(r.drift_norm >= 1e-6 * cfg["radius"]
                  or r.drift_absf_rel >= 1e-6
                  or (integral and r.winding != int(round(revolutions)))

@@ -12,6 +12,14 @@ Also here: the phase-colinearity diagnostic whose argument stays inside
 of the radius-times-phase map (restricted-phase fibration evidence), the
 tube boundary transversality residual, and the critical-value isolation
 scan of the (Re f, Im f) Jacobian.
+
+The sphere and ball covers are streamed: _cover hands each worker of
+_num.map_chunks a row range, and the worker draws those rows of the
+cover's _num.SobolDraw, scores them and keeps only the per-row values. The
+witness and the polish starts are redrawn by index. So no cover array
+larger than a chunk exists, and since a drawn row has the same bits
+however the draw is cut (the chunk size is a power of two, see _num), the
+reports depend neither on the chunk size nor on the worker count.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._num import (gauss_newton, map_chunks, norm_rows, prescaled,
-                   sobol_ball, sobol_unit_sphere, to_complex)
+from ._num import (SobolDraw, gauss_newton, map_chunks, norm_rows,
+                   prescaled, sobol_unit_sphere, to_complex)
 from .errors import AxisProximity
 from .germ import GRAD_FLOOR, MixedGerm, gram_margin, real_gradients
 
@@ -120,10 +128,11 @@ def _metric_normal(Q: Optional[np.ndarray], X: np.ndarray) -> np.ndarray:
                                          np.asarray(Q, dtype=float), X)
 
 
-def _cover(fn, X: np.ndarray):
-    """fn over the row chunks of X, each of its per-row outputs
-    concatenated over the chunks."""
-    parts = map_chunks(fn, X) or [fn(X)]
+def _cover(fn, count: int):
+    """fn(start, stop) over the row ranges of a count-row cover, each of its
+    per-row outputs concatenated over the ranges. fn draws and scores its
+    own rows, so no more than a chunk of cover points exists at a time."""
+    parts = map_chunks(fn, count) or [fn(0, 0)]
     return [np.concatenate(column) for column in zip(*parts)]
 
 
@@ -157,7 +166,15 @@ def _metric_mapper(Q: Optional[np.ndarray], radius: float):
         return lambda U: radius * U, None
     Q = np.asarray(Q, dtype=float)
     Linv = np.linalg.inv(np.linalg.cholesky(Q))
-    return (lambda U: radius * (U @ Linv)), Q
+
+    def lift(U):
+        # BLAS takes a one-row product down its matrix-vector path, which
+        # rounds differently from the rows of a larger product; so a lone
+        # row (a witness, a 1-row tail chunk) goes in twice
+        if len(U) == 1:
+            return radius * (np.vstack([U, U]) @ Linv)[:1]
+        return radius * (U @ Linv)
+    return lift, Q
 
 
 POLISH_ITER = 60
@@ -295,16 +312,17 @@ def d_regularity_search(germ: MixedGerm, radius: float,
         collect_milnor = germ.is_holomorphic
     f_floor = germ.f_floor(radius)
     lift, Qm = _metric_mapper(Q, radius)
-    X = lift(sobol_unit_sphere(seed, (0xD4E6, 0), budget, 2 * germ.n))
+    draw = SobolDraw(seed, (0xD4E6, 0), budget, 2 * germ.n)
 
-    def cover_rows(Xc: np.ndarray):
+    def cover_rows(start: int, stop: int):
+        Xc = lift(draw.rows(start, stop))
         defect, axis, degenerate, f, ga = _defects(germ, Xc, f_floor, Qm)
         if not collect_milnor:
             return defect, axis, degenerate
         colin, _, arg, violated = _colinearity(f, ga, Xc)
         return defect, axis, degenerate, colin, np.abs(arg), violated
 
-    defects, axis, degenerate, *tally = _cover(cover_rows, X)
+    defects, axis, degenerate, *tally = _cover(cover_rows, budget)
     usable_mask = ~axis & ~degenerate
     usable = int(np.count_nonzero(usable_mask))
     milnor = None
@@ -334,16 +352,16 @@ def d_regularity_search(germ: MixedGerm, radius: float,
                                     polish_runs=0, verdict="inconclusive",
                                     **common)
 
+    # the witness and the polish starts, redrawn by index
     order = _smallest_first(defects, max(1, polish_runs))
-    best_idx = int(order[0])
-    min_defect = float(defects[best_idx])
-    witness = X[best_idx]
+    Xo = lift(draw.at(order))
+    min_defect, witness = float(defects[order[0]]), Xo[0]
 
     # local polishing from the worst (smallest-defect) usable samples
-    starts = order[:max(0, polish_runs)]
-    starts = starts[np.isfinite(defects[starts])]
-    if starts.size:
-        values, Xp = _polish(germ, X[starts], radius, Qm, f_floor)
+    runs = max(0, polish_runs)
+    starts = Xo[:runs][np.isfinite(defects[order[:runs]])]
+    if len(starts):
+        values, Xp = _polish(germ, starts, radius, Qm, f_floor)
         f = real_gradients(germ, Xp)[0]
         better = (values < min_defect) & (np.abs(f) > f_floor)
         if np.any(better):
@@ -352,7 +370,7 @@ def d_regularity_search(germ: MixedGerm, radius: float,
 
     return TransversalityReport(
         min_defect=min_defect, witness=tuple(witness),
-        polish_runs=int(starts.size),
+        polish_runs=len(starts),
         verdict=bool(min_defect > pass_threshold),
         **common)
 
@@ -453,10 +471,11 @@ class ScanReport:
 
 
 def _scan_report(kind: str, radius: float, budget: int, seed: int,
-                 usable: int, conclusive: bool, values, X, threshold: float,
-                 extra: Optional[dict] = None) -> ScanReport:
-    """The minimum of values over the rows of X with its witness, or an
-    inconclusive report when too few rows were usable."""
+                 usable: int, conclusive: bool, values, row_at,
+                 threshold: float, extra: Optional[dict] = None) -> ScanReport:
+    """The minimum of values with its witness row_at(k), the stacked real
+    point of row k, or an inconclusive report when too few rows were
+    usable."""
     common = dict(kind=kind, radius=radius, budget=budget, seed=seed,
                   usable=usable, excluded=budget - usable,
                   threshold=threshold, extra=extra or {})
@@ -465,7 +484,7 @@ def _scan_report(kind: str, radius: float, budget: int, seed: int,
                           verdict="inconclusive", **common)
     best = int(np.argmin(values))
     return ScanReport(min_value=float(values[best]),
-                      witness=tuple(X[best]),
+                      witness=tuple(row_at(best)),
                       verdict=bool(values[best] > threshold), **common)
 
 
@@ -481,9 +500,10 @@ def strong_milnor_check(germ: MixedGerm, radius: float, budget: int = 10000,
         raise ValueError("radius must be positive")
     f_floor = germ.f_floor(radius)
     threshold = default_pass_threshold(newton_tol)
-    X = radius * sobol_unit_sphere(seed, (0x5713, 0), budget, 2 * germ.n)
+    draw = SobolDraw(seed, (0x5713, 0), budget, 2 * germ.n)
 
-    def cover_rows(Xc: np.ndarray):
+    def cover_rows(start: int, stop: int):
+        Xc = radius * draw.rows(start, stop)
         _, _, rho, gts = _phase_fields(germ, Xc)
         r = norm_rows(Xc)[..., None]
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -492,10 +512,11 @@ def strong_milnor_check(germ: MixedGerm, radius: float, budget: int = 10000,
         usable = rho > f_floor
         return np.where(usable, margins, np.inf), usable
 
-    margins, usable_mask = _cover(cover_rows, X)
+    margins, usable_mask = _cover(cover_rows, budget)
     usable = int(np.count_nonzero(usable_mask))
     return _scan_report("phase-submersion", radius, budget, seed, usable,
-                        usable >= max(1, budget // 10), margins, X, threshold)
+                        usable >= max(1, budget // 10), margins,
+                        lambda k: radius * draw.at([k])[0], threshold)
 
 
 def tube_sphere_transversality(germ: MixedGerm, radius: float, eta: float,
@@ -541,7 +562,8 @@ def tube_sphere_transversality(germ: MixedGerm, radius: float, eta: float,
     proj = np.einsum("nik,nk->ni", Qs, np.einsum("nik,ni->nk", Qs, xu))
     resid = norm_rows(xu - proj)
     return _scan_report("tube-boundary", radius, budget, seed, converged,
-                        True, resid, Xok, threshold, {"eta": eta})
+                        True, resid, lambda k: Xok[k], threshold,
+                        {"eta": eta})
 
 
 def critical_value_isolation_scan(germ: MixedGerm, radius: float,
@@ -556,19 +578,20 @@ def critical_value_isolation_scan(germ: MixedGerm, radius: float,
     if radius <= 0:
         raise ValueError("radius must be positive")
     f_floor = germ.f_floor(radius)
-    X = sobol_ball(seed, (0xC517, 0), budget, 2 * germ.n, radius)
+    draw = SobolDraw(seed, (0xC517, 0), budget, 2 * germ.n, radius)
     # dimensional gradient scale: |f| over length at the working radius
     grad_scale = max(germ.scale(radius) / radius, 1e-300)
     threshold = default_pass_threshold(newton_tol) * grad_scale
 
-    def cover_rows(Xc: np.ndarray):
-        f, ga, gb = real_gradients(germ, Xc)
+    def cover_rows(start: int, stop: int):
+        f, ga, gb = real_gradients(germ, draw.rows(start, stop))
         usable = np.abs(f) > f_floor
         return np.where(usable, gram_margin(ga, gb), np.inf), usable
 
-    margins, usable_mask = _cover(cover_rows, X)
+    margins, usable_mask = _cover(cover_rows, budget)
     usable = int(np.count_nonzero(usable_mask))
     return _scan_report("critical-value-isolation", radius, budget, seed,
-                        usable, usable > 0, margins, X, threshold,
+                        usable, usable > 0, margins,
+                        lambda k: draw.at([k])[0], threshold,
                         {"excluded_fraction": 1.0 - usable / budget,
                          "f_floor": f_floor})

@@ -10,7 +10,8 @@ import pytest
 
 from pencillab import cli
 from pencillab.cli import FIELDS, build_parser, load_job, main, resolve_germ
-from pencillab.errors import GermSyntaxError, PencilLabError
+from pencillab.errors import (GermSyntaxError, PencilLabError,
+                              StepCollapse)
 
 
 def run(capsys, *argv):
@@ -403,6 +404,30 @@ def test_monodromy_half_revolution_flips_every_record(capsys):
         records = report_of(out)["result"]["records"]
         assert len(records) == 3
         assert all(r["half_side_flipped"] is flipped for r in records)
+
+
+def test_failing_monodromy_start_keeps_the_finished_ones(capsys, monkeypatch,
+                                                        tmp_path):
+    calls = []
+    real = cli.monodromy_return
+
+    def second_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise StepCollapse("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "monodromy_return", second_fails)
+    report = tmp_path / "r.json"
+    code, _, err = run(capsys, "monodromy", "--germ", "z1^2+z2^3",
+                       "--count", "3", "--report", str(report))
+    assert code == 3
+    assert "numerical failure (StepCollapse): forced" in err
+    assert not report.exists()
+    payload = json.loads((tmp_path / "r.json.partial").read_text())
+    assert payload["error"] == "StepCollapse"
+    assert payload["inventory"]["failed_start"] == 1
+    assert len(payload["inventory"]["records"]) == 1
 
 
 def test_unwritable_report_exits_four(capsys, tmp_path):

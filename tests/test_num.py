@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm, qmc
 
-from pencillab._num import (_newton_step, canonical_json, gauss_newton,
-                            sobol_ball, sobol_unit_sphere, solve_rows, stream)
+from pencillab import _num
+from pencillab._num import (SobolDraw, _newton_step, canonical_json,
+                            gauss_newton, sobol_ball, sobol_unit_sphere,
+                            solve_rows, stream)
 
 
 def _norm_ppf_directions(seed, key, count, dim, extra=0):
@@ -47,6 +49,28 @@ def test_samplers_match_the_norm_ppf_formula_bit_for_bit(count, dim):
         got = sobol_ball(seed, key, count, dim, 0.7)
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 40, 8193, 70000])
+@pytest.mark.parametrize("dim", [4, 5, 6])
+def test_draw_by_chunk_and_by_index_is_the_one_shot_draw(monkeypatch, count,
+                                                         dim):
+    key = (0xD4E6, 0)
+    whole = {None: sobol_unit_sphere(5, key, count, dim),
+             0.7: sobol_ball(5, key, count, dim, 0.7)}
+    rng = np.random.default_rng(count * 10 + dim)
+    index = np.r_[0, count - 1, rng.integers(0, count, 50)]
+    for chunk in (1024, 8192, 2 ** 20):
+        monkeypatch.setattr(_num, "CHUNK_ROWS", chunk)
+        for radius, ref in whole.items():
+            draw = SobolDraw(5, key, count, dim, radius)
+            rows = np.concatenate([draw.rows(a, min(a + chunk, count))
+                                   for a in range(0, count, chunk)])
+            assert rows.tobytes() == ref.tobytes()
+            assert draw.at(index).tobytes() == ref[index].tobytes()
+            # a range across block edges
+            a, b = count // 3, count - count // 5
+            assert draw.rows(a, b).tobytes() == ref[a:b].tobytes()
 
 
 def test_samplers_refuse_what_scipy_refuses():

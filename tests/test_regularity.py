@@ -1,10 +1,12 @@
 """Transversality defects, certification searches, and submersion margins."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pencillab import _num
 from pencillab import germ as germ_module
 from pencillab._num import (canonical_json, sobol_unit_sphere, to_complex,
                             to_real)
@@ -93,8 +95,9 @@ def test_defect_resolves_angles_at_the_pass_threshold(angle):
 
 @pytest.mark.parametrize("scan", ["dreg", "crit-scan"])
 def test_cover_scans_run_the_germ_kernel_once_per_chunk(monkeypatch, scan):
-    # 40000 rows make two 32768-row chunks; each chunk needs f and the
-    # first derivatives from one kernel call
+    # each CHUNK_ROWS-row chunk of the 40000 rows needs f and the first
+    # derivatives from one kernel call; the witness is redrawn by index
+    # without one
     monkeypatch.setenv("PENCILLAB_THREADS", "1")
     calls = []
     kernel = germ_module._derivatives
@@ -110,7 +113,65 @@ def test_cover_scans_run_the_germ_kernel_once_per_chunk(monkeypatch, scan):
     else:
         critical_value_isolation_scan(
             parse_germ("z1^2*zbar2 + z2^2*zbar1", 2), 0.5, budget=40000)
-    assert calls == [(0, 1), (0, 1)]
+    assert calls == [(0, 1)] * math.ceil(40000 / _num.CHUNK_ROWS)
+
+
+METRIC_Q = np.array([[2.0, 0.3, 0.0, 0.1],
+                     [0.3, 1.0, 0.2, 0.0],
+                     [0.0, 0.2, 1.5, 0.0],
+                     [0.1, 0.0, 0.0, 1.0]])
+
+
+def test_cover_reports_do_not_depend_on_chunk_size_or_threads(monkeypatch):
+    # two full 8192-row chunks and a 1-row tail at the default chunk size
+    budget = 2 * 8192 + 1
+    a2a3 = parse_germ("z1^2 + z2^3", 2)
+    mixed = parse_germ("z1^2*zbar2 + z2^2*zbar1", 2)
+    jobs = {
+        "dreg": lambda: d_regularity_search(a2a3, 0.5, budget=budget, seed=1,
+                                            polish_runs=30),
+        "dreg-metric": lambda: d_regularity_search(
+            a2a3, 0.5, Q=METRIC_Q, budget=budget, seed=1, polish_runs=30),
+        "milnor-diag": lambda: d_regularity_search(
+            parse_germ("z1^3 + z1*z2^3", 2), 0.5, budget=budget, seed=2,
+            polish_runs=0, collect_milnor=True),
+        "strong-milnor": lambda: strong_milnor_check(mixed, 0.5,
+                                                     budget=budget, seed=3),
+        "crit-scan": lambda: critical_value_isolation_scan(
+            mixed, 0.5, budget=budget, seed=4),
+    }
+    seen = {}
+    for rows in (1024, 8192, 2 ** 20):
+        monkeypatch.setattr(_num, "CHUNK_ROWS", rows)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PENCILLAB_THREADS", threads)
+            for name, job in jobs.items():
+                seen.setdefault(name, set()).add(canonical_json(job()))
+    assert all(len(reports) == 1 for reports in seen.values())
+
+
+def test_metric_lift_of_a_lone_row_is_its_row_in_a_cover():
+    # a witness and a 1-row tail chunk are lifted alone
+    lift, _ = regularity._metric_mapper(METRIC_Q, 0.5)
+    U = sobol_unit_sphere(0, (1,), 2000, 4)
+    whole = lift(U)
+    for k in range(len(U)):
+        assert lift(U[k:k + 1]).tobytes() == whole[k:k + 1].tobytes()
+
+
+def test_cover_memory_stays_within_a_few_chunks(monkeypatch):
+    # a streamed cover holds one chunk of points and kernel temporaries
+    # per worker; the whole 1e5-row cover held at once peaks at about 27 MB
+    monkeypatch.setenv("PENCILLAB_THREADS", "2")
+    g = parse_germ("z1^2 + z2^3 + z3^5", 3)
+    tracemalloc.start()
+    try:
+        d_regularity_search(g, 0.5, budget=100000, polish_runs=100,
+                            collect_milnor=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20
 
 
 def test_dreg_search_linear_is_exactly_one():
@@ -178,8 +239,19 @@ def test_dreg_search_with_more_polish_runs_than_usable_rows(monkeypatch):
     U = sobol_unit_sphere(3, (1,), 40, 4)
     U[[5, 17]] = _a2a3_zero_on_the_sphere() / 0.5
     U[20:30] = U[3]
-    monkeypatch.setattr(regularity, "sobol_unit_sphere",
-                        lambda *args: U.copy())
+
+    class Crafted:
+        # the cover's draw seam: rows by range and by index
+        def __init__(self, *args):
+            pass
+
+        def rows(self, start, stop):
+            return U[start:stop].copy()
+
+        def at(self, index):
+            return U[np.asarray(index)]
+
+    monkeypatch.setattr(regularity, "SobolDraw", Crafted)
 
     def search():
         return d_regularity_search(g, 0.5, budget=40, seed=0,
@@ -200,10 +272,7 @@ def _polish_starts(count=100):
     return g, Y
 
 
-@pytest.mark.parametrize("Q", [None, np.array([[2.0, 0.3, 0.0, 0.1],
-                                               [0.3, 1.0, 0.2, 0.0],
-                                               [0.0, 0.2, 1.5, 0.0],
-                                               [0.1, 0.0, 0.0, 1.0]])])
+@pytest.mark.parametrize("Q", [None, METRIC_Q])
 def test_polish_start_alone_matches_its_row_in_a_batch(Q):
     g, Y = _polish_starts()
     values, X = _polish(g, Y, 0.5, Q, g.f_floor(0.5))
