@@ -292,12 +292,11 @@ def _project_member(germ: MixedGerm, theta0: float, x: np.ndarray
                     ) -> np.ndarray:
     """Two Newton steps onto {Im(exp(-i*theta0) f) = 0} along its gradient."""
     for _ in range(2):
-        h, gh, _ = member_gradient(germ, theta0, x[None, :])
-        grad = gh[0]
+        h, grad, _ = member_gradient(germ, theta0, x)
         denom = float(grad @ grad)
         if denom == 0.0:
             return x
-        x = x - (float(h[0]) / denom) * grad
+        x = x - (float(h) / denom) * grad
     return x
 
 

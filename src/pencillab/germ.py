@@ -18,7 +18,11 @@ ones (2). Each power z_j^k and conj(z_j)^k is computed at most once per call
 and shared between terms and slots. A term adds only into the slots where
 its derivative is nonzero. Each slot is a product formed in a fixed factor
 order that does not depend on which other orders were requested, so f from
-evaluate and f from value_and_gradient agree bit for bit. evaluate,
+evaluate and f from value_and_gradient agree bit for bit. A lone point z
+(n,) is evaluated on Python complex scalars, a batch (..., n), of one row
+too, on arrays; the two number types may round a product differently, so a
+lone point and the same point in a batch can differ in the last bits, while
+a batch of one is bit for bit its row in a larger batch. evaluate,
 value_and_gradient, wirtinger_gradient, wirtinger_hessian, real_gradients,
 real_hessians and the rank margins are thin wrappers around it.
 
@@ -30,6 +34,8 @@ differential_sample, the rank margins) take the stacked real points x
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -115,10 +121,6 @@ class MixedGerm:
         scale = np.max([abs(c) * r ** (sum(p) + sum(q))
                         for c, p, q in self.terms], axis=0, initial=0.0)
         return np.abs(f) <= AXIS_FLOOR * scale
-
-    @cached_property
-    def _coef(self) -> np.ndarray:
-        return np.array([c for c, _, _ in self.terms], dtype=complex)
 
     # -- serialization -----------------------------------------------------
 
@@ -462,33 +464,36 @@ def _derivatives(germ: MixedGerm, z, orders):
     """
     z = _as_points(z, germ.n)
     n, base = germ.n, z.shape[:-1]
+    # Products over more than one point are formed in place in one scratch
+    # row, which saves an allocation per factor. A batch of one keeps the
+    # out-of-place path: numpy's one-element in-place multiply goes through
+    # its reduction loop, which rounds differently from a row of a batch.
+    scratch = np.empty(base, dtype=complex) if z.size > n else None
+    mul = operator.mul if scratch is None else operator.imul
+    # A lone point (no batch axis) runs on Python complex scalars, which
+    # cost a fraction of numpy's 0-d arrays: each product is a scalar, added
+    # into its slot entry by an integer index. Scalar products round without
+    # the fused multiply-add numpy may use, so a lone point and the same
+    # point in a batch may differ in the last bits. A batch keeps the
+    # arrays, the point axis first, so that z[j] is a coordinate either way.
+    lone = not base
+    z = z.tolist() if lone else z.transpose(-1, *range(z.ndim - 1))
+    at = () if lone else (Ellipsis,)
     conj = []
     table = {}
-    # Products over more than one point are formed in place in one scratch
-    # row, which saves an allocation per factor. One point keeps the
-    # out-of-place path: numpy's one-element in-place multiply goes through
-    # its reduction loop, which rounds differently.
-    scratch = np.empty(base, dtype=complex) if z.size > n else None
 
     def power(bar, j, k):
         if bar and not conj:
-            conj.append(np.conj(z))
-        zj = (conj[0] if bar else z)[..., j]
+            conj.append([w.conjugate() for w in z] if lone else np.conj(z))
+        zj = (conj[0] if bar else z)[j]
         if k > 1:
             return zj ** k
         # z^1 = z and z^0 = 1 exactly; numpy's general complex power is slow
-        return (zj if k else np.ones_like(zj))[()]
-
-    def mul(out, factor):
-        if scratch is None:
-            return out * factor
-        out *= factor
-        return out
+        return zj if k else (1.0 if lone else np.ones_like(zj))
 
     def product(coef, powers):
         if scratch is None:
-            # np.array is the cheap np.full for a single point
-            out = np.full(base, coef) if base else np.array(coef)
+            out = coef if lone else np.full(base, coef)
         else:
             out = scratch
             out.fill(coef)
@@ -500,17 +505,17 @@ def _derivatives(germ: MixedGerm, z, orders):
 
     slots = {order: [np.zeros(base + (n,) * order, dtype=complex)
                      for _ in range((1, 2, 3)[order])] for order in orders}
-    for c, (_, P, Q) in zip(germ._coef, germ.terms):
+    for c, P, Q in germ.terms:
         value, first, second = _term_plan(P, Q)
         if 0 in slots:
-            slots[0][0] += product(c, value)
+            slots[0][0][at] += product(c, value)
         for bar, j, fac, powers in first if 1 in slots else ():
-            slots[1][bar][..., j] += product(c * fac, powers)
+            slots[1][bar][at + (j,)] += product(c * fac, powers)
         for block, j, k, fac, powers in second if 2 in slots else ():
             term = mul(product(c, powers), fac)
-            slots[2][block][..., j, k] += term
+            slots[2][block][at + (j, k)] += term
             if block != 1 and k != j:
-                slots[2][block][..., k, j] += term
+                slots[2][block][at + (k, j)] += term
     return tuple(s for order in orders for s in slots[order])
 
 
@@ -586,10 +591,12 @@ def differential_sample(germ: MixedGerm, x, axis_floor: float):
     f, ga, gb = real_gradients(germ, x)
     a, b = float(f.real), float(f.imag)
     rho2 = a * a + b * b
-    rho = float(np.sqrt(rho2))
+    rho = math.sqrt(rho2)
     if rho <= axis_floor:
         raise AxisProximity(f"|f| = {rho:.3e} at or below the axis floor")
-    return f, (a * ga + b * gb) / rho2, (a * gb - b * ga) / rho2
+    pairs = list(zip(ga.tolist(), gb.tolist()))
+    return (f, np.array([(a * u + b * v) / rho2 for u, v in pairs]),
+            np.array([(a * v - b * u) / rho2 for u, v in pairs]))
 
 
 def jacobian_rank_margin(germ: MixedGerm, x) -> float:

@@ -593,5 +593,6 @@ def critical_value_isolation_scan(germ: MixedGerm, radius: float,
     return _scan_report("critical-value-isolation", radius, budget, seed,
                         usable, usable > 0, margins,
                         lambda k: draw.at([k])[0], threshold,
-                        {"excluded_fraction": 1.0 - usable / budget,
+                        {"excluded_fraction": 1.0 - usable / budget
+                         if budget else 0.0,
                          "f_floor": f_floor})

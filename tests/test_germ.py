@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pencillab.errors import AxisProximity, GermSyntaxError
-from pencillab.germ import (MixedGerm, differential_sample, evaluate,
-                            format_germ, jacobian_rank_margin,
+from pencillab.germ import (MixedGerm, _derivatives, differential_sample,
+                            evaluate, format_germ, jacobian_rank_margin,
                             jacobian_rank_margin_batch, parse_germ,
                             real_gradients, real_hessians,
                             value_and_gradient, wirtinger_hessian)
@@ -167,6 +167,63 @@ def test_wirtinger_hessian_matches_finite_differences(text, n):
         np.testing.assert_allclose(0.5 * (ddz_u - 1j * ddz_v), A[j], atol=2e-5)
         np.testing.assert_allclose(0.5 * (ddzb_u - 1j * ddzb_v), B[j], atol=2e-5)
         np.testing.assert_allclose(0.5 * (ddzb_u + 1j * ddzb_v), C[j], atol=2e-5)
+
+
+# the kernel's lone-point branch (no batch axis) against the array path
+LONE_GERMS = [
+    ("z1^2 + z2^3", 2),
+    ("z1^2*zbar2 + z2^2*zbar1", 2),
+    ("(1+2i)*z1^2*zbar1 + 0.3*z2^5 - 1.7i*z1*z2", 2),
+    ("z1^2 + z2^3 + z3^5", 3),
+]
+ORDER_SETS = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+
+
+def _points(n, count, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
+
+
+@pytest.mark.parametrize("orders", ORDER_SETS)
+@pytest.mark.parametrize("text,n", LONE_GERMS)
+def test_lone_point_matches_a_batch_of_one(text, n, orders):
+    g = parse_germ(text, n)
+    # every slot of the germ with |c| at |z| sums the magnitudes of the
+    # terms that add into that slot
+    size = MixedGerm(n, tuple((abs(c) + 0j, p, q) for c, p, q in g.terms))
+    for z in _points(n, 20, 21):
+        lone = _derivatives(g, z, orders)
+        batch = _derivatives(g, z[None, :], orders)
+        bound = _derivatives(size, np.abs(z), orders)
+        assert len(lone) == len(batch) == len(orders) + sum(orders)
+        for a, b, m in zip(lone, batch, bound):
+            assert type(a) is np.ndarray and a.dtype == complex
+            assert a.shape == b.shape[1:] == (n,) * a.ndim
+            assert np.all(np.abs(a - b[0]) <= 4 * np.finfo(float).eps * m.real)
+
+
+@pytest.mark.parametrize("text,n", LONE_GERMS)
+def test_lone_point_wrappers_share_one_kernel_pass(text, n):
+    g = parse_germ(text, n)
+    for z in _points(n, 5, 22):
+        f = evaluate(g, z)
+        f1, dz1, dzb1 = value_and_gradient(g, z)
+        f2, dz2, dzb2, *_ = wirtinger_hessian(g, z, gradient=True)
+        assert f.tobytes() == f1.tobytes() == f2.tobytes()
+        assert dz1.tobytes() == dz2.tobytes()
+        assert dzb1.tobytes() == dzb2.tobytes()
+
+
+@pytest.mark.parametrize("text,n", LONE_GERMS)
+def test_batch_of_one_is_its_row_in_a_batch(text, n):
+    g = parse_germ(text, n)
+    Z = _points(n, 6, 23)
+    for orders in ORDER_SETS:
+        rows = _derivatives(g, Z, orders)
+        for k in (0, 4):
+            one = _derivatives(g, Z[k:k + 1], orders)
+            assert [a[0].tobytes() for a in one] == [
+                b[k].tobytes() for b in rows]
 
 
 def test_real_gradients_match_finite_differences():

@@ -14,7 +14,10 @@ a checkout of its parent with
 
 which runs every job in JOBS under this checkout's src/ and under
 PARENT_DIR/src, prints "same" or "DIFF" per job (exit code, report bytes
-and written files), and exits 1 on any difference. The flow and
+and written files), and exits 1 on any difference. A DIFF job whose stdout
+parses as JSON also prints the largest absolute float deviation between
+the two reports and whether they agree under the golden comparison, so a
+change that moves last bits can quote how far. The flow and
 equivalence jobs run a second time with `--out <job>`, so their trace and
 point files are compared byte for byte too. Polished `dreg` jobs are left out
 on purpose: the polish steps along finite-difference gradients, which turn
@@ -24,6 +27,7 @@ one-ulp changes into visible ones.
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -134,6 +138,35 @@ def mismatches(got, want, path="$"):
     return [f"{path}: {got!r} != {want!r}"]
 
 
+def float_deviation(got, want) -> float:
+    """Largest |got - want| over the numbers at the same path of two
+    reports; parts whose structure differs are left out, two NaNs agree."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        return max((float_deviation(got[k], want[k]) for k in want
+                    if k in got), default=0.0)
+    if isinstance(want, list) and isinstance(got, list):
+        return max(map(float_deviation, got, want), default=0.0)
+    numbers = (int, float)
+    if (isinstance(got, numbers) and isinstance(want, numbers)
+            and not isinstance(got, bool) and not isinstance(want, bool)):
+        if math.isnan(got) or math.isnan(want):
+            return 0.0 if math.isnan(got) and math.isnan(want) else math.inf
+        return abs(got - want) if got != want else 0.0
+    return 0.0
+
+
+def diff_summary(here: bytes, parent: bytes) -> str:
+    """How far two differing stdout reports are apart, when both are
+    JSON; empty otherwise."""
+    try:
+        got, want = json.loads(here), json.loads(parent)
+    except ValueError:
+        return ""
+    agree = "yes" if mismatches(got, want) == [] else "no"
+    return (f"  max float deviation {float_deviation(got, want):.3g},"
+            f" within {FLOAT_TOL:g}: {agree}")
+
+
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_report_matches_golden(name):
     want = json.loads((GOLDEN / f"{name}.json").read_text())
@@ -164,6 +197,20 @@ def test_comparison_rules():
     assert mismatches(True, 1) != []
     assert mismatches(None, 0.0) != []
     assert mismatches({"b": 1, "a": 2}, {"a": 2, "b": 1}) != []
+
+
+def test_float_deviation():
+    assert float_deviation({"a": [1.0, 2.5], "b": "x"},
+                           {"a": [1.0, 2.0], "b": "y"}) == 0.5
+    assert float_deviation({"a": 3}, {"a": 3.0, "b": 7.0}) == 0.0
+    assert float_deviation([float("nan")], [float("nan")]) == 0.0
+    assert float_deviation([float("nan")], [1.0]) == math.inf
+    assert float_deviation(True, 0) == 0.0
+    assert diff_summary(b'{"a": 0.5}', b'{"a": 0.50000000000005}') == (
+        "  max float deviation 5e-14, within 1e-13: yes")
+    assert diff_summary(b'[0.5, 2]', b'[0.5000001, 2]') == (
+        "  max float deviation 1e-07, within 1e-13: no")
+    assert diff_summary(b"not json", b"{}") == ""
 
 
 # the commands whose --out files the comparison checks too
@@ -201,9 +248,12 @@ if __name__ == "__main__":
             for job, argv in JOBS.items() if argv[0] in OUT_COMMANDS]
         diffs = 0
         for name, argv in runs:
-            same = job_output(here, argv) == job_output(parent, argv)
+            got, want = job_output(here, argv), job_output(parent, argv)
+            same = got == want
             diffs += not same
-            print(f"{'same' if same else 'DIFF'} {name}", flush=True)
+            print(f"{'same' if same else 'DIFF'} {name}"
+                  + ("" if same else diff_summary(got[1], want[1])),
+                  flush=True)
         sys.exit(1 if diffs else 0)
     else:
         sys.exit("usage: python tests/test_golden.py --write | --compare DIR")

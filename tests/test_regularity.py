@@ -266,6 +266,18 @@ def test_dreg_search_with_more_polish_runs_than_usable_rows(monkeypatch):
     assert canonical_json(rep) == canonical_json(search())
 
 
+def test_every_search_is_inconclusive_at_budget_zero():
+    g = parse_germ("z1^2*zbar2 + z2^2*zbar1", 2)
+    reports = [d_regularity_search(g, 0.5, budget=0),
+               strong_milnor_check(g, 0.5, budget=0),
+               critical_value_isolation_scan(g, 0.5, budget=0),
+               tube_sphere_transversality(g, 0.5, 1e-3, budget=0)]
+    for rep in reports:
+        assert rep.verdict == "inconclusive" and rep.usable == 0
+        canonical_json(rep)
+    assert reports[2].extra["excluded_fraction"] == 0.0
+
+
 def _polish_starts(count=100):
     g = parse_germ("z1^2 + z2^3", 2)
     Y = 0.5 * sobol_unit_sphere(0, (7,), count, 4)
