@@ -31,8 +31,9 @@ from .pencil import (h_theta, pointcloud_rows, sample_fiber,
 from .regularity import (critical_value_isolation_scan, d_regularity_search,
                          radial_lambda_scan, strong_milnor_check,
                          tube_sphere_transversality)
-from .topology import (closed_form_mu, double_fiber_consistency,
-                       link_surface_euler, staircase_mu)
+from .topology import (brieskorn_exponents, closed_form_mu,
+                       double_fiber_consistency, link_surface_euler,
+                       staircase_mu)
 
 TWO_PI = 2.0 * math.pi
 
@@ -642,6 +643,9 @@ def _cmd_equivalence(cfg, germ, warnings):
 
 
 def _cmd_euler(cfg, germ, warnings):
+    if germ.n != 2:
+        raise UsageError("germ", "link Euler counting is implemented for "
+                         "n = 2 only")
     inv, chi = link_surface_euler(
         germ, cfg["theta"], cfg["radius"], budget=cfg["budget"],
         seed=cfg["seed"], batch=cfg["batch"],
@@ -664,6 +668,10 @@ def _cmd_mu(cfg, germ, warnings):
 
 
 def _cmd_double_check(cfg, germ, warnings):
+    try:
+        brieskorn_exponents(germ)
+    except ValueError as exc:
+        raise UsageError("germ", str(exc)) from None
     rep = double_fiber_consistency(
         germ, cfg["theta"], cfg["radius"], budget=cfg["budget"],
         seed=cfg["seed"], batch=cfg["batch"],

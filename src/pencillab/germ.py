@@ -16,15 +16,17 @@ _derivatives(germ, z, orders). It loops over the terms once and returns the
 requested orders: f (0), the first Wirtinger derivatives (1), the second
 ones (2). Each power z_j^k and conj(z_j)^k is computed at most once per call
 and shared between terms and slots. A term adds only into the slots where
-its derivative is nonzero. Each slot is a product formed in a fixed factor
-order that does not depend on which other orders were requested, so f from
-evaluate and f from value_and_gradient agree bit for bit. A lone point z
-(n,) is evaluated on Python complex scalars, a batch (..., n), of one row
-too, on arrays; the two number types may round a product differently, so a
-lone point and the same point in a batch can differ in the last bits, while
-a batch of one is bit for bit its row in a larger batch. evaluate,
-value_and_gradient, wirtinger_gradient, wirtinger_hessian, real_gradients,
-real_hessians and the rank margins are thin wrappers around it.
+its derivative is nonzero. Each slot is a product formed out of place from
+its coefficient, in a fixed factor order that does not depend on which other
+orders were requested, so f from evaluate and f from value_and_gradient
+agree bit for bit. The same loop runs on Python complex scalars for a lone
+point z (n,) and on arrays for a batch (..., n). Arrays are multiplied
+elementwise, so a row has the same bits in a batch of any shape, one row
+included. Scalar products round without the fused multiply-add numpy may use,
+so a lone point and the same point in a batch can differ in the last bits.
+evaluate, value_and_gradient, wirtinger_gradient, wirtinger_hessian,
+real_gradients, real_hessians and the rank margins are thin wrappers
+around it.
 
 Point layout: the complex kernels (evaluate, value_and_gradient and the
 wirtinger_* ones) take complex points z (..., n). The real ones (real_*,
@@ -35,7 +37,6 @@ differential_sample, the rank margins) take the stacked real points x
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -464,43 +465,25 @@ def _derivatives(germ: MixedGerm, z, orders):
     """
     z = _as_points(z, germ.n)
     n, base = germ.n, z.shape[:-1]
-    # Products over more than one point are formed in place in one scratch
-    # row, which saves an allocation per factor. A batch of one keeps the
-    # out-of-place path: numpy's one-element in-place multiply goes through
-    # its reduction loop, which rounds differently from a row of a batch.
-    scratch = np.empty(base, dtype=complex) if z.size > n else None
-    mul = operator.mul if scratch is None else operator.imul
     # A lone point (no batch axis) runs on Python complex scalars, which
-    # cost a fraction of numpy's 0-d arrays: each product is a scalar, added
-    # into its slot entry by an integer index. Scalar products round without
-    # the fused multiply-add numpy may use, so a lone point and the same
-    # point in a batch may differ in the last bits. A batch keeps the
-    # arrays, the point axis first, so that z[j] is a coordinate either way.
-    lone = not base
-    z = z.tolist() if lone else z.transpose(-1, *range(z.ndim - 1))
-    at = () if lone else (Ellipsis,)
+    # cost a fraction of numpy's 0-d arrays; a batch runs on arrays, the
+    # point axis first, so that z[j] is a coordinate either way.
+    z = z.transpose(-1, *range(z.ndim - 1)) if base else z.tolist()
+    at = (Ellipsis,) if base else ()
     conj = []
     table = {}
 
-    def power(bar, j, k):
-        if bar and not conj:
-            conj.append([w.conjugate() for w in z] if lone else np.conj(z))
-        zj = (conj[0] if bar else z)[j]
-        if k > 1:
-            return zj ** k
-        # z^1 = z and z^0 = 1 exactly; numpy's general complex power is slow
-        return zj if k else (1.0 if lone else np.ones_like(zj))
-
     def product(coef, powers):
-        if scratch is None:
-            out = coef if lone else np.full(base, coef)
-        else:
-            out = scratch
-            out.fill(coef)
+        out = coef
         for w in powers:
             if w not in table:
-                table[w] = power(*w)
-            out = mul(out, table[w])
+                bar, j, k = w
+                if bar and not conj:
+                    conj.extend(v.conjugate() for v in z)
+                zj = (conj if bar else z)[j]
+                # z^1 = z and z^0 = 1 exactly; numpy's complex power is slow
+                table[w] = zj ** k if k > 1 else (zj if k else 1.0)
+            out = out * table[w]
         return out
 
     slots = {order: [np.zeros(base + (n,) * order, dtype=complex)
@@ -512,7 +495,7 @@ def _derivatives(germ: MixedGerm, z, orders):
         for bar, j, fac, powers in first if 1 in slots else ():
             slots[1][bar][at + (j,)] += product(c * fac, powers)
         for block, j, k, fac, powers in second if 2 in slots else ():
-            term = mul(product(c, powers), fac)
+            term = product(c, powers) * fac
             slots[2][block][at + (j, k)] += term
             if block != 1 and k != j:
                 slots[2][block][at + (k, j)] += term

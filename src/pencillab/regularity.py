@@ -442,19 +442,6 @@ def radial_lambda_scan(germ: MixedGerm, direction, radii: Sequence[float]
 # submersion margins
 # ---------------------------------------------------------------------------
 
-def phase_margin_from_fields(x_unit: np.ndarray, r_grad_theta: np.ndarray
-                             ) -> np.ndarray:
-    """Second singular value of the two-row matrix [x_unit ; r*grad_theta].
-
-    This is the differential of the radius-times-phase map written in the
-    orthonormal frame (phase, i*phase) of the target plane; a positive
-    second singular value at every sphere point means the sphere-restricted
-    phase map is a submersion onto the circle.
-    """
-    return gram_margin(np.asarray(x_unit, dtype=float),
-                       np.asarray(r_grad_theta, dtype=float), uu=1.0)
-
-
 @dataclass(frozen=True)
 class ScanReport:
     kind: str
@@ -506,9 +493,14 @@ def strong_milnor_check(germ: MixedGerm, radius: float, budget: int = 10000,
         Xc = radius * draw.rows(start, stop)
         _, _, rho, gts = _phase_fields(germ, Xc)
         r = norm_rows(Xc)[..., None]
+        # the second singular value of the differential of the
+        # radius-times-phase map, rows x/|x| and r*grad_theta in the frame
+        # (phase, i*phase) of the target plane: positive at every sphere
+        # point means the sphere-restricted phase map is a submersion onto
+        # the circle
         with np.errstate(invalid="ignore", divide="ignore"):
-            margins = phase_margin_from_fields(
-                Xc / r, gts * (r / rho[..., None] ** 2))
+            margins = gram_margin(Xc / r, gts * (r / rho[..., None] ** 2),
+                                  uu=1.0)
         usable = rho > f_floor
         return np.where(usable, margins, np.inf), usable
 

@@ -1,6 +1,7 @@
-"""The public API: every exported name is used by the program, the
-benchmark or the acceptance criteria, not only by unit tests; importing
-the package loads neither scipy.stats nor scipy.optimize."""
+"""The public API: every exported name, and every public name a module
+defines, is used by the program, the benchmark or the acceptance criteria,
+not only by unit tests; importing the package loads neither scipy.stats nor
+scipy.optimize."""
 
 import ast
 import json
@@ -35,16 +36,30 @@ def _used_names(path: Path, strings: bool) -> set:
     return used
 
 
+def _public_names(path: Path) -> set:
+    """Non-underscore names the module defines at its top level: defs,
+    classes and assignment targets, not the names it imports."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for target in node.targets
+                      for t in ast.walk(target) if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
 def test_every_export_is_used():
-    used = set()
+    used, public = set(), set(pencillab.__all__)
     for path in sorted(PACKAGE.glob("*.py")):
+        public |= _public_names(path)
         if path.name != "__init__.py":
             used |= _used_names(path, strings=False)
     for path in sorted(BENCH.glob("*.py")):
         used |= _used_names(path, strings=True)
     used |= _used_names(ROOT / "tests" / "test_acceptance.py", strings=False)
-    unused = sorted(set(pencillab.__all__) - used)
-    assert unused == [], f"exported but unused: {unused}"
+    unused = sorted(public - used)
+    assert unused == [], f"public but unused: {unused}"
 
 
 IMPORT_PROBE = """

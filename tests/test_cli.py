@@ -169,6 +169,10 @@ NOT_FOUND = "[Errno 2] No such file or directory: '{tmp}/missing.json'"
         ("unknown-command", ("bogus", "--germ", "z1"), "command",
          "unknown command 'bogus'; expected one of " + ", ".join(
              cli.COMMANDS)),
+        ("euler-three-variables", ("euler", "--germ", "z1^2+z2^2+z3^2"),
+         "germ", "link Euler counting is implemented for n = 2 only"),
+        ("double-check-not-power-sum", ("double-check", "--germ",
+         "z1^2+z2^3+z1*z2"), "germ", "germ is not a two-variable power sum"),
         ("mu-no-exponents", ("mu",), "exponents", "mu needs --exponents"),
         ("mu-exponent-below-two", ("mu", "--exponents", "1,3"), "exponents",
          "all exponents must be at least 2"),

@@ -175,6 +175,8 @@ LONE_GERMS = [
     ("z1^2*zbar2 + z2^2*zbar1", 2),
     ("(1+2i)*z1^2*zbar1 + 0.3*z2^5 - 1.7i*z1*z2", 2),
     ("z1^2 + z2^3 + z3^5", 3),
+    # derivative slots that keep no power factor
+    ("z1*z2 + 3*z1 - 2i*zbar2", 2),
 ]
 ORDER_SETS = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
@@ -224,6 +226,10 @@ def test_batch_of_one_is_its_row_in_a_batch(text, n):
             one = _derivatives(g, Z[k:k + 1], orders)
             assert [a[0].tobytes() for a in one] == [
                 b[k].tobytes() for b in rows]
+        # a multi-axis batch, as the polish's difference stencil sends
+        grid = _derivatives(g, Z.reshape(2, 3, n), orders)
+        assert [a.reshape(b.shape).tobytes() for a, b in zip(grid, rows)] == [
+            b.tobytes() for b in rows]
 
 
 def test_real_gradients_match_finite_differences():

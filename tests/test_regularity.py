@@ -11,14 +11,13 @@ from pencillab import germ as germ_module
 from pencillab._num import (canonical_json, sobol_unit_sphere, to_complex,
                             to_real)
 from pencillab.errors import AxisProximity
-from pencillab.germ import (differential_sample, evaluate, parse_germ,
-                            real_gradients)
+from pencillab.germ import (differential_sample, evaluate, gram_margin,
+                            parse_germ, real_gradients)
 from pencillab import regularity
 from pencillab.regularity import (_colinearity, _defects, _polish,
                                   _smallest_first,
                                   critical_value_isolation_scan,
                                   d_regularity_search, defect_from_directions,
-                                  phase_margin_from_fields,
                                   radial_lambda_scan, strong_milnor_check,
                                   tube_sphere_transversality)
 
@@ -402,7 +401,7 @@ def test_phase_margin_closed_form_rows():
     # orthogonal rows: second singular value is the smaller row norm
     x = np.array([1.0, 0.0, 0.0, 0.0])
     v = np.array([0.0, 2.0, 0.0, 0.0])
-    m = phase_margin_from_fields(x[None, :], v[None, :])
+    m = gram_margin(x[None, :], v[None, :], uu=1.0)
     assert abs(m[0] - 1.0) < 1e-14
 
 
