@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from ._num import (canonical_json, prescaled, sobol_unit_sphere, to_complex,
-                   to_real)
+from ._num import (SOBOL_MAXDIM, canonical_json, prescaled, sobol_unit_sphere,
+                   to_complex, to_real)
 from .errors import GermSyntaxError, PencilLabError, ProjectionFailure
 from .flows import (FlowKind, FlowSpec, equivalence_transport, integrate,
                     monodromy_return)
@@ -657,7 +657,10 @@ def _cmd_euler(cfg, germ, warnings):
 def _cmd_mu(cfg, germ, warnings):
     exps = cfg["exponents"]
     closed = closed_form_mu(exps)
-    stair = staircase_mu(exps)
+    try:
+        stair = staircase_mu(exps)
+    except ValueError as exc:  # the enumeration bound of the exponents
+        raise UsageError("exponents", str(exc)) from None
     agree = closed.mu == stair.mu
     return {
         "exponents": list(closed.exponents),
@@ -724,6 +727,12 @@ def run_job(cfg: dict, file_vals: Optional[dict],
     """Dispatch one validated job; returns (report, passed)."""
     warnings: List[str] = []
     germ = resolve_germ(cfg) if cfg["command"] != "mu" else None
+    # every command but info draws Sobol points in up to 2n + 1 dimensions
+    if germ is not None and cfg["command"] != "info" \
+            and 2 * germ.n + 1 > SOBOL_MAXDIM:
+        raise UsageError("n" if cfg["n"] is not None else "germ",
+                         f"n = {germ.n} needs Sobol dimension {2 * germ.n + 1}"
+                         f" > {SOBOL_MAXDIM}")
     result, passed = DISPATCH[cfg["command"]](cfg, germ, warnings)
     resolved = {k: cfg[k] for k in DEFAULTS}
     resolved["germ"] = format_germ(germ) if germ is not None else None

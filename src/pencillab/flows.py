@@ -14,7 +14,10 @@ the constraints instead of their scale mismatch. The systems have two or
 three rows, so they are solved in closed form from the dot products of
 the rows: the normalized Gram has unit diagonal, its condition number is
 (1 + |g|) / (1 - |g|) for two rows and lambda_max / lambda_min for three,
-and the solve runs through its written-out LDL^T factors.
+and the solve runs through its written-out LDL^T factors. A field pass at
+one point stays on Python floats from the germ pass (differential_sample)
+to the velocity, with every dot product a plain sum of products; the
+velocity and f become arrays once, when they are returned.
 
 The monodromy Gram system degenerates where the point and the Hermitian
 gradient of log f become complex-colinear; there the tube row is dropped
@@ -50,6 +53,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -98,8 +102,12 @@ class FieldDiagnostics:
     corrected: bool = False
 
 
-def _solve_min_norm(rows: List[np.ndarray], d, cond_max: float
-                    ) -> Tuple[np.ndarray, float]:
+def _dot(u, v) -> float:
+    """<u, v> of two float sequences: the builtin sum of the products."""
+    return sum(map(mul, u, v))
+
+
+def _solve_min_norm(rows, d, cond_max: float) -> Tuple[List[float], float]:
     """Minimum-norm w with <w, rows[i]> = d[i], for two or three rows.
 
     The solution is w = sum_i (y_i / |r_i|) r_i, where G y = d_i / |r_i|
@@ -108,8 +116,14 @@ def _solve_min_norm(rows: List[np.ndarray], d, cond_max: float
     solution is exact while the condition number reflects row dependence
     rather than row scale. Every entry comes from dot products of the rows.
 
-    The condition number is that of G: (1 + |g_12|) / (1 - |g_12|) for two
-    rows, lambda_max / lambda_min from `eigvalsh` for three. G is solved by
+    Rows and d are float sequences (lists or 1-D arrays), and w comes back
+    as a list of floats. The condition number is that of G:
+    (1 + |g_12|) / (1 - |g_12|) for two rows, lambda_max / lambda_min from
+    `np.linalg.eigvalsh` for three. That one call stays on numpy: the
+    trigonometric closed form of a 3 x 3 spectrum loses lambda_min near a
+    double root (cond off by 8e-5 relative at cond 1.45e7), and LAPACK's
+    dsyevd through scipy.linalg, bit for bit the same and faster, would
+    import scipy.linalg, 5-6 MB more resident memory. G is solved by
     its LDL^T factors written out, pivots 1, 1 - g_12^2 and the Schur
     complement; for two rows that is the explicit 2 x 2 inverse. The
     factors are backward stable, so w keeps a relative error of a few
@@ -118,7 +132,7 @@ def _solve_min_norm(rows: List[np.ndarray], d, cond_max: float
     """
     nrm = []
     for r in rows:
-        m = float(r.dot(r))
+        m = _dot(r, r)
         if not 0.0 < m < math.inf:  # NaN fails the comparison too
             raise GramSingular("constraint row vanished or overflowed")
         nrm.append(math.sqrt(m))
@@ -126,14 +140,14 @@ def _solve_min_norm(rows: List[np.ndarray], d, cond_max: float
     n0, n1 = nrm[0], nrm[1]
     b0, b1 = d[0] / n0, d[1] / n1
     # dividing by one norm at a time keeps |g| <= 1 from overflowing
-    g01 = float(r0.dot(r1)) / n0 / n1
+    g01 = _dot(r0, r1) / n0 / n1
     a01 = abs(g01)
     if len(rows) == 2:
         cond = (1.0 + a01) / (1.0 - a01) if a01 < 1.0 else math.inf
     else:
         r2, n2 = rows[2], nrm[2]
-        g02 = float(r0.dot(r2)) / n0 / n2
-        g12 = float(r1.dot(r2)) / n1 / n2
+        g02 = _dot(r0, r2) / n0 / n2
+        g12 = _dot(r1, r2) / n1 / n2
         lam = np.linalg.eigvalsh(np.array(
             [[1.0, g01, g02], [g01, 1.0, g12], [g02, g12, 1.0]]))
         cond = float(lam[2] / lam[0]) if lam[0] > 0.0 else math.inf
@@ -145,13 +159,15 @@ def _solve_min_norm(rows: List[np.ndarray], d, cond_max: float
     if len(rows) == 2:
         y1 = z1 / p1
         y0 = b0 - g01 * y1
-        return (y0 / n0) * r0 + (y1 / n1) * r1, cond
+        a0, a1 = y0 / n0, y1 / n1
+        return [a0 * u + a1 * v for u, v in zip(r0, r1)], cond
     l21 = (g12 - g01 * g02) / p1
     p2 = 1.0 - g02 * g02 - l21 * l21 * p1
     y2 = (d[2] / n2 - g02 * b0 - l21 * z1) / p2
     y1 = z1 / p1 - l21 * y2
     y0 = b0 - g01 * y1 - g02 * y2
-    return (y0 / n0) * r0 + (y1 / n1) * r1 + (y2 / n2) * r2, cond
+    a0, a1, a2 = y0 / n0, y1 / n1, y2 / n2
+    return [a0 * u + a1 * v + a2 * w for u, v, w in zip(r0, r1, r2)], cond
 
 
 def synthesize_field(germ: MixedGerm, spec: FlowSpec, x: np.ndarray,
@@ -164,10 +180,11 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x: np.ndarray,
     state, and whether a null-space correction was applied (tube positivity
     restore or radial corridor clamp). AxisProximity where |f| <= axis_floor.
     """
+    x = x.tolist()
     f, gl, gt = differential_sample(germ, x, axis_floor)
-    r2 = float(x.dot(x))
+    r2 = _dot(x, x)
     x_norm = math.sqrt(r2)
-    if math.sqrt(gt.dot(gt)) * x_norm < GRAD_FLOOR:
+    if math.sqrt(_dot(gt, gt)) * x_norm < GRAD_FLOOR:
         raise DegenerateGradient("phase gradient vanished at the flow point")
 
     fallback = False
@@ -185,26 +202,28 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x: np.ndarray,
                 raise GramSingular(f"fallback {exc}") from None
             fallback = True
     elif spec.kind is FlowKind.RADIAL:
-        w, cond = _solve_min_norm([gt, 2.0 * x], [0.0, 1.0], spec.cond_max)
+        x2 = [2.0 * v for v in x]
+        w, cond = _solve_min_norm([gt, x2], [0.0, 1.0], spec.cond_max)
         # Keep the log|f| rate along the flow inside a corridor around the
         # conical scaling rate deg / (2 r^2); an unclamped inward orbit can
         # otherwise collapse onto the zero set before reaching its target
         # sphere.  Inside the corridor the untouched solution is returned.
-        if x.size > 2:
+        if len(x) > 2:
             lo_deg, hi_deg = germ.degree_span
             kappa = spec.corridor_factor
             lo = lo_deg / (2.0 * kappa * r2)
             hi = kappa * hi_deg / (2.0 * r2)
-            slope = float(w @ gl)
+            slope = _dot(w, gl)
             target = min(max(slope, lo), hi)
             if target != slope:
                 try:
-                    u, cond3 = _solve_min_norm([gt, 2.0 * x, gl],
+                    u, cond3 = _solve_min_norm([gt, x2, gl],
                                                [0.0, 0.0, 1.0], spec.cond_max)
                 except GramSingular:
                     u = None  # no clamp direction: keep the bare field
                 if u is not None:
-                    w = w + (target - slope) * u
+                    step = target - slope
+                    w = [p + step * q for p, q in zip(w, u)]
                     cond = max(cond, cond3)
                     corrected = True
     else:
@@ -212,8 +231,8 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x: np.ndarray,
         # Restore outward positivity inside the null space of the two
         # equality constraints when the minimum-norm velocity points along
         # or into the sphere.
-        radial = float(w @ x)
-        floor = spec.pos_margin * math.sqrt(w.dot(w)) * x_norm
+        radial = _dot(w, x)
+        floor = spec.pos_margin * math.sqrt(_dot(w, w)) * x_norm
         if radial <= floor:
             try:
                 u, cond3 = _solve_min_norm([gt, gl, x], [0.0, 0.0, 1.0],
@@ -223,18 +242,19 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x: np.ndarray,
                     "tube-equivalence velocity lost its outward radial "
                     "component and no tangent restore direction exists"
                 ) from None
-            w = w + (floor - radial) * u
+            step = floor - radial
+            w = [p + step * q for p, q in zip(w, u)]
             cond = max(cond, cond3)
             corrected = True
 
     drift = 0.0
     if fallback:
-        drift = float(w @ gl)
+        drift = _dot(w, gl)
         if abs(drift) >= 1.0:
             raise CompletenessViolation(
                 f"fallback drift |{drift:.6f}| >= 1")
-    return w, f, FieldDiagnostics(cond=cond, fallback=fallback, drift=drift,
-                                  corrected=corrected)
+    return np.array(w), np.array(f), FieldDiagnostics(
+        cond=cond, fallback=fallback, drift=drift, corrected=corrected)
 
 
 # ---------------------------------------------------------------------------

@@ -11,22 +11,17 @@ product <u, v> = sum u_j * conj(v_j). The stacked-real picture (_num.to_real)
 turns Re<.,.> into the plain dot product, so grad f realizes as the real
 gradient of Re f and i*grad f as the real gradient of Im f.
 
-Kernel contract: every value and derivative comes from one private kernel,
-_derivatives(germ, z, orders). It loops over the terms once and returns the
-requested orders: f (0), the first Wirtinger derivatives (1), the second
-ones (2). Each power z_j^k and conj(z_j)^k is computed at most once per call
-and shared between terms and slots. A term adds only into the slots where
-its derivative is nonzero. Each slot is a product formed out of place from
-its coefficient, in a fixed factor order that does not depend on which other
-orders were requested, so f from evaluate and f from value_and_gradient
-agree bit for bit. The same loop runs on Python complex scalars for a lone
-point z (n,) and on arrays for a batch (..., n). Arrays are multiplied
-elementwise, so a row has the same bits in a batch of any shape, one row
-included. Scalar products round without the fused multiply-add numpy may use,
-so a lone point and the same point in a batch can differ in the last bits.
-evaluate, value_and_gradient, wirtinger_gradient, wirtinger_hessian,
-real_gradients, real_hessians and the rank margins are thin wrappers
-around it.
+Kernel contract: every value and derivative comes from _derivatives(germ,
+z, orders): f (0), the first Wirtinger derivatives (1), the second ones (2).
+It runs one generated function per germ and orders: straight-line code from
+_term_plan, each power z_j^k and conj(z_j)^k computed once. Each slot entry
+sums, from zero in term order, products formed from the coefficient in a
+factor order that does not depend on the other orders requested, so f from
+evaluate and from value_and_gradient agree bit for bit. The same function
+runs on Python complex numbers for a lone point z (n,) and elementwise on
+arrays for a batch (..., n), so a row has the same bits in a batch of any
+shape. Python products round without the fused multiply-add numpy may use,
+so a lone point and a batch row can differ in the last bits.
 
 Point layout: the complex kernels (evaluate, value_and_gradient and the
 wirtinger_* ones) take complex points z (..., n). The real ones (real_*,
@@ -186,18 +181,14 @@ def _tokenize(text: str):
         m = _TOKEN.match(text, pos)
         if m is None:
             raise GermSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup is None or not m.group("ws"):
+        if not m.group("ws"):
             if m.group("num") is not None:
                 kind = "imag" if m.group("imag") else "num"
                 out.append((kind, m.group("num"), pos))
-            elif m.group("var"):
-                out.append(("var", m.group("var"), pos))
-            elif m.group("conj"):
-                out.append(("conj", "conj", pos))
             elif m.group("unit"):
                 out.append(("imag", "1", pos))
-            else:
-                out.append(("op", m.group("op"), pos))
+            else:  # var, conj or op, with its own text
+                out.append((m.lastgroup, m.group(m.lastgroup), pos))
         pos = m.end()
     out.append(("end", "", len(text)))
     return out
@@ -364,17 +355,13 @@ def parse_germ(text: str, n_vars: int) -> MixedGerm:
     return _germ_from_dict(n_vars, poly)
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
 def _fmt_coef(c: complex) -> str:
     if c.imag == 0.0:
-        return _fmt_float(c.real)
+        return repr(c.real)
     if c.real == 0.0:
-        return f"{_fmt_float(c.imag)}*i"
+        return f"{c.imag!r}*i"
     op = "+" if c.imag > 0 or np.isnan(c.imag) else "-"
-    return f"({_fmt_float(c.real)}{op}{_fmt_float(abs(c.imag))}*i)"
+    return f"({c.real!r}{op}{abs(c.imag)!r}*i)"
 
 
 def format_germ(germ: MixedGerm) -> str:
@@ -383,17 +370,9 @@ def format_germ(germ: MixedGerm) -> str:
         return "0"
     parts = []
     for c, p, q in germ.terms:
-        factors = []
-        for j, e in enumerate(p):
-            if e == 1:
-                factors.append(f"z{j + 1}")
-            elif e > 1:
-                factors.append(f"z{j + 1}^{e}")
-        for j, e in enumerate(q):
-            if e == 1:
-                factors.append(f"conj(z{j + 1})")
-            elif e > 1:
-                factors.append(f"conj(z{j + 1})^{e}")
+        factors = [var.format(j + 1) + (f"^{e}" if e > 1 else "")
+                   for row, var in ((p, "z{}"), (q, "conj(z{})"))
+                   for j, e in enumerate(row) if e]
         if c == 1:
             parts.append("*".join(factors))
         elif c == -1:
@@ -409,15 +388,6 @@ def format_germ(germ: MixedGerm) -> str:
 # ---------------------------------------------------------------------------
 # evaluation and exact differentiation (batched; z has shape (..., n))
 # ---------------------------------------------------------------------------
-
-def _as_points(z, n: int) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    if z.ndim == 0:
-        z = z.reshape(1)
-    if z.shape[-1] != n:
-        raise ValueError(f"point must have {n} complex coordinates")
-    return z
-
 
 @lru_cache(maxsize=4096)
 def _term_plan(P: Exponents, Q: Exponents):
@@ -456,55 +426,82 @@ def _term_plan(P: Exponents, Q: Exponents):
     return powers(()), first, tuple(second)
 
 
+@lru_cache(maxsize=256)
+def _kernel(n: int, terms, orders):
+    """kernel(z, terms, slots=None) adds each term's products at z[j] into
+    the slot entries slots[s][i], row-major, and returns the slots: arrays
+    with the entry axis first, or by default lists of complex from 0j. The
+    source holds names and number literals only; the coefficients are
+    unpacked from terms at each call, so equal germs share the function and
+    each uses its own coefficient bits, -0.0 and NaN included."""
+    powers, lines = {}, []
+
+    def product(head, plan):
+        names = [head]
+        for bar, j, k in plan:
+            name = "zw"[bar] + str(j)
+            if bar and k:
+                powers.setdefault(name, f"z{j}.conjugate()")
+            if k > 1:
+                powers[f"{name}_{k}"] = f"{name} ** {k}"
+            names.append(f"{name}_{k}" if k > 1 else name if k else "1.0")
+        return " * ".join(names)
+
+    for i, (_, P, Q) in enumerate(terms):
+        value, first, second = _term_plan(P, Q)
+        if 0 in orders:
+            lines.append(f"s0[0] += {product(f'c{i}', value)}")
+        for bar, j, fac, plan in first if 1 in orders else ():
+            lines.append(f"s{1 + bar}[{j}] += {product(f'c{i} * {fac}', plan)}")
+        for block, j, k, fac, plan in second if 2 in orders else ():
+            lines.append(f"h = {product(f'c{i}', plan)} * {fac}")
+            lines += [f"s{3 + block}[{a * n + b}] += h"
+                      for a, b in {(j, k), (k, j) if block != 1 else (j, k)}]
+    slots = [s for order in orders for s in ((0,), (1, 2), (3, 4, 5))[order]]
+    names = "".join(f"s{s}, " for s in slots)
+    source = "\n    ".join(
+        ["def kernel(z, terms, slots=None):",
+         "(%s) = terms" % "".join(f"(c{i}, _, _), " for i in range(len(terms))),
+         "(%s) = z" % "".join(f"z{j}, " for j in range(n)),
+         f"({names}) = slots or (%s)" % "".join(
+             f"[0j] * {n ** (0, 1, 1, 2, 2, 2)[s]}, " for s in slots)]
+        + [f"{name} = {expr}" for name, expr in powers.items()] + lines
+        + [f"return ({names})"])
+    exec(compile(source, "<germ kernel>", "exec"), namespace := {})
+    namespace["kernel"].source = source
+    return namespace["kernel"]
+
+
 def _derivatives(germ: MixedGerm, z, orders):
     """The germ kernel: f and its exact Wirtinger derivatives at z.
 
     orders is a subset of (0, 1, 2), in increasing order; the requested
     slots come back in that order: f for 0, (d_z, d_zbar) for 1 and
-    (A, B, C) for 2.
+    (A, B, C) for 2. A list z is a lone point in Python complex numbers,
+    and its slots come back as lists of Python numbers, row-major.
     """
-    z = _as_points(z, germ.n)
-    n, base = germ.n, z.shape[:-1]
-    # A lone point (no batch axis) runs on Python complex scalars, which
-    # cost a fraction of numpy's 0-d arrays; a batch runs on arrays, the
-    # point axis first, so that z[j] is a coordinate either way.
-    z = z.transpose(-1, *range(z.ndim - 1)) if base else z.tolist()
-    at = (Ellipsis,) if base else ()
-    conj = []
-    table = {}
-
-    def product(coef, powers):
-        out = coef
-        for w in powers:
-            if w not in table:
-                bar, j, k = w
-                if bar and not conj:
-                    conj.extend(v.conjugate() for v in z)
-                zj = (conj if bar else z)[j]
-                # z^1 = z and z^0 = 1 exactly; numpy's complex power is slow
-                table[w] = zj ** k if k > 1 else (zj if k else 1.0)
-            out = out * table[w]
-        return out
-
-    slots = {order: [np.zeros(base + (n,) * order, dtype=complex)
-                     for _ in range((1, 2, 3)[order])] for order in orders}
-    for c, P, Q in germ.terms:
-        value, first, second = _term_plan(P, Q)
-        if 0 in slots:
-            slots[0][0][at] += product(c, value)
-        for bar, j, fac, powers in first if 1 in slots else ():
-            slots[1][bar][at + (j,)] += product(c * fac, powers)
-        for block, j, k, fac, powers in second if 2 in slots else ():
-            term = product(c, powers) * fac
-            slots[2][block][at + (j, k)] += term
-            if block != 1 and k != j:
-                slots[2][block][at + (k, j)] += term
-    return tuple(s for order in orders for s in slots[order])
+    kernel = _kernel(germ.n, germ.terms, orders)
+    if isinstance(z, list):
+        return kernel(z, germ.terms)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if z.shape[-1] != germ.n:
+        raise ValueError(f"point must have {germ.n} complex coordinates")
+    base, ks = z.shape[:-1], [k for k in orders for _ in range(k + 1)]
+    if base:
+        # point and entry axes first, so z[j] and slots[s][i] span all rows
+        axes = (len(base), *range(len(base)))
+        slots = [np.zeros(base + (germ.n ** k,), dtype=complex) for k in ks]
+        kernel(z.transpose(axes), germ.terms,
+               [s.transpose(axes) for s in slots])
+    else:
+        slots = kernel(z.tolist(), germ.terms)
+    return tuple(np.asarray(s).reshape(base + (germ.n,) * k)
+                 for s, k in zip(slots, ks))
 
 
 def evaluate(germ: MixedGerm, z) -> np.ndarray:
     """Evaluate sum c * z^p * conj(z)^q at one point or a batch."""
-    return _derivatives(germ, z, (0,))[0]
+    return _derivatives(germ, np.asarray(z), (0,))[0]
 
 
 def value_and_gradient(germ: MixedGerm, z):
@@ -512,12 +509,12 @@ def value_and_gradient(germ: MixedGerm, z):
 
     d_z[j] = df/dz_j, d_zbar[j] = df/dzbar_j; no finite differences.
     """
-    return _derivatives(germ, z, (0, 1))
+    return _derivatives(germ, np.asarray(z), (0, 1))
 
 
 def wirtinger_gradient(germ: MixedGerm, z):
     """Exact first Wirtinger derivatives (d_z, d_zbar) at z."""
-    return _derivatives(germ, z, (1,))
+    return _derivatives(germ, np.asarray(z), (1,))
 
 
 def wirtinger_hessian(germ: MixedGerm, z, gradient: bool = False):
@@ -527,7 +524,7 @@ def wirtinger_hessian(germ: MixedGerm, z, gradient: bool = False):
     C[j,k] = d2f/dzbar_j dzbar_k; batched over leading axes of z. With
     gradient, f, d_z and d_zbar of the same kernel pass come first.
     """
-    return _derivatives(germ, z, (0, 1, 2) if gradient else (2,))
+    return _derivatives(germ, np.asarray(z), (0, 1, 2) if gradient else (2,))
 
 
 def real_hessians(germ: MixedGerm, x):
@@ -542,10 +539,7 @@ def real_hessians(germ: MixedGerm, x):
     Bt = np.swapaxes(B, -1, -2)
     uu, vv = A + B + Bt + C, -A + B + Bt - C
     uv = 1j * (A + Bt - B - C)
-    vu = np.swapaxes(uv, -1, -2)
-    top = np.concatenate([uu, uv], axis=-1)
-    bot = np.concatenate([vu, vv], axis=-1)
-    H = np.concatenate([top, bot], axis=-2)
+    H = np.block([[uu, uv], [np.swapaxes(uv, -1, -2), vv]])
     return H.real, H.imag
 
 
@@ -569,17 +563,23 @@ def differential_sample(germ: MixedGerm, x, axis_floor: float):
     grad_log_rho is the real gradient of log|f| and grad_theta the real
     gradient of the (local) phase angle of f, both in the stacked [Re ; Im]
     layout; AxisProximity if |f| is at or below axis_floor, where neither is
-    defined.
+    defined. It runs the operations of real_gradients on Python numbers; a
+    list x stays in them, f complex and the gradients lists of floats.
     """
-    f, ga, gb = real_gradients(germ, x)
-    a, b = float(f.real), float(f.imag)
+    lone = isinstance(x, list)
+    n, xs = germ.n, x if lone else np.asarray(x, dtype=float).tolist()
+    (f,), dz, dzb = _derivatives(germ, list(map(complex, xs[:n], xs[n:])),
+                                 (0, 1))
+    a, b = f.real, f.imag
     rho2 = a * a + b * b
     rho = math.sqrt(rho2)
     if rho <= axis_floor:
         raise AxisProximity(f"|f| = {rho:.3e} at or below the axis floor")
-    pairs = list(zip(ga.tolist(), gb.tolist()))
-    return (f, np.array([(a * u + b * v) / rho2 for u, v in pairs]),
-            np.array([(a * v - b * u) / rho2 for u, v in pairs]))
+    g = [p + q for p, q in zip(dz, dzb)] + [1j * (p - q)
+                                            for p, q in zip(dz, dzb)]
+    lr = [(a * w.real + b * w.imag) / rho2 for w in g]
+    th = [(a * w.imag - b * w.real) / rho2 for w in g]
+    return (f, lr, th) if lone else (np.array(f), np.array(lr), np.array(th))
 
 
 def jacobian_rank_margin(germ: MixedGerm, x) -> float:

@@ -66,7 +66,8 @@ IMPORT_PROBE = """
 import json, sys
 import pencillab, pencillab.cli
 heavy = sorted(m for m in sys.modules
-               if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"]))
+               if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"],
+                                       ["scipy", "linalg"]))
 import scipy.optimize
 print(json.dumps({"heavy": heavy,
                   "optimize": pencillab.regularity.optimize is scipy.optimize}))
@@ -76,7 +77,8 @@ print(json.dumps({"heavy": heavy,
 def test_import_loads_neither_scipy_stats_nor_optimize():
     # a fresh interpreter, so modules the test session loaded do not count;
     # regularity.optimize resolves to scipy.optimize on first access, which
-    # is what the benchmark's tracer wraps
+    # is what the benchmark's tracer wraps. scipy.linalg is held out too:
+    # importing it adds 5-6 MB of resident memory to a transport run
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")

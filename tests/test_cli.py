@@ -176,6 +176,13 @@ NOT_FOUND = "[Errno 2] No such file or directory: '{tmp}/missing.json'"
         ("mu-no-exponents", ("mu",), "exponents", "mu needs --exponents"),
         ("mu-exponent-below-two", ("mu", "--exponents", "1,3"), "exponents",
          "all exponents must be at least 2"),
+        ("mu-staircase-bound", ("mu", "--exponents", "70000,70000"),
+         "exponents", "staircase enumeration bound exceeds 2^31"),
+        ("n-above-sobol-dimension", ("strong-milnor", "--germ", "z1", "--n",
+         "12000", "--budget", "10"), "n",
+         "n = 12000 needs Sobol dimension 24001 > 21201"),
+        ("germ-above-sobol-dimension", ("dreg", "--germ", "z10601"), "germ",
+         "n = 10601 needs Sobol dimension 21203 > 21201"),
         ("seed-negative", ("info", "--germ", "z1", "--seed=-1"), "seed",
          "seed must fit in 64 bits"),
         ("seed-too-large", ("info", "--germ", "z1", "--seed",

@@ -166,6 +166,80 @@ def _random_system(rng, k):
     return list(R), d
 
 
+def _field_points(g, rng, count):
+    """count stacked real points at radii 0.05-0.8: a quarter on the axis
+    z2 = 0 where f does not vanish there, a quarter next to the zero set,
+    the rest anywhere; these hit the monodromy fallback, the radial clamp
+    and the tube restore."""
+    Z = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+    q = count // 4
+    near = 1.0 + 1e-2 * (rng.normal(size=q) + 1j * rng.normal(size=q))
+    if g == BRIESKORN:
+        Z[:q, 1] = 0.0
+        Z[q:2 * q, 0] = np.sqrt(-Z[q:2 * q, 1] ** 3) * near
+    else:  # z1 = -z2 is on the zero set of z1^2*zbar2 + z2^2*zbar1
+        Z[q:2 * q, 0] = -Z[q:2 * q, 1] * near
+    Z *= rng.uniform(0.05, 0.8, (count, 1)) / np.linalg.norm(Z, axis=1,
+                                                             keepdims=True)
+    return to_real(Z)
+
+
+def _lstsq_field(g, spec, x, dg):
+    """The field of synthesize_field from minimum-norm lstsq solves of the
+    same rows, on the branch its diagnostics report; (w, cond)."""
+    _, gl, gt = differential_sample(g, x, _floor(g, x))
+
+    def solve(rows, d):
+        nrm = np.linalg.norm(rows, axis=1)
+        w = np.linalg.lstsq(np.array(rows) / nrm[:, None],
+                            np.array(d) / nrm, rcond=None)[0]
+        return w, _svd_lu_reference(rows, d, math.inf)[1]
+
+    if spec.kind is FlowKind.MONODROMY:
+        return solve([x, gt] + ([] if dg.fallback else [gl]), [0.0, 1.0, 0.0]
+                     [:2 if dg.fallback else 3])
+    if spec.kind is FlowKind.RADIAL:
+        w, cond = solve([gt, 2.0 * x], [0.0, 1.0])
+        if dg.corrected:
+            lo_deg, hi_deg = g.degree_span
+            r2, kappa = x @ x, spec.corridor_factor
+            slope = w @ gl
+            target = min(max(slope, lo_deg / (2.0 * kappa * r2)),
+                         kappa * hi_deg / (2.0 * r2))
+            u, cond3 = solve([gt, 2.0 * x, gl], [0.0, 0.0, 1.0])
+            w, cond = w + (target - slope) * u, max(cond, cond3)
+        return w, cond
+    w, cond = solve([gt, gl], [0.0, 1.0])
+    if dg.corrected:
+        floor = spec.pos_margin * np.linalg.norm(w) * np.linalg.norm(x)
+        u, cond3 = solve([gt, gl, x], [0.0, 0.0, 1.0])
+        w, cond = w + (floor - w @ x) * u, max(cond, cond3)
+    return w, cond
+
+
+@pytest.mark.parametrize("g", [BRIESKORN,
+                               parse_germ("z1^2*zbar2 + z2^2*zbar1", 2)],
+                         ids=["a2a3", "mixed"])
+def test_float_field_matches_lstsq_minimum_norm_solves(g):
+    # the float solve against lstsq at the tolerance of the SVD/LU
+    # reference, 1e-13 * cond, on each kind's branches
+    hits = {}
+    for kind in FlowKind:
+        spec = FlowSpec(kind)
+        for x in _field_points(g, np.random.default_rng(23), 2000):
+            w, _, dg = synthesize_field(g, spec, x, _floor(g, x))
+            w_ref, cond_ref = _lstsq_field(g, spec, x, dg)
+            assert type(w) is np.ndarray and w.shape == x.shape
+            assert abs(dg.cond - cond_ref) <= 1e-13 * cond_ref * cond_ref
+            assert np.linalg.norm(w - w_ref) \
+                <= 1e-13 * cond_ref * np.linalg.norm(w_ref)
+            hits[kind] = hits.get(kind, 0) + (dg.fallback or dg.corrected)
+    # the tube restore on both germs, the clamp and the fallback on a2a3
+    assert hits[FlowKind.TUBE_EQUIVALENCE] > 0
+    if g == BRIESKORN:
+        assert hits[FlowKind.MONODROMY] > 0 and hits[FlowKind.RADIAL] > 0
+
+
 def test_min_norm_solver_matches_svd_lu_reference():
     cond_max = FlowSpec.cond_max
     rng = np.random.default_rng(9)

@@ -1,6 +1,9 @@
 """Parser, exact derivatives, and differential bundles."""
 
+import io
 import math
+import struct
+import tokenize
 
 import numpy as np
 import pytest
@@ -8,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pencillab.errors import AxisProximity, GermSyntaxError
-from pencillab.germ import (MixedGerm, _derivatives, differential_sample,
-                            evaluate, format_germ, jacobian_rank_margin,
+from pencillab.germ import (MixedGerm, _derivatives, _kernel, _term_plan,
+                            differential_sample, evaluate, format_germ,
+                            jacobian_rank_margin,
                             jacobian_rank_margin_batch, parse_germ,
                             real_gradients, real_hessians,
                             value_and_gradient, wirtinger_hessian)
@@ -232,6 +236,169 @@ def test_batch_of_one_is_its_row_in_a_batch(text, n):
             b.tobytes() for b in rows]
 
 
+# the generated kernel: its source, its cache, and a reference that
+# differentiates each term from its exponent rows in NumPy
+def _reference(g, Z, orders):
+    """The slots of _derivatives at the rows Z (m, n), term by term."""
+    m, n = Z.shape
+    V = (Z, Z.conj())
+    slots = [np.zeros((m,) + (n,) * k, complex) for k in (0, 1, 1, 2, 2, 2)]
+    for c, P, Q in g.terms:
+        def mono(drops):
+            e, coef = [list(P), list(Q)], c
+            for bar, j in drops:
+                if not e[bar][j]:
+                    return 0.0
+                coef, e[bar][j] = coef * e[bar][j], e[bar][j] - 1
+            out = np.full(m, coef)
+            for bar in (0, 1):
+                for j in range(n):
+                    out = out * V[bar][:, j] ** e[bar][j]
+            return out
+        slots[0] += mono([])
+        for j in range(n):
+            for bar in (0, 1):
+                slots[1 + bar][:, j] += mono([(bar, j)])
+            for k in range(n):
+                for block, (a, b) in enumerate(((0, 0), (0, 1), (1, 1))):
+                    slots[3 + block][:, j, k] += mono([(a, j), (b, k)])
+    picks = {0: [0], 1: [1, 2], 2: [3, 4, 5]}
+    return [slots[i] for order in orders for i in picks[order]]
+
+
+def _random_germ(rng, n, count, max_exp):
+    terms = {}
+    while len(terms) < count:
+        key = (tuple(int(e) for e in rng.integers(0, max_exp + 1, n)),
+               tuple(int(e) for e in rng.integers(0, max_exp + 1, n)))
+        if sum(key[0]) + sum(key[1]):
+            terms[key] = complex(*rng.normal(size=2))
+    return MixedGerm.from_json_dict({"n": n, "terms": [
+        {"re": c.real, "im": c.imag, "p": p, "q": q}
+        for (p, q), c in terms.items()]})
+
+
+@pytest.mark.parametrize("g", [
+    _random_germ(np.random.default_rng(41), 3, 24, 3),
+    parse_germ("z1^1000 + (0.5-2i)*z1^3*zbar2^2 + 3*z2*zbar1^999", 2)],
+    ids=["3-variables-24-terms", "exponent-1000"])
+def test_generated_kernel_matches_a_term_by_term_reference(g):
+    rng = np.random.default_rng(42)
+    # |z| near 1, so that z^1000 neither overflows nor underflows
+    Z = np.exp(rng.uniform(-0.01, 0.01, (30, g.n))
+               + 1j * rng.uniform(0.0, 2.0 * np.pi, (30, g.n)))
+    size = MixedGerm(g.n, tuple((abs(c) + 0j, p, q) for c, p, q in g.terms))
+    for orders in ORDER_SETS:
+        bounds = _reference(size, np.abs(Z), orders)
+        for got, want, bound in zip(_derivatives(g, Z, orders),
+                                    _reference(g, Z, orders), bounds):
+            assert np.all(np.abs(got - want) <= 1e-13 * bound.real)
+        for k in (0, 17):
+            for got, want, bound in zip(_derivatives(g, Z[k], orders),
+                                        _reference(g, Z[k:k + 1], orders),
+                                        bounds):
+                assert np.all(np.abs(got - want[0]) <= 1e-13 * bound[k].real)
+
+
+def test_generated_source_holds_names_and_integers_only():
+    g = parse_germ("(1.2345678901234567-7.25i)*z1^2*zbar2 + 0.3*z2^5"
+                   " - 1.7i*z1*zbar1 + 1e-300*z1", 2)
+    for orders in ORDER_SETS:
+        source = _kernel(g.n, g.terms, orders).source
+        numbers = {t.string for t in tokenize.generate_tokens(
+            io.StringIO(source).readline) if t.type == tokenize.NUMBER}
+        assert numbers <= {"0j", "1.0"} | {str(k) for k in range(1000)}, numbers
+        for c, _, _ in g.terms:
+            for part in (c.real, c.imag):
+                assert part == 0.0 or repr(abs(part)) not in source
+
+
+def test_equal_germs_share_one_generated_kernel():
+    text = "z1^2*zbar2 + z2^2*zbar1"
+    g1, g2 = parse_germ(text, 2), parse_germ(text, 2)
+    g3 = MixedGerm.from_json_dict(g1.to_json_dict())
+    assert g1 is not g2 and g1 == g2 == g3
+    for orders in ORDER_SETS:
+        kernel = _kernel(g1.n, g1.terms, orders)
+        assert _kernel(g2.n, g2.terms, orders) is kernel
+        assert _kernel(g3.n, g3.terms, orders) is kernel
+    assert _kernel(2, parse_germ("z1^2 + z2^3", 2).terms, (0,)) \
+        is not _kernel(2, g1.terms, (0,))
+
+
+def _term_loop(g, z, orders):
+    """The kernel's arithmetic written as a loop over _term_plan, on Python
+    complex numbers: every product from its coefficient in plan order, every
+    slot entry summed from 0j in term order."""
+    n, w = g.n, [v.conjugate() for v in z]
+    slots = [[0j]] + [[0j] * n for _ in range(2)] + [
+        [0j] * (n * n) for _ in range(3)]
+
+    def product(coef, plan):
+        for bar, j, k in plan:
+            coef = coef * ((w if bar else z)[j] ** k if k > 1
+                           else (w if bar else z)[j] if k else 1.0)
+        return coef
+    for c, P, Q in g.terms:
+        value, first, second = _term_plan(P, Q)
+        slots[0][0] += product(c, value)
+        for bar, j, fac, plan in first:
+            slots[1 + bar][j] += product(c * fac, plan)
+        for block, j, k, fac, plan in second:
+            term = product(c, plan) * fac
+            slots[3 + block][j * n + k] += term
+            if block != 1 and k != j:
+                slots[3 + block][k * n + j] += term
+    picks = {0: [0], 1: [1, 2], 2: [3, 4, 5]}
+    return [slots[i] for order in orders for i in picks[order]]
+
+
+def _bits(values):
+    return [struct.pack("dd", v.real, v.imag) for v in values]
+
+
+@pytest.mark.parametrize("text,n", LONE_GERMS)
+def test_generated_kernel_is_the_term_loop(text, n):
+    g = parse_germ(text, n)
+    for z in _points(n, 10, 24):
+        for orders in ORDER_SETS:
+            assert [_bits(s) for s in _derivatives(g, z.tolist(), orders)] \
+                == [_bits(s) for s in _term_loop(g, z.tolist(), orders)]
+
+
+def test_special_coefficients_pass_through():
+    # NaN, infinities and signed zeros reach the arithmetic as they are,
+    # also in the last two germs, which are equal up to the signs of zeros
+    # and share one kernel
+    inf, nan, kernels = math.inf, math.nan, []
+    rows = ((2, 0), (0, 0)), ((1, 1), (0, 0)), ((0, 0), (0, 3)), \
+        ((1, 0), (1, 0))
+    for coefs in [(complex(nan, 1.0), complex(inf, -0.0), complex(-inf, 1.0),
+                   complex(-0.0, 2.0)),
+                  (complex(0.0, 1.0), complex(1.0, 0.0), complex(0.0, -1.0),
+                   complex(-0.0, -0.0) + 1.0),
+                  (complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -1.0),
+                   complex(1.0, -0.0))]:
+        g = MixedGerm(2, tuple((c, p, q) for c, (p, q) in zip(coefs, rows)))
+        kernels.append(_kernel(g.n, g.terms, (0, 1, 2)))
+        for z in ([1.0 + 0j, -0.0 + 1j], [0.3 - 0.2j, 0.0 - 0.5j]):
+            Z = np.array([z, z])
+            for orders in ORDER_SETS:
+                want = [_bits(s) for s in _term_loop(g, z, orders)]
+                assert [_bits(s) for s in _derivatives(g, z, orders)] == want
+                assert [_bits(s.reshape(-1)) for s in _derivatives(
+                    g, np.array(z), orders)] == want
+                # a batch row may fuse multiply and add: NaN and inf agree
+                with np.errstate(invalid="ignore", over="ignore"):
+                    batch = _derivatives(g, Z, orders)
+                for got, lone in zip(batch, want):
+                    ref = np.array([complex(*struct.unpack("dd", b))
+                                    for b in lone])
+                    np.testing.assert_allclose(got[1].reshape(-1), ref,
+                                               rtol=1e-15, atol=0.0)
+    assert kernels[1] is kernels[2] is not kernels[0]
+
+
 def test_real_gradients_match_finite_differences():
     g = parse_germ("z1^2*zbar2 + z2^3", 2)
     rng = np.random.default_rng(3)
@@ -290,6 +457,18 @@ def test_differential_sample_raises_on_axis():
     with pytest.raises(AxisProximity):
         differential_sample(g, np.array([0.0, 0.5, 0.0, 0.0]),
                             g.axis_floor(0.5))
+
+
+@pytest.mark.parametrize("text,n", LONE_GERMS)
+def test_differential_sample_of_a_list_stays_on_python_numbers(text, n):
+    g = parse_germ(text, n)
+    for z in _points(n, 20, 25):
+        x = to_real(z)
+        f, gl, gt = differential_sample(g, x, 0.0)
+        f2, gl2, gt2 = differential_sample(g, x.tolist(), 0.0)
+        assert type(f2) is complex and f2 == complex(f)
+        assert all(type(v) is float for v in gl2 + gt2)
+        assert (gl2, gt2) == (gl.tolist(), gt.tolist())
 
 
 def test_phase_gradient_is_rotated_log_gradient_for_holomorphic():
