@@ -80,6 +80,10 @@ SOBOL_BITS = 30
 SOBOL_MAXDIM = 21201
 
 
+class SobolCountError(ValueError):
+    """A Sobol draw asked for more than 2**SOBOL_BITS points."""
+
+
 @lru_cache(maxsize=None)
 def _joe_kuo() -> Tuple[np.ndarray, np.ndarray]:
     """The primitive polynomials and initial direction numbers of Joe and
@@ -199,7 +203,7 @@ class SobolDraw:
         if d > SOBOL_MAXDIM:
             raise ValueError(f"Sobol dimension {d} > {SOBOL_MAXDIM}")
         if count > 2 ** SOBOL_BITS:
-            raise ValueError(f"Sobol count {count} > 2**{SOBOL_BITS}")
+            raise SobolCountError(f"Sobol count {count} > 2**{SOBOL_BITS}")
         self.count, self.dim, self.radius = max(0, count), dim, radius
         self._shift, self._sv = _sobol_scramble(seed, key, d)
         self._period = CHUNK_ROWS

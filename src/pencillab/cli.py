@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from ._num import (SOBOL_MAXDIM, canonical_json, prescaled, sobol_unit_sphere,
-                   to_complex, to_real)
+from ._num import (SOBOL_MAXDIM, SobolCountError, canonical_json, prescaled,
+                   sobol_unit_sphere, to_complex, to_real)
 from .errors import GermSyntaxError, PencilLabError, ProjectionFailure
 from .flows import (FlowKind, FlowSpec, equivalence_transport, integrate,
                     monodromy_return)
@@ -720,6 +720,9 @@ DISPATCH = {
     "sample-link": _cmd_sample_link,
 }
 COMMANDS = tuple(DISPATCH)
+# commands whose Sobol draws are multiples of --count; the others that draw
+# any take up to --budget points
+COUNT_DRAWS = ("monodromy", "equivalence", "sample-link")
 
 
 def run_job(cfg: dict, file_vals: Optional[dict],
@@ -733,7 +736,11 @@ def run_job(cfg: dict, file_vals: Optional[dict],
         raise UsageError("n" if cfg["n"] is not None else "germ",
                          f"n = {germ.n} needs Sobol dimension {2 * germ.n + 1}"
                          f" > {SOBOL_MAXDIM}")
-    result, passed = DISPATCH[cfg["command"]](cfg, germ, warnings)
+    try:
+        result, passed = DISPATCH[cfg["command"]](cfg, germ, warnings)
+    except SobolCountError as exc:
+        raise UsageError("count" if cfg["command"] in COUNT_DRAWS
+                         else "budget", str(exc)) from None
     resolved = {k: cfg[k] for k in DEFAULTS}
     resolved["germ"] = format_germ(germ) if germ is not None else None
     resolved["n"] = germ.n if germ is not None else None

@@ -16,8 +16,8 @@ the rows: the normalized Gram has unit diagonal, its condition number is
 (1 + |g|) / (1 - |g|) for two rows and lambda_max / lambda_min for three,
 and the solve runs through its written-out LDL^T factors. A field pass at
 one point stays on Python floats from the germ pass (differential_sample)
-to the velocity, with every dot product a plain sum of products; the
-velocity and f become arrays once, when they are returned.
+to the velocity, with every dot product a plain sum of products; only a
+caller that passes an array gets arrays back.
 
 The monodromy Gram system degenerates where the point and the Hermitian
 gradient of log f become complex-colinear; there the tube row is dropped
@@ -40,9 +40,13 @@ minimum-norm solution misbehaves, both with a `corrected` diagnostic:
 Transport uses an embedded Dormand-Prince 4(5) pair with per-accepted-step
 projection back onto the exact invariant set of the kind (the start sphere
 for monodromy, the start member surface for the other two). The state is
-the stacked real vector (_num.to_real) throughout. Each accepted point is
-recorded with f from the germ pass of the slope refresh there, and the
-invariant drifts are measured from that record once, where the run ends.
+the stacked real vector (_num.to_real) as a list of Python floats: the
+stages, their tableau sums, the error norm, the sphere rescale and the
+member projection all run on floats, and NumPy appears only at the edges,
+in the start's to_real and in the FlowTrace arrays built where the run
+ends. Each accepted point is recorded with f from the germ pass of the
+slope refresh there, and the invariant drifts are measured from that record
+once.
 Every flow ends: past MAX_STEPS attempted steps per unit of span it raises
 StepCollapse.
 """
@@ -170,8 +174,7 @@ def _solve_min_norm(rows, d, cond_max: float) -> Tuple[List[float], float]:
     return [a0 * u + a1 * v + a2 * w for u, v, w in zip(r0, r1, r2)], cond
 
 
-def synthesize_field(germ: MixedGerm, spec: FlowSpec, x: np.ndarray,
-                     axis_floor: float
+def synthesize_field(germ: MixedGerm, spec: FlowSpec, x, axis_floor: float
                      ) -> Tuple[np.ndarray, complex, FieldDiagnostics]:
     """Minimum-norm velocity satisfying the kind's constraint system at x.
 
@@ -179,8 +182,13 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x: np.ndarray,
     f at x from the same germ pass, and the Gram condition number, fallback
     state, and whether a null-space correction was applied (tube positivity
     restore or radial corridor clamp). AxisProximity where |f| <= axis_floor.
+    As for differential_sample, a list x stays in Python numbers: the
+    velocity comes back as a list of floats and f as a complex; an array x
+    gets arrays.
     """
-    x = x.tolist()
+    lone = isinstance(x, list)
+    if not lone:
+        x = x.tolist()
     f, gl, gt = differential_sample(germ, x, axis_floor)
     r2 = _dot(x, x)
     x_norm = math.sqrt(r2)
@@ -253,27 +261,28 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x: np.ndarray,
         if abs(drift) >= 1.0:
             raise CompletenessViolation(
                 f"fallback drift |{drift:.6f}| >= 1")
-    return np.array(w), np.array(f), FieldDiagnostics(
-        cond=cond, fallback=fallback, drift=drift, corrected=corrected)
+    dg = FieldDiagnostics(cond=cond, fallback=fallback, drift=drift,
+                          corrected=corrected)
+    return (w, f, dg) if lone else (np.array(w), np.array(f), dg)
 
 
 # ---------------------------------------------------------------------------
 # embedded Dormand-Prince 4(5)
 # ---------------------------------------------------------------------------
 
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                   11 / 84, 0.0])
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-                  22 / 525, -1 / 40])
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+# The pair is first-same-as-last: the fifth-order solution's weights are
+# _DP_A[6], so the last stage point is that solution.
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+         22 / 525, -1 / 40)
 # Attempted steps, accepted and rejected, allowed per unit of |t1 - t0| (a
 # span below 1 counts as 1); a flow that has not ended by then raises
 # StepCollapse.
@@ -308,15 +317,17 @@ class FlowTrace:
                    comments="")
 
 
-def _project_member(germ: MixedGerm, theta0: float, x: np.ndarray
-                    ) -> np.ndarray:
-    """Two Newton steps onto {Im(exp(-i*theta0) f) = 0} along its gradient."""
+def _project_member(germ: MixedGerm, theta0: float, x: List[float]
+                    ) -> List[float]:
+    """Two Newton steps onto {Im(exp(-i*theta0) f) = 0} along its gradient,
+    on a point given and returned as a list of floats."""
     for _ in range(2):
         h, grad, _ = member_gradient(germ, theta0, x)
-        denom = float(grad @ grad)
+        denom = _dot(grad, grad)
         if denom == 0.0:
             return x
-        x = x - (float(h) / denom) * grad
+        c = h / denom
+        x = [p - c * q for p, q in zip(x, grad)]
     return x
 
 
@@ -345,21 +356,21 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
               ) -> FlowTrace:
     """Adaptive transport of x0 across t_span under the kind's field.
 
-    The state is the stacked real vector of x0 throughout. Each accepted
-    step is projected back onto the kind's invariant set, and the slope
-    refresh there gives f; the point goes into one record (t, state, |x|,
-    f, unwrapped phase), from which _drift measures the drifts where the
-    run ends. The axis floor is the one at the start radius. Raises
-    StepCollapse (step below its floor, or MAX_STEPS * max(1, |t1 - t0|)
-    attempts without reaching t1), AxisApproach or BallExit.
+    The state is the stacked real vector of x0, a list of floats, throughout.
+    Each accepted step is projected back onto the kind's invariant set, and
+    the slope refresh there gives f; the point goes into one record (t,
+    state, |x|, f, unwrapped phase), from which _drift measures the drifts
+    where the run ends. The axis floor is the one at the start radius.
+    Raises StepCollapse (step below its floor, or MAX_STEPS * max(1, |t1 -
+    t0|) attempts without reaching t1), AxisApproach or BallExit.
     """
     z0 = np.asarray(x0, dtype=complex)
     t0, t1 = float(t_span[0]), float(t_span[1])
     span = t1 - t0
     if not math.isfinite(span):
         raise ValueError("flow span must be finite")
-    y = to_real(z0)
-    r0 = float(np.linalg.norm(y))
+    y = to_real(z0).tolist()
+    r0 = math.sqrt(_dot(y, y))
     f0 = complex(evaluate(germ, z0))
     axis_floor = germ.axis_floor(r0)
     if abs(f0) <= axis_floor:
@@ -367,17 +378,17 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
     theta0 = cmath.phase(f0)
     ball = spec.ball_factor * max(r0, 1e-300)
     budget = MAX_STEPS * max(1.0, abs(span))
-    K = np.empty((7, y.size))   # Dormand-Prince stages, row 0 the slope at y
+    K: List[List[float]] = [[]] * 7   # Dormand-Prince stages, K[0] the slope
     diags: List[FieldDiagnostics] = []
 
-    def rhs(s: int, yv: np.ndarray) -> complex:
+    def rhs(s: int, yv: List[float]) -> complex:
         """Write the field at yv into stage s; return f at yv."""
         try:
             K[s], f, dg = synthesize_field(germ, spec, yv, axis_floor)
         except AxisProximity as exc:
             raise AxisApproach(str(exc)) from exc
         diags.append(dg)
-        return complex(f)
+        return f
 
     record = [(t0, y, r0, f0, theta0)]
     n_rej = 0
@@ -397,30 +408,33 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
         if (t + h - t1) * direction > 0.0:
             h = t1 - t
         try:
+            # stage s at y + h * sum_j A[s][j] K[j], summed in tableau order
             for s in range(1, 7):
-                rhs(s, y + h * (_DP_A[s] @ K[:s]))
+                y5 = [v + h * sum(map(mul, _DP_A[s], ks))
+                      for v, ks in zip(y, zip(*K[:s]))]
+                rhs(s, y5)
         except (AxisApproach, DegenerateGradient, GramSingular):
             h *= 0.25
             n_rej += 1
             continue
-        y5 = y + h * (_DP_B5 @ K)
-        err_vec = h * (_DP_E @ K)
-        tol = spec.atol + spec.rtol * max(float(np.linalg.norm(y)),
-                                          float(np.linalg.norm(y5)))
-        err = float(np.linalg.norm(err_vec)) / tol if tol > 0 else np.inf
-        if not np.isfinite(err) or err > 1.0:
+        err_vec = [h * sum(map(mul, _DP_E, ks)) for ks in zip(*K)]
+        r5 = math.sqrt(_dot(y5, y5))
+        tol = spec.atol + spec.rtol * max(record[-1][2], r5)
+        err = math.sqrt(_dot(err_vec, err_vec)) / tol if tol > 0 else math.inf
+        if not err <= 1.0:  # NaN too
             h *= max(0.2, 0.9 * (max(err, 1e-10)) ** -0.2)
             n_rej += 1
             continue
         t += h
         if spec.kind is FlowKind.MONODROMY:
-            y = y5 * (r0 / float(np.linalg.norm(y5)))
+            c = r0 / r5
+            y = [v * c for v in y5]
         else:
             y = _project_member(germ, theta0, y5)
         # projection moved the state, so refresh the slope; that pass also
         # raises AxisApproach where |f| fell to the axis floor
         f = rhs(0, y)
-        r = float(np.linalg.norm(y))
+        r = math.sqrt(_dot(y, y))
         if r > ball:
             raise BallExit(f"|x| = {r:.3e} left the working ball")
         f_prev, theta = record[-1][3:]

@@ -27,6 +27,8 @@ Point layout: the complex kernels (evaluate, value_and_gradient and the
 wirtinger_* ones) take complex points z (..., n). The real ones (real_*,
 differential_sample, the rank margins) take the stacked real points x
 (..., 2n) the package computes with, and make the kernel's complex copy.
+real_gradients and differential_sample also take one point as a list of
+floats and then return Python numbers: f complex, gradients float lists.
 """
 
 from __future__ import annotations
@@ -552,9 +554,25 @@ def stacked_gradients(dz, dzb):
 
 def real_gradients(germ: MixedGerm, x):
     """(f, grad_a, grad_b) at stacked real points x (..., 2n), the gradients
-    in the same layout."""
+    in the same layout. A list x is one point in Python floats, and stays in
+    them: f complex, the gradients lists of floats."""
+    if isinstance(x, list):
+        return _float_gradients(germ, x)
     f, dz, dzb = _derivatives(germ, to_complex(x), (0, 1))
     return (f,) + stacked_gradients(dz, dzb)
+
+
+def _float_gradients(germ: MixedGerm, x: list):
+    """real_gradients at one stacked real point x, a list of floats, on
+    Python numbers: the operations of stacked_gradients on the kernel's
+    lone-point slots, so f and the gradients have the bits of the array
+    call at x."""
+    n = germ.n
+    (f,), dz, dzb = _derivatives(germ, list(map(complex, x[:n], x[n:])),
+                                 (0, 1))
+    g = [p + q for p, q in zip(dz, dzb)] + [1j * (p - q)
+                                            for p, q in zip(dz, dzb)]
+    return f, [w.real for w in g], [w.imag for w in g]
 
 
 def differential_sample(germ: MixedGerm, x, axis_floor: float):
@@ -563,22 +581,20 @@ def differential_sample(germ: MixedGerm, x, axis_floor: float):
     grad_log_rho is the real gradient of log|f| and grad_theta the real
     gradient of the (local) phase angle of f, both in the stacked [Re ; Im]
     layout; AxisProximity if |f| is at or below axis_floor, where neither is
-    defined. It runs the operations of real_gradients on Python numbers; a
-    list x stays in them, f complex and the gradients lists of floats.
+    defined. It runs on Python numbers from the float pass of
+    real_gradients; a list x stays in them, f complex and the gradients
+    lists of floats.
     """
     lone = isinstance(x, list)
-    n, xs = germ.n, x if lone else np.asarray(x, dtype=float).tolist()
-    (f,), dz, dzb = _derivatives(germ, list(map(complex, xs[:n], xs[n:])),
-                                 (0, 1))
+    f, ga, gb = _float_gradients(
+        germ, x if lone else np.asarray(x, dtype=float).tolist())
     a, b = f.real, f.imag
     rho2 = a * a + b * b
     rho = math.sqrt(rho2)
     if rho <= axis_floor:
         raise AxisProximity(f"|f| = {rho:.3e} at or below the axis floor")
-    g = [p + q for p, q in zip(dz, dzb)] + [1j * (p - q)
-                                            for p, q in zip(dz, dzb)]
-    lr = [(a * w.real + b * w.imag) / rho2 for w in g]
-    th = [(a * w.imag - b * w.real) / rho2 for w in g]
+    lr = [(a * p + b * q) / rho2 for p, q in zip(ga, gb)]
+    th = [(a * q - b * p) / rho2 for p, q in zip(ga, gb)]
     return (f, lr, th) if lone else (np.array(f), np.array(lr), np.array(th))
 
 

@@ -89,14 +89,19 @@ class FiberSample:
         return len(self.points)
 
 
-def member_gradient(germ: MixedGerm, theta: float, X: np.ndarray):
+def member_gradient(germ: MixedGerm, theta: float, X):
     """(h_theta, its real gradient, f) at stacked-real points X; batched.
 
     h_theta = cos(theta) Im f - sin(theta) Re f, so its gradient is the same
-    combination of the real gradients of Im f and Re f.
+    combination of the real gradients of Im f and Re f. A list X is one
+    point in Python floats, as for real_gradients: h is a float, the
+    gradient a list and f a complex.
     """
     f, ga, gb = real_gradients(germ, X)
-    return _member(theta, f.real, f.imag), _member(theta, ga, gb), f
+    h = _member(theta, f.real, f.imag)
+    if isinstance(X, list):
+        return h, [_member(theta, a, b) for a, b in zip(ga, gb)], f
+    return h, _member(theta, ga, gb), f
 
 
 def sphere_member_system(germ: MixedGerm, theta: float, radius: float):

@@ -9,17 +9,19 @@ characteristic of K. Completeness of the enumeration is stochastic and
 controlled by a stability window: the run stops only after a fixed number
 of consecutive seed batches finds no new critical point.
 
-The window cannot close before as many more batches as it still lacks, so
-those batches are drawn in one Sobol call, projected and polished as one
-stacked chunk; both stages are systems for _num.gauss_newton, the
-package's one Newton loop. The chunk is then classified batch by batch in
-its original order by _classify_batch, the one place where a point is
-judged new, degenerate or accepted. The solvers are row-independent, so
-the chunk gives the points, counters and stop of a batch-by-batch loop
-over the same seeds (those of later batches are slices of the chunk's
-draw, not one-batch draws); only a degenerate critical point, which ends
-the draw, discards the rest of its chunk. One counter, the batches
-classified, keys the draws: seeds_used = batches * batch.
+The window cannot close before as many more batches as it still lacks,
+plus one while no point is stored (the first batch with converged rows
+then stores one). Those batches are drawn in one Sobol call, projected and
+polished as one stacked chunk; both stages are systems for
+_num.gauss_newton, the package's one Newton loop. The chunk is then
+classified batch by batch in its original order by _classify_batch, the
+one place where a point is judged new, degenerate or accepted. The solvers
+are row-independent, so the chunk gives the points, counters and stop of a
+batch-by-batch loop over the same seeds (those of later batches are slices
+of the chunk's draw, not one-batch draws). Classification stops where the
+window closes or a degenerate critical point ends the draw, and the rest
+of the chunk is discarded. One counter, the batches classified, keys the
+draws: seeds_used = batches * batch.
 """
 
 from __future__ import annotations
@@ -234,14 +236,16 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
     n = 2 only. A batch is quiet when some of its rows converge and none
     is new (within 1e-6 * radius of a stored point); _classify_batch
     decides which rows are new. Batches are solved in stacked chunks of the
-    window's remaining length (capped by the budget). One counter, batches,
-    counts the batches classified; seeds_used is always batches * batch. A
-    chunk draws its seeds in one call keyed by its first batch, so only
-    batch 0 has the seeds of a one-batch draw. A degenerate point discards
-    the rest of its chunk along with the draw. Raises Unstable when the
-    budget runs out before the stability window closes, or chi is odd (the
-    inventory rides on the error), and DegenerateAfterRetries when every
-    functional redraw met a degenerate critical point.
+    window's remaining length, one batch longer while no point is stored,
+    capped by the budget. One counter, batches, counts the batches
+    classified; seeds_used is always batches * batch. A chunk draws its
+    seeds in one call keyed by its first batch (the batches classified
+    before it), so only batch 0 has the seeds of a one-batch draw. Where
+    the window closes or a degenerate point ends the draw, the rest of the
+    chunk is discarded unclassified. Raises Unstable when the budget runs
+    out before the stability window closes, or chi is odd (the inventory
+    rides on the error), and DegenerateAfterRetries when every functional
+    redraw met a degenerate critical point.
     """
     if germ.n != 2:
         raise ValueError("link Euler counting is implemented for n = 2 only")
@@ -270,8 +274,11 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
         while batches < max_batches and stable_run < stability_batches:
             # the window cannot close before k more batches, so they are
             # drawn, projected onto the link and polished together, then
-            # classified in order; the stacked solvers are row-independent
-            k = min(stability_batches - stable_run, max_batches - batches)
+            # classified in order; the stacked solvers are row-independent.
+            # With nothing stored, the first batch with converged rows
+            # stores a point and is not quiet, so one more is needed.
+            k = min(stability_batches - stable_run + (not len(found[0])),
+                    max_batches - batches)
             seeds0 = radius * sobol_unit_sphere(
                 seed, (0x5EED, draw, batches), k * batch, 4)
             Xp, okp = gauss_newton(project, seeds0, project_scale, tol=1e-12,
@@ -280,6 +287,8 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
                                            newton_tol, scale_h)
             owner = np.repeat(np.arange(k), batch)[okp]
             for j in range(k):
+                if stable_run == stability_batches:
+                    break  # a batch was quiet with nothing stored
                 batches += 1
                 mine = okc & (owner == j)
                 # a stalled batch, with no projected or no polished row,

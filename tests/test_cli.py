@@ -183,6 +183,16 @@ NOT_FOUND = "[Errno 2] No such file or directory: '{tmp}/missing.json'"
          "n = 12000 needs Sobol dimension 24001 > 21201"),
         ("germ-above-sobol-dimension", ("dreg", "--germ", "z10601"), "germ",
          "n = 10601 needs Sobol dimension 21203 > 21201"),
+        ("budget-above-sobol-count", ("dreg", "--germ", A2, "--budget",
+         "5000000000", "--polish", "0"), "budget",
+         "Sobol count 5000000000 > 2**30"),
+        ("budget-above-sobol-count-scan", ("crit-scan", "--germ", A2,
+         "--budget", "1073741825"), "budget", "Sobol count 1073741825 > 2**30"),
+        # the sphere starts draw 8 * count first, the fiber starts 2 * count
+        ("count-above-sobol-count-sphere", ("equivalence", "--germ", A2,
+         "--count", "134217729"), "count", "Sobol count 1073741832 > 2**30"),
+        ("count-above-sobol-count-fiber", ("monodromy", "--germ", A2,
+         "--count", "536870913"), "count", "Sobol count 1073741826 > 2**30"),
         ("seed-negative", ("info", "--germ", "z1", "--seed=-1"), "seed",
          "seed must fit in 64 bits"),
         ("seed-too-large", ("info", "--germ", "z1", "--seed",

@@ -17,9 +17,10 @@ from pencillab.flows import (FlowKind, FlowSpec, _solve_min_norm,
                              equivalence_transport, integrate,
                              monodromy_return, synthesize_field)
 from pencillab.germ import differential_sample, evaluate, parse_germ
-from pencillab.pencil import sample_fiber
+from pencillab.pencil import member_gradient, sample_fiber
 
 BRIESKORN = parse_germ("z1^2 + z2^3", 2)
+MIXED = parse_germ("z1^2*zbar2 + z2^2*zbar1", 2)
 
 
 def _floor(g, x):
@@ -217,9 +218,7 @@ def _lstsq_field(g, spec, x, dg):
     return w, cond
 
 
-@pytest.mark.parametrize("g", [BRIESKORN,
-                               parse_germ("z1^2*zbar2 + z2^2*zbar1", 2)],
-                         ids=["a2a3", "mixed"])
+@pytest.mark.parametrize("g", [BRIESKORN, MIXED], ids=["a2a3", "mixed"])
 def test_float_field_matches_lstsq_minimum_norm_solves(g):
     # the float solve against lstsq at the tolerance of the SVD/LU
     # reference, 1e-13 * cond, on each kind's branches
@@ -238,6 +237,50 @@ def test_float_field_matches_lstsq_minimum_norm_solves(g):
     assert hits[FlowKind.TUBE_EQUIVALENCE] > 0
     if g == BRIESKORN:
         assert hits[FlowKind.MONODROMY] > 0 and hits[FlowKind.RADIAL] > 0
+
+
+@pytest.mark.parametrize("g", [BRIESKORN, MIXED], ids=["a2a3", "mixed"])
+def test_field_of_a_list_stays_on_python_numbers(g):
+    # the integrator's form of a field call: a list in, a list and a
+    # complex out, with the values of the array call
+    for kind in FlowKind:
+        spec = FlowSpec(kind)
+        for x in _field_points(g, np.random.default_rng(29), 500):
+            floor = _floor(g, x)
+            w, f, dg = synthesize_field(g, spec, x.tolist(), floor)
+            wa, fa, dga = synthesize_field(g, spec, x, floor)
+            assert type(w) is list and type(f) is complex
+            assert all(type(v) is float for v in w)
+            assert np.linalg.norm(np.array(w) - wa) \
+                <= 1e-15 * np.linalg.norm(wa)
+            assert abs(f - complex(fa)) <= 1e-15 * abs(fa)
+            assert dg == dga
+
+
+def _project_two_steps(g, theta0, x):
+    """Two Newton steps onto the member, on a batch of one row."""
+    X = x[None, :]
+    for _ in range(2):
+        h, grad, _ = member_gradient(g, theta0, X)
+        X = X - (h / np.sum(grad * grad, axis=-1))[:, None] * grad
+    return X[0]
+
+
+@pytest.mark.parametrize("g", [BRIESKORN, MIXED], ids=["a2a3", "mixed"])
+def test_member_projection_of_a_list_lands_on_the_member(g):
+    # fiber points moved off their member by up to 1e-6 r, further than
+    # an accepted step drifts at the default tolerances
+    radius, theta0 = 0.5, 0.7
+    rng = np.random.default_rng(31)
+    X = to_real(sample_fiber(g, theta0, radius, 200, seed=5).points)
+    X += 1e-6 * radius * rng.uniform(-1.0, 1.0, X.shape)
+    for x in X:
+        y = flows._project_member(g, theta0, x.tolist())
+        assert type(y) is list and all(type(v) is float for v in y)
+        h, _, _ = member_gradient(g, theta0, np.array(y))
+        assert abs(h) <= 1e-14 * g.scale(radius)
+        assert np.linalg.norm(np.array(y) - _project_two_steps(g, theta0, x)) \
+            <= 1e-14 * np.linalg.norm(x)
 
 
 def test_min_norm_solver_matches_svd_lu_reference():

@@ -242,6 +242,41 @@ def test_euler_window_takes_one_solver_call_per_chunk(monkeypatch):
     assert 1 <= calls[2] <= 3 and 1 <= calls[6] <= 3
 
 
+def test_inventory_complete_in_batch_zero_takes_one_chunk(monkeypatch):
+    # with nothing stored, batch 0 stores its points and is not quiet, so
+    # the window needs 21 batches; the first chunk holds all of them
+    calls = []
+    polish = topology._lagrange_newton
+
+    def counted(*args):
+        calls.append(args)
+        return polish(*args)
+
+    monkeypatch.setattr(topology, "_lagrange_newton", counted)
+    g = parse_germ("z1^2 + z2^3", 2)
+    inv, chi = link_surface_euler(g, 0.0, 0.5, seed=0)
+    assert chi == -2
+    assert (inv.batches, inv.stability, inv.seeds_used) == (21, 20, 4200)
+    assert len(calls) == 1
+
+
+def test_window_closed_with_nothing_stored_stops_classifying(monkeypatch):
+    # batches quiet with nothing stored close the window after 20 of the
+    # first chunk's 21; the 21st is neither classified nor counted
+    classified = []
+
+    def nothing_new(system, scale, X, L, stored, dedup_tol, newton_tol):
+        classified.append(len(X))
+        return X[:0], L[:0], np.empty(0), np.empty(0)
+
+    monkeypatch.setattr(topology, "_classify_batch", nothing_new)
+    g = parse_germ("z1^2 + z2^3", 2)
+    inv, chi = link_surface_euler(g, 0.0, 0.5, seed=0)
+    assert (chi, inv.termination) == (0, "stable")
+    assert (inv.batches, inv.stability, inv.seeds_used) == (20, 20, 4000)
+    assert len(classified) == 20
+
+
 @pytest.mark.parametrize("theta", [0.0, np.pi / 2])
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_euler_draws_its_seeds_once_per_chunk(monkeypatch, q, theta):
