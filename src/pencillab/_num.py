@@ -1,6 +1,12 @@
 """Shared numerical plumbing: real/complex layout, deterministic sampling
 (scrambled Sobol draws made chunk by chunk), the row-range worker pool, the
-batched Newton driver, canonical JSON."""
+batched Newton driver, canonical JSON.
+
+Points come as rows (..., 2n) or, in the cover kernels, coordinate-major as
+columns (2n, ...), one contiguous array per coordinate. Sums over the
+coordinates of columns are written out (sum_columns, dot_columns) in the
+orders np.sum and einsum take over a row, so a point has the same bits in
+either layout."""
 
 from __future__ import annotations
 
@@ -40,8 +46,47 @@ def to_complex(v: np.ndarray) -> np.ndarray:
     return z
 
 
+def complex_columns(v: np.ndarray) -> np.ndarray:
+    """to_complex of coordinate-major points v (2n, ...)."""
+    z = np.empty((len(v) // 2,) + v.shape[1:], dtype=complex)
+    z.real, z.imag = np.split(v, 2)
+    return z
+
+
 def norm_rows(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.asarray(v) ** 2, axis=-1))
+
+
+def sum_columns(p) -> np.ndarray:
+    """The sum over the first axis in np.sum's order over a row: in order
+    from 0.0 below 8 entries, numpy's pairwise sum of a row copy above."""
+    if len(p) >= 8:
+        return np.sum(np.moveaxis(p, 0, -1).copy(), axis=-1)
+    s = p[0] + 0.0
+    for q in p[1:]:
+        s += q
+    return s
+
+
+def dot_columns(u, v) -> np.ndarray:
+    """sum_i u[i] v[i] over the first axis in einsum's order. Its two-lane
+    loop (no fused multiply-add) gives the even i to lane 0 and the odd to
+    lane 1; a lane adds from 0.0 its 8-entry blocks back to front, then the
+    rest front to back. Lane 0 plus lane 1 is the result: (p0 + p2 + p4) +
+    (p1 + p3 + p5) for 6 entries."""
+    m, k, acc = len(u), len(u) - len(u) % 8, []
+    for lane in (0, 1):
+        idx = [b + i + lane for b in range(0, k, 8) for i in (6, 4, 2, 0)]
+        idx += range(k + lane, m, 2)
+        s = u[idx[0]] * v[idx[0]] + 0.0
+        for i in idx[1:]:
+            s += u[i] * v[i]
+        acc.append(s)
+    return acc[0] + acc[1]
+
+
+def norm_columns(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(sum_columns(v * v))
 
 
 def prescaled(v) -> np.ndarray:
@@ -192,9 +237,10 @@ class SobolDraw:
     way a row has the same bits as in the whole draw, which is
     sobol_unit_sphere or sobol_ball.
 
-    The sphere maps the cube through ndtri and normalizes each row. The
-    ball maps its first dim columns so for the direction and takes the
-    radius as radius * u^(1/dim) from the last column u.
+    The sphere maps the cube through ndtri and normalizes each point. The
+    ball maps its first dim coordinates so for the direction and takes the
+    radius as radius * u^(1/dim) from the last coordinate u. columns is the
+    one core, coordinate-major; rows and at are transposed copies of it.
     """
 
     def __init__(self, seed: int, key: Tuple[int, ...], count: int, dim: int,
@@ -217,18 +263,20 @@ class SobolDraw:
                 ^ self._shift[:, None])
 
     def _map(self, pts: np.ndarray) -> np.ndarray:
-        cube = np.multiply(pts.T, 2.0 ** -SOBOL_BITS, order="C")
+        """(dim, N) points from the (d, N) integer points pts."""
+        cube = np.multiply(pts, 2.0 ** -SOBOL_BITS)
         # guard against ndtri blowing up at the cube boundary
         np.clip(cube, np.finfo(float).tiny, 1.0 - 1e-16, out=cube)
         if self.radius is None:
             # ndtri writes over the cube: one float array fewer per draw
-            return _unit_rows(ndtri(cube, out=cube))
-        g = _unit_rows(ndtri(cube[:, :self.dim]))
-        g *= (self.radius * cube[:, self.dim] ** (1.0 / self.dim))[..., None]
+            return _unit_columns(ndtri(cube, out=cube))
+        g = _unit_columns(ndtri(cube[:self.dim]))
+        g *= self.radius * cube[self.dim] ** (1.0 / self.dim)
         return g
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """The points start, ..., stop - 1 as a (stop - start, dim) array."""
+    def columns(self, start: int, stop: int) -> np.ndarray:
+        """The points start, ..., stop - 1 as a (dim, stop - start) array,
+        one row per coordinate."""
         P = self._period
         pts = np.empty((self._block.shape[0], max(0, stop - start)),
                        dtype=np.uint32)
@@ -242,16 +290,21 @@ class SobolDraw:
             a = b
         return self._map(pts)
 
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The points start, ..., stop - 1 as a (stop - start, dim) array."""
+        return self.columns(start, stop).T.copy()
+
     def at(self, index) -> np.ndarray:
         """The points at the given indices as a (len(index), dim) array."""
-        return self._map(self._at_bits(np.asarray(index, dtype=np.int64)))
+        return self._map(self._at_bits(np.asarray(index, dtype=np.int64))
+                         ).T.copy()
 
 
-def _unit_rows(g: np.ndarray) -> np.ndarray:
-    """Each row of g divided by its norm in place (a zero row stays zero)."""
-    nrm = norm_rows(g)
+def _unit_columns(g: np.ndarray) -> np.ndarray:
+    """Each point of g (dim, N) divided by its norm in place (0 stays 0)."""
+    nrm = norm_columns(g)
     nrm[nrm == 0.0] = 1.0
-    g /= nrm[..., None]
+    g /= nrm
     return g
 
 

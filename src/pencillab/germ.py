@@ -29,6 +29,8 @@ differential_sample, the rank margins) take the stacked real points x
 (..., 2n) the package computes with, and make the kernel's complex copy.
 real_gradients and differential_sample also take one point as a list of
 floats and then return Python numbers: f complex, gradients float lists.
+column_gradients takes coordinate-major points (2n, ...), the layout of the
+cover kernels, and fills the kernel's slots as contiguous (n, ...) arrays.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ._num import norm_rows, to_complex
+from ._num import complex_columns, norm_rows, sum_columns, to_complex
 from .errors import AxisProximity, GermSyntaxError
 
 Exponents = Tuple[int, ...]
@@ -562,6 +564,19 @@ def real_gradients(germ: MixedGerm, x):
     return (f,) + stacked_gradients(dz, dzb)
 
 
+def column_gradients(germ: MixedGerm, X: np.ndarray):
+    """real_gradients at coordinate-major points X (2n, ...): the kernel
+    fills (n, ...) slots and stacked_gradients' operations run along the
+    first axis, so grad_a and grad_b are (2n, ...) with the bits of rows."""
+    n = germ.n
+    slots = [np.zeros((k,) + X.shape[1:], dtype=complex) for k in (1, n, n)]
+    (f,), dz, dzb = _kernel(n, germ.terms, (0, 1))(complex_columns(X),
+                                                    germ.terms, slots)
+    s, d = dz + dzb, 1j * (dz - dzb)
+    return f, np.concatenate([s.real, d.real]), np.concatenate([s.imag,
+                                                                d.imag])
+
+
 def _float_gradients(germ: MixedGerm, x: list):
     """real_gradients at one stacked real point x, a list of floats, on
     Python numbers: the operations of stacked_gradients on the kernel's
@@ -609,14 +624,14 @@ def jacobian_rank_margin_batch(germ: MixedGerm, X) -> np.ndarray:
     """Vectorized second singular value of the (Re f, Im f) Jacobian at
     stacked real points X (..., 2n)."""
     _, ga, gb = real_gradients(germ, X)
-    return gram_margin(ga, gb)
+    return gram_margin(np.moveaxis(ga, -1, 0), np.moveaxis(gb, -1, 0))
 
 
 def gram_margin(u, v, uu=None) -> np.ndarray:
-    """Second singular value of the two-row matrices [u ; v], batched over
-    leading axes: the square root of the smaller eigenvalue of the 2 x 2
-    Gram matrix. uu, when given, stands in for |u|^2 (1 for unit rows)."""
-    uu = np.sum(u * u, axis=-1) if uu is None else uu
-    vv, uv = np.sum(v * v, axis=-1), np.sum(u * v, axis=-1)
+    """Second singular value of the two-row matrices [u ; v], u and v
+    coordinate-major (2n, ...): the square root of the smaller eigenvalue of
+    the 2 x 2 Gram matrix. uu, when given, stands in for |u|^2."""
+    uu = sum_columns(u * u) if uu is None else uu
+    vv, uv = sum_columns(v * v), sum_columns(u * v)
     disc = np.sqrt(np.maximum((uu - vv) ** 2 + 4.0 * uv ** 2, 0.0))
     return np.sqrt(np.maximum(0.5 * (uu + vv - disc), 0.0))

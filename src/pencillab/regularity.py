@@ -15,11 +15,18 @@ scan of the (Re f, Im f) Jacobian.
 
 The sphere and ball covers are streamed: _cover hands each worker of
 _num.map_chunks a row range, and the worker draws those rows of the
-cover's _num.SobolDraw, scores them and keeps only the per-row values. The
-witness and the polish starts are redrawn by index. So no cover array
-larger than a chunk exists, and since a drawn row has the same bits
-however the draw is cut (the chunk size is a power of two, see _num), the
-reports depend neither on the chunk size nor on the worker count.
+cover's _num.SobolDraw, scores them and keeps only the per-row values and
+its histogram counts. The witness and the polish starts are redrawn by
+index. So no cover array larger than a chunk exists, and since a drawn row
+has the same bits however the draw is cut (the chunk size is a power of
+two, see _num), the reports depend neither on the chunk size nor on the
+worker count.
+
+The kernels are coordinate-major: points, gradients and normals are
+(2n, ...) arrays and a lone (2n,) point is a column. Norms and sums take
+np.sum's order (_num.sum_columns); dots and the metric normal take the
+order of einsum's loop, two interleaved accumulators (_num.dot_columns),
+written out, so they no longer follow einsum's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -30,10 +37,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._num import (SobolDraw, gauss_newton, map_chunks, norm_rows,
-                   prescaled, sobol_unit_sphere, to_complex)
+from ._num import (SobolDraw, complex_columns, dot_columns, gauss_newton,
+                   map_chunks, norm_columns, norm_rows, prescaled,
+                   sobol_unit_sphere, sum_columns)
 from .errors import AxisProximity
-from .germ import GRAD_FLOOR, MixedGerm, gram_margin, real_gradients
+from .germ import (GRAD_FLOOR, MixedGerm, column_gradients, gram_margin,
+                   real_gradients)
 
 
 def __getattr__(name: str):
@@ -51,6 +60,7 @@ def __getattr__(name: str):
 TWO_PI = 2.0 * math.pi
 DEFAULT_NEWTON_TOL = 1e-10
 HIST_BINS = 32
+assert HIST_BINS & (HIST_BINS - 1) == 0, "HIST_BINS must be a power of two"
 # phase-colinearity condition (_colinearity) and the Gauss-Newton
 # tolerance of the tube-boundary projection
 COLINEARITY_TOL = 0.01
@@ -71,20 +81,16 @@ def defect_from_directions(grad_theta: np.ndarray, normal: np.ndarray
                            ) -> np.ndarray:
     """sin of the angle between grad_theta and the line through normal.
 
-    Depends only on the two directions; batched over leading axes. Taken as
-    the length of grad_theta's part orthogonal to the normal over the
-    length of grad_theta, which resolves angles down to rounding
+    Depends only on the two directions, given coordinate-major (2n, ...).
+    Taken as the length of grad_theta's part orthogonal to the normal over
+    the length of grad_theta, which resolves angles down to rounding
     (sqrt(1 - cos^2) reads every angle below about 1e-8 as 0).
     """
     g = np.asarray(grad_theta, dtype=float)
     nrm = np.asarray(normal, dtype=float)
-    perp = g - (_dot_rows(g, nrm) / _dot_rows(nrm, nrm))[..., None] * nrm
-    return np.minimum(np.sqrt(_dot_rows(perp, perp) / _dot_rows(g, g)), 1.0)
-
-
-def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise dot products over the last axis."""
-    return np.einsum("...i,...i->...", u, v)
+    perp = g - (dot_columns(g, nrm) / dot_columns(nrm, nrm)) * nrm
+    return np.minimum(np.sqrt(dot_columns(perp, perp) / dot_columns(g, g)),
+                      1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -92,46 +98,54 @@ def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _phase_fields(germ: MixedGerm, X: np.ndarray):
-    """(f, grad_a, rho, grad_theta_scaled) at X from one germ-kernel call,
-    where grad_theta_scaled = rho^2 * grad_theta = a*grad_b - b*grad_a
-    (well-defined on the axis too)."""
-    f, ga, gb = real_gradients(germ, X)
+    """(f, grad_a, rho, grad_theta_scaled) at the points X from one
+    germ-kernel call, where grad_theta_scaled = rho^2 * grad_theta =
+    a*grad_b - b*grad_a (well-defined on the axis too)."""
+    f, ga, gb = column_gradients(germ, X)
     a, b = f.real, f.imag
-    return f, ga, np.sqrt(a * a + b * b), a[..., None] * gb - b[..., None] * ga
+    return f, ga, np.sqrt(a * a + b * b), a * gb - b * ga
 
 
 def _defects(germ: MixedGerm, X: np.ndarray, floor: float,
              Q: Optional[np.ndarray] = None):
     """The batch defect kernel: (defect, axis, degenerate, f, grad_a) at the
-    stacked real points X, batched over leading axes.
+    points X.
 
     The defect is measured between grad_theta = (a*grad_b - b*grad_a)/rho^2
-    and the metric normal Q x. Axis rows (rho <= floor) and degenerate rows
-    (|grad_theta| |x| < GRAD_FLOOR) read inf. f and grad_a come back for
-    callers that need more of the same derivatives.
+    and the metric normal Q x. Axis points (rho <= floor) and degenerate
+    ones (|grad_theta| |x| < GRAD_FLOOR) read inf. f and grad_a come back
+    for callers that need more of the same derivatives.
     """
     f, ga, rho, gts = _phase_fields(germ, X)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        grad_theta = gts / (f.real ** 2 + f.imag ** 2)[..., None]
     axis = rho <= floor
-    usable = ~axis & (norm_rows(grad_theta) * norm_rows(X) >= GRAD_FLOOR)
-    normal = _metric_normal(Q, X)
-    defect = np.full(rho.shape, np.inf)
-    defect[usable] = defect_from_directions(grad_theta[usable], normal[usable])
+    with np.errstate(all="ignore"):
+        grad_theta = gts / (f.real ** 2 + f.imag ** 2)
+        usable = ~axis & (norm_columns(grad_theta) * norm_columns(X)
+                          >= GRAD_FLOOR)
+        defect = np.where(usable, defect_from_directions(
+            grad_theta, _metric_normal(Q, X)), np.inf)
     return defect, axis, ~axis & ~usable, f, ga
 
 
 def _metric_normal(Q: Optional[np.ndarray], X: np.ndarray) -> np.ndarray:
-    """Q x row by row (x itself for the identity). Not a BLAS product, whose
-    rounding depends on the number of rows."""
-    return X if Q is None else np.einsum("ij,...j->...i",
-                                         np.asarray(Q, dtype=float), X)
+    """Q x (x itself for the identity); not a BLAS product, whose rounding
+    depends on the number of points."""
+    return X if Q is None else np.array([dot_columns(q, X) for q in Q])
+
+
+def _bin_counts(values: np.ndarray) -> np.ndarray:
+    """np.histogram(values, HIST_BINS, (0, 1))[0]: for a power of two
+    HIST_BINS the edges and v * HIST_BINS are exact, so v in [0, 1] falls in
+    bin floor(v * HIST_BINS), 1 in the last one."""
+    v = values[(values >= 0.0) & (values <= 1.0)]
+    return np.bincount(np.minimum((v * HIST_BINS).astype(np.intp),
+                                  HIST_BINS - 1), minlength=HIST_BINS)
 
 
 def _cover(fn, count: int):
     """fn(start, stop) over the row ranges of a count-row cover, each of its
-    per-row outputs concatenated over the ranges. fn draws and scores its
-    own rows, so no more than a chunk of cover points exists at a time."""
+    outputs concatenated over the ranges. fn draws and scores its own rows,
+    so no more than a chunk of cover points exists at a time."""
     parts = map_chunks(fn, count) or [fn(0, 0)]
     return [np.concatenate(column) for column in zip(*parts)]
 
@@ -165,15 +179,15 @@ def _metric_mapper(Q: Optional[np.ndarray], radius: float):
     if Q is None:
         return lambda U: radius * U, None
     Q = np.asarray(Q, dtype=float)
-    Linv = np.linalg.inv(np.linalg.cholesky(Q))
+    Lt = np.linalg.inv(np.linalg.cholesky(Q)).T
 
     def lift(U):
-        # BLAS takes a one-row product down its matrix-vector path, which
-        # rounds differently from the rows of a larger product; so a lone
-        # row (a witness, a 1-row tail chunk) goes in twice
-        if len(U) == 1:
-            return radius * (np.vstack([U, U]) @ Linv)[:1]
-        return radius * (U @ Linv)
+        # BLAS takes a one-column product down its matrix-vector path,
+        # which rounds differently from the columns of a larger product; so
+        # a lone point (a witness, a 1-row tail chunk) goes in twice
+        if U.shape[1] == 1:
+            return radius * (Lt @ np.hstack([U, U]))[:, :1]
+        return radius * (Lt @ U)
     return lift, Q
 
 
@@ -185,14 +199,6 @@ _EPS = np.finfo(float).eps
 # because the defect can grow like |z_j|^3 away from its minimum (z2 = 0 on
 # z1^2+z2^3+z3^5), where a wider stencil straddles the minimum
 _FD_STEP = 1e-6
-
-
-def _on_sphere(Y: np.ndarray, radius: float, Q: Optional[np.ndarray]
-               ) -> np.ndarray:
-    """r y / sqrt(y^T Q y) row by row: NaN where y^T Q y is 0."""
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        nq = np.sqrt(np.sum(Y * _metric_normal(Q, Y), axis=-1))
-        return radius * Y / nq[..., None]
 
 
 def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -222,8 +228,14 @@ def _polish(germ: MixedGerm, Y0: np.ndarray, radius: float,
     rows, so a start gives the same bits alone or inside any batch.
     Returns (values, points on the sphere).
     """
+    def sphere(Y):
+        # r y / sqrt(y^T Q y) at the columns of Y: NaN where y^T Q y is 0
+        Y = np.moveaxis(Y, -1, 0)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            return radius * Y / np.sqrt(sum_columns(Y * _metric_normal(Q, Y)))
+
     def objective(Y):
-        d = _defects(germ, _on_sphere(Y, radius, Q), f_floor, Q)[0]
+        d = _defects(germ, sphere(Y), f_floor, Q)[0]
         return np.where(np.isfinite(d), d, 1.0)
 
     def gradient(Y):
@@ -272,7 +284,7 @@ def _polish(germ: MixedGerm, Y0: np.ndarray, radius: float,
         H[acc] = _bfgs_update(H[acc], Yn[found] - Y[acc], gn - g[acc])
         Y[acc], f[acc], g[acc] = Yn[found], fn[found], gn
         live[acc] = running(gn)
-    return f, _on_sphere(Y, radius, Q)
+    return f, sphere(Y).T
 
 
 def _smallest_first(values: np.ndarray, k: int) -> np.ndarray:
@@ -315,14 +327,16 @@ def d_regularity_search(germ: MixedGerm, radius: float,
     draw = SobolDraw(seed, (0xD4E6, 0), budget, 2 * germ.n)
 
     def cover_rows(start: int, stop: int):
-        Xc = lift(draw.rows(start, stop))
+        Xc = lift(draw.columns(start, stop))
         defect, axis, degenerate, f, ga = _defects(germ, Xc, f_floor, Qm)
+        # unusable rows read inf and fall outside every bin
+        counts = _bin_counts(defect)
         if not collect_milnor:
-            return defect, axis, degenerate
+            return defect, axis, degenerate, counts
         colin, _, arg, violated = _colinearity(f, ga, Xc)
-        return defect, axis, degenerate, colin, np.abs(arg), violated
+        return defect, axis, degenerate, counts, colin, np.abs(arg), violated
 
-    defects, axis, degenerate, *tally = _cover(cover_rows, budget)
+    defects, axis, degenerate, counts, *tally = _cover(cover_rows, budget)
     usable_mask = ~axis & ~degenerate
     usable = int(np.count_nonzero(usable_mask))
     milnor = None
@@ -338,14 +352,13 @@ def d_regularity_search(germ: MixedGerm, radius: float,
             "angle_margin": ANGLE_MARGIN,
         }
 
-    hist, _ = np.histogram(defects[usable_mask], bins=HIST_BINS,
-                           range=(0.0, 1.0))
     common = dict(radius=radius, metric="identity" if Q is None else "custom",
                   budget=budget, usable=usable,
                   axis_excluded=int(np.count_nonzero(axis)),
                   degenerate_excluded=int(np.count_nonzero(degenerate)),
                   pass_threshold=pass_threshold,
-                  histogram=tuple(int(h) for h in hist), seed=seed,
+                  histogram=tuple(counts.reshape(-1, HIST_BINS).sum(axis=0)
+                                  .tolist()), seed=seed,
                   milnor=milnor)
     if usable == 0:
         return TransversalityReport(min_defect=float("inf"), witness=(),
@@ -354,7 +367,7 @@ def d_regularity_search(germ: MixedGerm, radius: float,
 
     # the witness and the polish starts, redrawn by index
     order = _smallest_first(defects, max(1, polish_runs))
-    Xo = lift(draw.at(order))
+    Xo = lift(draw.at(order).T).T
     min_defect, witness = float(defects[order[0]]), Xo[0]
 
     # local polishing from the worst (smallest-defect) usable samples
@@ -380,9 +393,9 @@ def d_regularity_search(germ: MixedGerm, radius: float,
 # ---------------------------------------------------------------------------
 
 def _colinearity(f, grad_a, X):
-    """Batched phase-colinearity test at stacked real points X of a
-    holomorphic germ, from f and the real gradient of Re f, which in complex
-    form is the Hermitian gradient conj(d_z f).
+    """Batched phase-colinearity test at the points X of a holomorphic germ,
+    from f and the real gradient of Re f, which in complex form is the
+    Hermitian gradient conj(d_z f).
 
     Returns (colinearity, lambda_prime, arg lambda_prime, violated).
     Colinearity is 1 - |<grad f, x>| / (||grad f|| ||x||) under the
@@ -395,10 +408,10 @@ def _colinearity(f, grad_a, X):
     """
     # named operands: numpy would otherwise reuse a temporary operand of a
     # large product and swap the factors, which moves the last bits
-    grad, zbar = to_complex(grad_a), to_complex(X)
+    grad, zbar = complex_columns(grad_a), complex_columns(X)
     np.conjugate(zbar, out=zbar)
-    norms = norm_rows(np.abs(grad)) * norm_rows(np.abs(zbar))
-    inner = np.sum(grad * zbar, axis=-1)
+    norms = norm_columns(np.abs(grad)) * norm_columns(np.abs(zbar))
+    inner = sum_columns(grad * zbar)
     lam = f * inner
     with np.errstate(invalid="ignore", divide="ignore"):
         colin = np.where(norms > 0, 1.0 - np.abs(inner) / norms, 1.0)
@@ -430,7 +443,7 @@ def radial_lambda_scan(germ: MixedGerm, direction, radii: Sequence[float]
     t = np.asarray(radii, dtype=float)
     X = t[:, None] * unit
     f, ga, _ = real_gradients(germ, X)
-    colin, _, arg, violated = _colinearity(f, ga, X)
+    colin, _, arg, violated = _colinearity(f, ga.T, X.T)
     hits = germ.on_axis(X, f)
     return [RadialScanEntry(float(r), None, None, AxisProximity.__name__)
             if hit else RadialScanEntry(float(r), float(c), float(a),
@@ -490,17 +503,16 @@ def strong_milnor_check(germ: MixedGerm, radius: float, budget: int = 10000,
     draw = SobolDraw(seed, (0x5713, 0), budget, 2 * germ.n)
 
     def cover_rows(start: int, stop: int):
-        Xc = radius * draw.rows(start, stop)
+        Xc = radius * draw.columns(start, stop)
         _, _, rho, gts = _phase_fields(germ, Xc)
-        r = norm_rows(Xc)[..., None]
+        r = norm_columns(Xc)
         # the second singular value of the differential of the
         # radius-times-phase map, rows x/|x| and r*grad_theta in the frame
         # (phase, i*phase) of the target plane: positive at every sphere
         # point means the sphere-restricted phase map is a submersion onto
         # the circle
         with np.errstate(invalid="ignore", divide="ignore"):
-            margins = gram_margin(Xc / r, gts * (r / rho[..., None] ** 2),
-                                  uu=1.0)
+            margins = gram_margin(Xc / r, gts * (r / rho ** 2), uu=1.0)
         usable = rho > f_floor
         return np.where(usable, margins, np.inf), usable
 
@@ -576,7 +588,7 @@ def critical_value_isolation_scan(germ: MixedGerm, radius: float,
     threshold = default_pass_threshold(newton_tol) * grad_scale
 
     def cover_rows(start: int, stop: int):
-        f, ga, gb = real_gradients(germ, draw.rows(start, stop))
+        f, ga, gb = column_gradients(germ, draw.columns(start, stop))
         usable = np.abs(f) > f_floor
         return np.where(usable, gram_margin(ga, gb), np.inf), usable
 

@@ -24,8 +24,8 @@ from pencillab.regularity import (_colinearity, _defects, _polish,
 
 def _defect_row(g, z):
     """(defect, axis, degenerate) of the batch defect kernel on one complex
-    point z."""
-    defect, axis, degenerate, _, _ = _defects(g, to_real(z)[None, :], 0.0)
+    point z, a one-point column."""
+    defect, axis, degenerate, _, _ = _defects(g, to_real(z)[:, None], 0.0)
     return defect[0], axis[0], degenerate[0]
 
 
@@ -33,7 +33,7 @@ def _colinearity_rows(g, Z):
     """(colinearity, lambda_prime, arg, violated) at the complex rows of Z."""
     X = to_real(Z)
     f, ga, _ = real_gradients(g, X)
-    return _colinearity(f, ga, X)
+    return _colinearity(f, ga.T, X.T)
 
 
 def test_defect_is_one_for_linear_germ():
@@ -96,16 +96,18 @@ def test_defect_resolves_angles_at_the_pass_threshold(angle):
 def test_cover_scans_run_the_germ_kernel_once_per_chunk(monkeypatch, scan):
     # each CHUNK_ROWS-row chunk of the 40000 rows needs f and the first
     # derivatives from one kernel call; the witness is redrawn by index
-    # without one
+    # without one. The cover runs the kernel on coordinate-major points
+    # through germ.column_gradients, so the calls are counted where every
+    # germ pass takes its generated kernel
     monkeypatch.setenv("PENCILLAB_THREADS", "1")
     calls = []
-    kernel = germ_module._derivatives
+    kernel = germ_module._kernel
 
-    def counted(g, z, orders):
+    def counted(n, terms, orders):
         calls.append(orders)
-        return kernel(g, z, orders)
+        return kernel(n, terms, orders)
 
-    monkeypatch.setattr(germ_module, "_derivatives", counted)
+    monkeypatch.setattr(germ_module, "_kernel", counted)
     if scan == "dreg":
         d_regularity_search(parse_germ("z1^2 + z2^3", 2), 0.5, budget=40000,
                             polish_runs=0, collect_milnor=True)
@@ -126,7 +128,13 @@ def test_cover_reports_do_not_depend_on_chunk_size_or_threads(monkeypatch):
     budget = 2 * 8192 + 1
     a2a3 = parse_germ("z1^2 + z2^3", 2)
     mixed = parse_germ("z1^2*zbar2 + z2^2*zbar1", 2)
+    # n = 3: 6-entry dots, whose two accumulators hold three products each
+    g235 = parse_germ("z1^2 + z2^3 + z3^5", 3)
     jobs = {
+        "dreg-235": lambda: d_regularity_search(g235, 0.5, budget=budget,
+                                                seed=5, polish_runs=30),
+        "strong-milnor-235": lambda: strong_milnor_check(
+            g235, 0.5, budget=budget, seed=6),
         "dreg": lambda: d_regularity_search(a2a3, 0.5, budget=budget, seed=1,
                                             polish_runs=30),
         "dreg-metric": lambda: d_regularity_search(
@@ -150,12 +158,16 @@ def test_cover_reports_do_not_depend_on_chunk_size_or_threads(monkeypatch):
 
 
 def test_metric_lift_of_a_lone_row_is_its_row_in_a_cover():
-    # a witness and a 1-row tail chunk are lifted alone
+    # a witness and a 1-row tail chunk are lifted alone; the lift takes
+    # coordinate-major points, and a point is lifted as in the row-major
+    # BLAS product U @ L^-1
     lift, _ = regularity._metric_mapper(METRIC_Q, 0.5)
     U = sobol_unit_sphere(0, (1,), 2000, 4)
-    whole = lift(U)
+    whole = lift(U.T)
+    rows = 0.5 * (U @ np.linalg.inv(np.linalg.cholesky(METRIC_Q)))
+    assert whole.T.tobytes() == rows.tobytes()
     for k in range(len(U)):
-        assert lift(U[k:k + 1]).tobytes() == whole[k:k + 1].tobytes()
+        assert lift(U[k:k + 1].T).T.tobytes() == whole.T[k:k + 1].tobytes()
 
 
 def test_cover_memory_stays_within_a_few_chunks(monkeypatch):
@@ -244,8 +256,8 @@ def test_dreg_search_with_more_polish_runs_than_usable_rows(monkeypatch):
         def __init__(self, *args):
             pass
 
-        def rows(self, start, stop):
-            return U[start:stop].copy()
+        def columns(self, start, stop):
+            return U[start:stop].T.copy()
 
         def at(self, index):
             return U[np.asarray(index)]
@@ -401,7 +413,7 @@ def test_phase_margin_closed_form_rows():
     # orthogonal rows: second singular value is the smaller row norm
     x = np.array([1.0, 0.0, 0.0, 0.0])
     v = np.array([0.0, 2.0, 0.0, 0.0])
-    m = gram_margin(x[None, :], v[None, :], uu=1.0)
+    m = gram_margin(x[:, None], v[:, None], uu=1.0)
     assert abs(m[0] - 1.0) < 1e-14
 
 
