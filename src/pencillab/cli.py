@@ -128,11 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_angle(text) -> float:
     """Angle literal: a float, or an arithmetic expression over 'pi'."""
-    if isinstance(text, (int, float)):
+    if isinstance(text, (int, float)) and not isinstance(text, bool):
         return float(text)
 
     def ev(nd):
-        if isinstance(nd, ast.Constant) and isinstance(nd.value, (int, float)):
+        if isinstance(nd, ast.Constant) and type(nd.value) in (int, float):
             return float(nd.value)
         if isinstance(nd, ast.Name) and nd.id == "pi":
             return math.pi
@@ -287,7 +287,8 @@ def resolve_germ(cfg: dict) -> MixedGerm:
         seen = [int(m) for m in re.findall(r"z(?:bar)?(\d+)", text)]
         if not seen:
             raise UsageError("germ", "no variables found in the expression")
-        n = max(seen)
+        # z0 alone is parsed at n = 1, where its index is out of range
+        n = max(max(seen), 1)
     if n < 1:
         raise UsageError("n", "n must be at least 1")
     try:
@@ -556,6 +557,10 @@ def _cmd_flow(cfg, germ, warnings):
         else:
             eta = _default_eta(cfg, germ)
             t1 = t0 + math.log(eta / _above_tube(germ, x0, eta))
+    if not math.isfinite(t1 - t0):
+        # a default t1 overflows only through monodromy's revolutions
+        raise UsageError("t1" if cfg["t1"] is not None else "revolutions",
+                         "flow span t1 - t0 must be finite")
     trace = integrate(germ, spec, x0, (t0, t1))
     result = {
         "kind": cfg["kind"],

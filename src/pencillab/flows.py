@@ -1,12 +1,13 @@
 """Constraint-synthesized vector fields and monitored transport.
 
 Each field kind is the minimum-norm solution of a small linear system on
-the velocity, built from the point, the phase gradient, and the gradient
-of log|f| (rows of a Gram system):
+the velocity w: two equality rows with right-hand side (0, 1), built from
+the point x, the phase gradient and the gradient of log|f|, and a third row
+that the kind holds at 0 or bounds (after the bar):
 
-    monodromy:  <w, x> = 0, <w, grad_theta> = 1, <w, grad_log|f|> = 0
-    radial:     <v, grad_theta> = 0, <v, 2x> = 1
-    tube:       <v, grad_theta> = 0, <v, grad_log|f|> = 1, <v, x> > 0
+    monodromy:  <w, x> = 0, <w, grad_theta> = 1 | <w, grad_log|f|> = 0
+    radial:     <w, grad_theta> = 0, <w, 2x> = 1 | <w, grad_log|f|> corridor
+    tube:       <w, grad_theta> = 0, <w, grad_log|f|> = 1 | <w, x> > 0
 
 Rows are normalized before solving, which leaves the solution unchanged
 but makes the Gram condition number measure genuine near-dependence of
@@ -24,18 +25,14 @@ gradient of log f become complex-colinear; there the tube row is dropped
 (fallback) and the drift <w, grad_log|f|> is monitored against the
 completeness bound |drift| < 1.
 
-Two kinds use the null space of their constraint system when the bare
-minimum-norm solution misbehaves, both with a `corrected` diagnostic:
-
-  * tube: when the outward radial component <v, x> drops to or below a
-    small positive floor, the sphere-tangent tube-tangent outward
-    direction is added to restore it (the two equality constraints are
-    untouched); only when that direction does not exist is the positivity
-    failure raised.
-  * radial: the log|f| rate along the flow is clamped to a corridor
-    around the conical scaling rate, which keeps inward orbits from
-    collapsing onto the zero set in finite time; orbits already inside
-    the corridor get the untouched minimum-norm field.
+Radial and tube solve the two equality rows alone and restore the bound
+in their null space: where the rate <w, third> leaves it, they add
+(target - rate) u, with u the minimum-norm solution of
+[rows; third] u = (0, 0, 1), and report `corrected`. The tube floor is
+pos_margin |w| |x|; the radial corridor, corridor_factor either side of
+the conical rate deg / (2 r^2), keeps inward orbits from collapsing onto
+the zero set in finite time. Where u does not exist, radial keeps the bare
+field and tube raises PositivityViolation.
 
 Transport uses an embedded Dormand-Prince 4(5) pair with per-accepted-step
 projection back onto the exact invariant set of the kind (the start sphere
@@ -178,10 +175,13 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x, axis_floor: float
                      ) -> Tuple[np.ndarray, complex, FieldDiagnostics]:
     """Minimum-norm velocity satisfying the kind's constraint system at x.
 
-    x and the velocity are stacked real vectors (2n,). Returns the velocity,
-    f at x from the same germ pass, and the Gram condition number, fallback
-    state, and whether a null-space correction was applied (tube positivity
-    restore or radial corridor clamp). AxisProximity where |f| <= axis_floor.
+    Monodromy solves its three rows and drops the third on GramSingular
+    (fallback). Radial and tube solve the two equality rows and, where the
+    rate along the third leaves the kind's bound, add the restore direction
+    u of [rows; third] u = (0, 0, 1) (corrected); without u radial keeps the
+    bare field and tube raises PositivityViolation. x and the velocity are
+    stacked real vectors (2n,). Returns the velocity, f at x from the same
+    germ pass, and the diagnostics. AxisProximity where |f| <= axis_floor.
     As for differential_sample, a list x stays in Python numbers: the
     velocity comes back as a list of floats and f as a complex; an array x
     gets arrays.
@@ -209,51 +209,43 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x, axis_floor: float
             except GramSingular as exc:
                 raise GramSingular(f"fallback {exc}") from None
             fallback = True
-    elif spec.kind is FlowKind.RADIAL:
-        x2 = [2.0 * v for v in x]
-        w, cond = _solve_min_norm([gt, x2], [0.0, 1.0], spec.cond_max)
-        # Keep the log|f| rate along the flow inside a corridor around the
-        # conical scaling rate deg / (2 r^2); an unclamped inward orbit can
-        # otherwise collapse onto the zero set before reaching its target
-        # sphere.  Inside the corridor the untouched solution is returned.
-        if len(x) > 2:
+    else:
+        # two equality rows with right-hand side (0, 1) and a bounded third
+        radial = spec.kind is FlowKind.RADIAL
+        rows = [gt, [2.0 * v for v in x] if radial else gl]
+        third = gl if radial else x
+        w, cond = _solve_min_norm(rows, [0.0, 1.0], spec.cond_max)
+        rate = _dot(w, third)
+        if not radial:
+            # outward: <w, x> above a floor relative to |w| |x|
+            target = spec.pos_margin * math.sqrt(_dot(w, w)) * x_norm
+            restore = rate <= target
+        else:
+            # the log|f| rate in a corridor around deg / (2 r^2), so that an
+            # inward orbit cannot collapse onto the zero set before reaching
+            # its target sphere; n = 1 leaves no room for the third row
             lo_deg, hi_deg = germ.degree_span
             kappa = spec.corridor_factor
-            lo = lo_deg / (2.0 * kappa * r2)
-            hi = kappa * hi_deg / (2.0 * r2)
-            slope = _dot(w, gl)
-            target = min(max(slope, lo), hi)
-            if target != slope:
-                try:
-                    u, cond3 = _solve_min_norm([gt, x2, gl],
-                                               [0.0, 0.0, 1.0], spec.cond_max)
-                except GramSingular:
-                    u = None  # no clamp direction: keep the bare field
-                if u is not None:
-                    step = target - slope
-                    w = [p + step * q for p, q in zip(w, u)]
-                    cond = max(cond, cond3)
-                    corrected = True
-    else:
-        w, cond = _solve_min_norm([gt, gl], [0.0, 1.0], spec.cond_max)
-        # Restore outward positivity inside the null space of the two
-        # equality constraints when the minimum-norm velocity points along
-        # or into the sphere.
-        radial = _dot(w, x)
-        floor = spec.pos_margin * math.sqrt(_dot(w, w)) * x_norm
-        if radial <= floor:
+            target = min(max(rate, lo_deg / (2.0 * kappa * r2)),
+                         kappa * hi_deg / (2.0 * r2))
+            restore = len(x) > 2 and target != rate
+        if restore:
+            # u keeps both equality rows and moves the rate by one
             try:
-                u, cond3 = _solve_min_norm([gt, gl, x], [0.0, 0.0, 1.0],
+                u, cond3 = _solve_min_norm(rows + [third], [0.0, 0.0, 1.0],
                                            spec.cond_max)
             except GramSingular:
-                raise PositivityViolation(
-                    "tube-equivalence velocity lost its outward radial "
-                    "component and no tangent restore direction exists"
-                ) from None
-            step = floor - radial
-            w = [p + step * q for p, q in zip(w, u)]
-            cond = max(cond, cond3)
-            corrected = True
+                # no u: radial keeps the bare field, tube fails
+                if not radial:
+                    raise PositivityViolation(
+                        "tube-equivalence velocity lost its outward radial "
+                        "component and no tangent restore direction exists"
+                    ) from None
+            else:
+                step = target - rate
+                w = [p + step * q for p, q in zip(w, u)]
+                cond = max(cond, cond3)
+                corrected = True
 
     drift = 0.0
     if fallback:

@@ -105,6 +105,7 @@ JOB_FILES = {
     "budget.json": '{"command": "info", "germ": "z1", "budget": "many"}',
     "radius.json": '{"command": "info", "germ": "z1", "radius": [1]}',
     "germ.json": '{"command": "info", "germ": {"n": 2}}',
+    "theta.json": '{"command": "info", "germ": "z1", "theta": true}',
     "deep.json": "[" * 10000 + "]" * 10000,
 }
 DEEP_JSON = ("maximum recursion depth exceeded while decoding a JSON array "
@@ -139,6 +140,10 @@ NOT_FOUND = "[Errno 2] No such file or directory: '{tmp}/missing.json'"
          "start point has |f| at or below the tube level"),
         ("theta-division-by-zero", ("info", "--germ", "z1", "--theta",
          "1/0"), "theta", "division by zero in angle '1/0'"),
+        ("theta-bool", ("info", "--germ", "z1", "--theta", "True"), "theta",
+         "bad angle 'True'"),
+        ("theta-bool-json", ("--config", "{tmp}/theta.json"), "theta",
+         "bad angle True"),
         ("theta-deep", ("info", "--germ", "z1", "--theta",
          "+".join(["1"] * 5000)), "theta", "angle expression nested too "
          "deeply"),
@@ -153,6 +158,14 @@ NOT_FOUND = "[Errno 2] No such file or directory: '{tmp}/missing.json'"
          "no variables found in the expression"),
         ("n-below-one", ("info", "--germ", "z1", "--n", "0"), "n",
          "n must be at least 1"),
+        ("germ-index-zero", ("info", "--germ", "z0"), "germ",
+         "variable index out of range: z0 (at position 0)"),
+        ("flow-span-overflow", ("flow", "--kind", "radial", "--germ", "z1",
+         "--n", "2", "--start", "0.5,0,0,0", "--t0", "1e308",
+         "--t1=-1e308"), "t1", "flow span t1 - t0 must be finite"),
+        ("flow-span-revolutions", ("flow", "--germ", "z1", "--n", "2",
+         "--start", "0.5,0,0,0", "--revolutions", "1e308"), "revolutions",
+         "flow span t1 - t0 must be finite"),
         ("config-unreadable", ("--config", "{tmp}/missing.json"), "config",
          "cannot read {tmp}/missing.json: " + NOT_FOUND),
         ("config-invalid", ("--config", "{tmp}/bad.json"), "config",

@@ -117,6 +117,27 @@ def test_radial_corridor_clamp_engages():
     assert abs(w @ (2.0 * ADVERSE) - 1.0) < 1e-12
 
 
+def test_radial_corridor_keeps_the_bare_field_without_clamp_direction(
+        monkeypatch):
+    # cond_max is set between the 2-row (1.0) and 3-row (1.21) Gram
+    # conditions, so the clamp direction is refused; unlike the tube
+    # restore, the radial field then comes back uncorrected
+    monkeypatch.setattr(FlowSpec, "cond_max", 1.1)
+    _, gl, gt = differential_sample(BRIESKORN, ADVERSE, ADVERSE_FLOOR)
+    bare, cond = _solve_min_norm([gt, 2.0 * ADVERSE], [0.0, 1.0], 1.1)
+    with pytest.raises(GramSingular):
+        _solve_min_norm([gt, 2.0 * ADVERSE, gl], [0.0, 0.0, 1.0], 1.1)
+    spec = FlowSpec(FlowKind.RADIAL)
+    r2 = float(ADVERSE @ ADVERSE)
+    lo = 2.0 / (2.0 * spec.corridor_factor * r2)
+    hi = spec.corridor_factor * 3.0 / (2.0 * r2)
+    assert not lo <= float(np.dot(bare, gl)) <= hi
+    w, _, dg = synthesize_field(BRIESKORN, spec, ADVERSE, ADVERSE_FLOOR)
+    assert not dg.corrected and not dg.fallback
+    assert dg.cond == cond
+    assert w.tolist() == bare
+
+
 def test_radial_corridor_inactive_on_nominal_points():
     fs = sample_fiber(BRIESKORN, 0.0, 0.5, count=6, seed=2)
     for x in to_real(fs.points):
