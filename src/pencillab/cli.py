@@ -550,13 +550,18 @@ def _cmd_flow(cfg, germ, warnings):
     eta = None
     if t1 is None:
         if kind is FlowKind.MONODROMY:
-            t1 = t0 + TWO_PI * cfg["revolutions"]
+            span = TWO_PI * cfg["revolutions"]
         elif kind is FlowKind.RADIAL:
             r0 = float(np.linalg.norm(to_real(x0)))
-            t1 = t0 - 0.75 * r0 * r0
+            span = -0.75 * r0 * r0
         else:
             eta = _default_eta(cfg, germ)
-            t1 = t0 + math.log(eta / _above_tube(germ, x0, eta))
+            span = math.log(eta / _above_tube(germ, x0, eta))
+        t1 = t0 + span
+        if t1 == t0 and span != 0.0:
+            # the flow would not move, yet pass as an empty span
+            raise UsageError("t0", "t0 + span rounds to t0 for the default "
+                             f"span {span!r}")
     if not math.isfinite(t1 - t0):
         # a default t1 overflows only through monodromy's revolutions
         raise UsageError("t1" if cfg["t1"] is not None else "revolutions",

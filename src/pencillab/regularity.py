@@ -194,6 +194,8 @@ def _metric_mapper(Q: Optional[np.ndarray], radius: float):
 POLISH_ITER = 60
 POLISH_GTOL = 1e-12
 POLISH_BACKTRACKS = 12
+# the Armijo steps after the full one: 1/2, 1/4, ..., 2^(1 - POLISH_BACKTRACKS)
+_LADDER = 0.5 ** np.arange(1, POLISH_BACKTRACKS)
 _EPS = np.finfo(float).eps
 # central-difference step relative to |y|; below the usual eps^(1/3)
 # because the defect can grow like |z_j|^3 away from its minimum (z2 = 0 on
@@ -218,14 +220,17 @@ def _polish(germ: MixedGerm, Y0: np.ndarray, radius: float,
     """Batched BFGS on the defect from every row of Y0, over the sphere
     parametrisation y -> r y / sqrt(y^T Q y).
 
-    Each row keeps its own inverse Hessian. Gradients are central
-    differences from one defect-kernel call per iteration; steps come from
-    Armijo backtracking. Points off the domain (axis, degenerate or not
-    finite) read 1, the largest defect. A row stops after POLISH_ITER
-    iterations, when its gradient's max norm falls to POLISH_GTOL, when
-    POLISH_BACKTRACKS halvings find no step that lowers the value by more
-    than rounding, or when its gradient is not finite. No arithmetic mixes
-    rows, so a start gives the same bits alone or inside any batch.
+    Each row keeps its own inverse Hessian. An iteration makes at most
+    three defect-kernel calls: the full step for every live row, then the
+    halvings 1/2 ... 2^(1 - POLISH_BACKTRACKS) of the rows it failed, all at
+    once, each row taking its first that passes Armijo's test, then the
+    central-difference gradients at the accepted points. Points off the
+    domain (axis, degenerate or not finite) read 1, the largest defect. A
+    row stops after POLISH_ITER iterations, when its gradient's max norm
+    falls to POLISH_GTOL, when none of its POLISH_BACKTRACKS steps lowers
+    the value by more than rounding, or when its gradient is not finite.
+    No arithmetic mixes rows, so a start gives the same bits alone or
+    inside any batch.
     Returns (values, points on the sphere).
     """
     def sphere(Y):
@@ -261,21 +266,22 @@ def _polish(germ: MixedGerm, Y0: np.ndarray, radius: float,
             break
         p = -np.sum(H[idx] * g[idx, None, :], axis=-1)
         slope = 1e-4 * np.sum(g[idx] * p, axis=-1)
-        alpha = np.ones(idx.size)
-        Yn, fn = Y[idx], f[idx]
-        found = np.zeros(idx.size, dtype=bool)
-        todo = np.arange(idx.size)
-        for _ in range(POLISH_BACKTRACKS):
-            trial = Yn[todo] + alpha[todo, None] * p[todo]
+        Yn = Y[idx] + p
+        fn = objective(Yn)
+        found = fn <= f[idx] + np.minimum(slope, -4.0 * _EPS * f[idx])
+        miss = np.flatnonzero(~found)
+        if miss.size:
+            # every halving of the rows that missed, in one call; a row
+            # takes its first (largest) passing step
+            fm = f[idx[miss], None]
+            trial = Y[idx[miss], None] + _LADDER[:, None] * p[miss, None]
             ft = objective(trial)
-            ok = ft <= fn[todo] + np.minimum(alpha[todo] * slope[todo],
-                                             -4.0 * _EPS * fn[todo])
-            hit = todo[ok]
-            Yn[hit], fn[hit], found[hit] = trial[ok], ft[ok], True
-            todo = todo[~ok]
-            if todo.size == 0:
-                break
-            alpha[todo] *= 0.5
+            ok = ft <= fm + np.minimum(_LADDER * slope[miss, None],
+                                       -4.0 * _EPS * fm)
+            k = np.argmax(ok, axis=1)
+            rows = np.arange(miss.size)
+            Yn[miss], fn[miss] = trial[rows, k], ft[rows, k]
+            found[miss] = ok[rows, k]
         live[idx[~found]] = False
         acc = idx[found]
         if acc.size == 0:

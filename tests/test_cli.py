@@ -166,6 +166,12 @@ NOT_FOUND = "[Errno 2] No such file or directory: '{tmp}/missing.json'"
         ("flow-span-revolutions", ("flow", "--germ", "z1", "--n", "2",
          "--start", "0.5,0,0,0", "--revolutions", "1e308"), "revolutions",
          "flow span t1 - t0 must be finite"),
+        ("flow-span-lost", ("flow", "--germ", "z1^2+z2^3", "--start",
+         "0.5,0,0,0.1", "--t0", "1e17"), "t0",
+         "t0 + span rounds to t0 for the default span 6.283185307179586"),
+        ("flow-span-lost-tube", ("flow", "--kind", "tube", "--germ", "z1",
+         "--n", "2", "--start", "0.5,0,0,0", "--t0", "1e308"), "t0",
+         "t0 + span rounds to t0 for the default span -6.907755278982137"),
         ("config-unreadable", ("--config", "{tmp}/missing.json"), "config",
          "cannot read {tmp}/missing.json: " + NOT_FOUND),
         ("config-invalid", ("--config", "{tmp}/bad.json"), "config",
@@ -235,6 +241,15 @@ def test_bad_point_is_usage_error(capsys, tmp_path, argv, field, message):
     assert out == ""
     assert err == (f"error: field '{field}': "
                    f"{message.replace('{tmp}', str(tmp_path))}\n")
+
+
+def test_flow_with_t1_given_equal_to_t0_is_an_empty_span(capsys):
+    code, out, err = run(capsys, "flow", "--germ", "z1^2+z2^3", "--start",
+                         "0.5,0,0,0.1", "--t0", "1e17", "--t1", "1e17")
+    assert code == 0 and err == ""
+    result = report_of(out)["result"]
+    assert result["termination"] == "empty-span"
+    assert result["n_accepted"] == 0
 
 
 def test_direction_with_an_overflowing_norm_is_scanned(capsys):

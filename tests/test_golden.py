@@ -20,8 +20,12 @@ the two reports and whether they agree under the golden comparison, so a
 change that moves last bits can quote how far. The flow and
 equivalence jobs run a second time with `--out <job>`, so their trace and
 point files are compared byte for byte too. Polished `dreg` jobs are left out
-on purpose: the polish steps along finite-difference gradients, which turn
-one-ulp changes into visible ones.
+of the stored goldens on purpose: the polish steps along finite-difference
+gradients, which turn one-ulp changes into visible ones, so a golden made on
+one CPU would not hold at 1e-13 on another. --compare runs a few of them
+anyway (COMPARE_ONLY) and writes no golden file for them: both trees run on
+the same machine, so that amplification cannot tell them apart, and any
+difference comes from the code.
 """
 
 import contextlib
@@ -90,6 +94,18 @@ JOBS = {
     "mu_235": ["mu", "--exponents", "2,3,5"],
     "double_check_a2a3": ["double-check", "--germ", A2A3, "--budget",
                           "100000", "--stability", "8", "--seed", "1"],
+}
+
+# polished dreg jobs that only --compare runs, in both trees
+COMPARE_ONLY = {
+    "dreg_a2a3_polished": ["dreg", "--germ", A2A3, "--budget", "20000",
+                           "--polish", "100"],
+    "dreg_235_polished": ["dreg", "--germ", "z1^2 + z2^3 + z3^5", "--budget",
+                          "20000", "--polish", "100"],
+    "dreg_mixed_metric_polished": ["dreg", "--germ", MIXED, "--budget",
+                                   "20000", "--polish", "100", "--metric",
+                                   "[[2,0,0,0],[0,1,0,0],[0,0,1,0],"
+                                   "[0,0,0,0.5]]"],
 }
 
 # commands without a golden job, with the reason
@@ -246,6 +262,7 @@ if __name__ == "__main__":
         runs = list(JOBS.items()) + [
             (f"{job} --out", [*argv, "--out", job])
             for job, argv in JOBS.items() if argv[0] in OUT_COMMANDS]
+        runs += COMPARE_ONLY.items()
         diffs = 0
         for name, argv in runs:
             got, want = job_output(here, argv), job_output(parent, argv)

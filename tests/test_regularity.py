@@ -289,9 +289,9 @@ def test_every_search_is_inconclusive_at_budget_zero():
     assert reports[2].extra["excluded_fraction"] == 0.0
 
 
-def _polish_starts(count=100):
-    g = parse_germ("z1^2 + z2^3", 2)
-    Y = 0.5 * sobol_unit_sphere(0, (7,), count, 4)
+def _polish_starts(count=100, text="z1^2 + z2^3", n=2):
+    g = parse_germ(text, n)
+    Y = 0.5 * sobol_unit_sphere(0, (7,), count, 2 * n)
     return g, Y
 
 
@@ -303,6 +303,125 @@ def test_polish_start_alone_matches_its_row_in_a_batch(Q):
         v1, X1 = _polish(g, Y[k:k + 1], 0.5, Q, g.f_floor(0.5))
         assert v1[0] == values[k]
         assert np.array_equal(X1[0], X[k])
+
+
+def _sequential_polish(germ, Y0, radius, Q, f_floor):
+    """_polish with a sequential Armijo line search, one defect-kernel call
+    per halving on the rows still backtracking: the reference that the
+    step ladder must reproduce bit for bit."""
+    def sphere(Y):
+        Y = np.moveaxis(Y, -1, 0)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            return radius * Y / np.sqrt(_num.sum_columns(
+                Y * regularity._metric_normal(Q, Y)))
+
+    def objective(Y):
+        d = _defects(germ, sphere(Y), f_floor, Q)[0]
+        return np.where(np.isfinite(d), d, 1.0)
+
+    def gradient(Y):
+        E = (regularity._FD_STEP * _num.norm_rows(Y))[:, None, None] \
+            * np.eye(Y.shape[1])
+        up, down = Y[:, None, :] + E, Y[:, None, :] - E
+        F = objective(np.stack([up, down], axis=1))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return (F[:, 0] - F[:, 1]) / np.diagonal(up - down, 0, 1, 2)
+
+    def running(g):
+        return np.isfinite(g).all(axis=-1) & (
+            np.max(np.abs(g), axis=-1) > regularity.POLISH_GTOL)
+
+    eps = np.finfo(float).eps
+    Y = np.array(Y0, dtype=float)
+    f, g = objective(Y), gradient(Y)
+    H = _num.norm_rows(Y)[:, None, None] ** 2 * np.eye(Y.shape[1])
+    live = running(g)
+    for _ in range(regularity.POLISH_ITER):
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        p = -np.sum(H[idx] * g[idx, None, :], axis=-1)
+        slope = 1e-4 * np.sum(g[idx] * p, axis=-1)
+        alpha = np.ones(idx.size)
+        Yn, fn = Y[idx], f[idx]
+        found = np.zeros(idx.size, dtype=bool)
+        todo = np.arange(idx.size)
+        for _ in range(regularity.POLISH_BACKTRACKS):
+            trial = Yn[todo] + alpha[todo, None] * p[todo]
+            ft = objective(trial)
+            ok = ft <= fn[todo] + np.minimum(alpha[todo] * slope[todo],
+                                             -4.0 * eps * fn[todo])
+            hit = todo[ok]
+            Yn[hit], fn[hit], found[hit] = trial[ok], ft[ok], True
+            todo = todo[~ok]
+            if todo.size == 0:
+                break
+            alpha[todo] *= 0.5
+        live[idx[~found]] = False
+        acc = idx[found]
+        if acc.size == 0:
+            continue
+        gn = gradient(Yn[found])
+        H[acc] = regularity._bfgs_update(H[acc], Yn[found] - Y[acc],
+                                         gn - g[acc])
+        Y[acc], f[acc], g[acc] = Yn[found], fn[found], gn
+        live[acc] = running(gn)
+    return f, sphere(Y).T
+
+
+@pytest.mark.parametrize("text,n,Q", [
+    ("z1^2 + z2^3", 2, None), ("z1^2 + z2^3", 2, METRIC_Q),
+    ("z1^2 + z2^3 + z3^5", 3, None), ("z1^2*zbar2 + z2^2*zbar1", 2, None)],
+    ids=["a2a3", "a2a3-metric", "235", "mixed"])
+def test_step_ladder_matches_the_sequential_line_search(text, n, Q):
+    g, Y = _polish_starts(100, text, n)
+    values, X = _polish(g, Y, 0.5, Q, g.f_floor(0.5))
+    want, Xw = _sequential_polish(g, Y, 0.5, Q, g.f_floor(0.5))
+    assert np.array_equal(values, want)
+    assert np.array_equal(X, Xw)
+
+
+def _counted_polish(monkeypatch, g, Y):
+    """_polish of the starts Y with the point shape of every defect-kernel
+    call, leading (coordinate) axis dropped."""
+    shapes = []
+    kernel = regularity._defects
+
+    def counting(germ, X, *args):
+        shapes.append(X.shape[1:])
+        return kernel(germ, X, *args)
+
+    monkeypatch.setattr(regularity, "_defects", counting)
+    return _polish(g, Y, 0.5, None, g.f_floor(0.5)), shapes
+
+
+def test_polish_makes_at_most_three_kernel_calls_per_iteration(monkeypatch):
+    g, Y = _polish_starts()
+    _, shapes = _counted_polish(monkeypatch, g, Y)
+    # the start's objective and gradient, then per iteration the full step
+    # (one point per row), the ladder (11 per row) and the gradient
+    assert shapes[:2] == [(100,), (100, 2, 4)]
+    iterations = sum(len(s) == 1 for s in shapes) - 1
+    ladders = [s for s in shapes if len(s) == 2]
+    assert all(s[1] == regularity.POLISH_BACKTRACKS - 1 for s in ladders)
+    assert len(shapes) <= 2 + 3 * iterations
+    assert (len(shapes), iterations, len(ladders)) == (182, 60, 60)
+
+
+def test_polish_row_without_a_passing_step_stops_at_its_start(monkeypatch):
+    # the defect of z1 is 1 up to rounding: the rows whose difference
+    # gradient is not exactly 0 take one iteration, fail all 12 trials and
+    # stop there
+    g, Y = _polish_starts(text="z1")
+    (values, X), shapes = _counted_polish(monkeypatch, g, Y)
+    rows = shapes[2][0]
+    assert rows > 0
+    assert shapes[2:] == [(rows,), (rows, regularity.POLISH_BACKTRACKS - 1)]
+    assert np.all(np.abs(values - 1.0) <= 1e-15)
+    monkeypatch.setattr(regularity, "POLISH_ITER", 0)
+    start_values, start_points = _polish(g, Y, 0.5, None, g.f_floor(0.5))
+    assert np.array_equal(values, start_values)
+    assert np.array_equal(X, start_points)
 
 
 def test_polish_bad_starts_fail_only_their_own_rows():
