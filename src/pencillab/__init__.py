@@ -7,7 +7,7 @@ from .errors import (AxisApproach, AxisProximity, BallExit,
                      CompletenessViolation, DegenerateAfterRetries,
                      DegenerateGradient, GermSyntaxError, GramSingular,
                      PencilLabError, PositivityViolation, ProjectionFailure,
-                     StepCollapse, Unstable)
+                     StepCollapse, Unstable, UsageError)
 from .flows import (FlowKind, FlowSpec, MonodromyReturn, TransportRecord,
                     equivalence_transport, integrate, monodromy_return,
                     synthesize_field)
@@ -35,7 +35,7 @@ __all__ = [
     "MonodromyReturn", "MorseInventory", "PencilLabError",
     "PositivityViolation", "ProjectionFailure", "RadialScanEntry",
     "ScanReport", "StepCollapse", "TransportRecord", "TransversalityReport",
-    "Unstable", "blowup_residual", "closed_form_mu",
+    "Unstable", "UsageError", "blowup_residual", "closed_form_mu",
     "critical_value_isolation_scan", "d_regularity_search",
     "differential_sample", "double_fiber_consistency",
     "equivalence_transport", "evaluate", "format_germ", "h_theta",

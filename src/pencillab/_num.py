@@ -22,6 +22,8 @@ import numpy as np
 import scipy
 from scipy.special import ndtri
 
+from .errors import UsageError
+
 
 # ---------------------------------------------------------------------------
 # real <-> complex layout
@@ -125,7 +127,7 @@ SOBOL_BITS = 30
 SOBOL_MAXDIM = 21201
 
 
-class SobolCountError(ValueError):
+class SobolCountError(UsageError):
     """A Sobol draw asked for more than 2**SOBOL_BITS points."""
 
 
@@ -247,9 +249,10 @@ class SobolDraw:
                  radius: Optional[float] = None):
         d = dim if radius is None else dim + 1
         if d > SOBOL_MAXDIM:
-            raise ValueError(f"Sobol dimension {d} > {SOBOL_MAXDIM}")
+            raise UsageError("dim", f"Sobol dimension {d} > {SOBOL_MAXDIM}")
         if count > 2 ** SOBOL_BITS:
-            raise SobolCountError(f"Sobol count {count} > 2**{SOBOL_BITS}")
+            raise SobolCountError("count",
+                                  f"Sobol count {count} > 2**{SOBOL_BITS}")
         self.count, self.dim, self.radius = max(0, count), dim, radius
         self._shift, self._sv = _sobol_scramble(seed, key, d)
         self._period = CHUNK_ROWS
@@ -393,17 +396,14 @@ GN_ITER = 60
 def _newton_step(J: np.ndarray, R: np.ndarray) -> np.ndarray:
     """J^{-1} R for a square J, else the minimum-norm J^T (J J^T)^{-1} R.
 
-    Two rows are solved in closed form by the written-out LDL^T of their
-    normalised Gram g = <r0, r1> / (|r0| |r1|), pivots 1 and 1 - g^2, as in
-    flows._solve_min_norm; a zero row, |g| = 1 or a value that is not
+    A wide J has two rows, solved in closed form by the written-out LDL^T of
+    their normalised Gram g = <r0, r1> / (|r0| |r1|), pivots 1 and 1 - g^2,
+    as in flows._solve_min_norm; a zero row, |g| = 1 or a value that is not
     finite gives the row a NaN step.
     """
     m, d = J.shape[-2:]
     if m == d:
         return solve_rows(J, R)
-    if m != 2:
-        return np.einsum("nmd,nm->nd", J,
-                         solve_rows(J @ J.swapaxes(-1, -2), R))
     r0, r1 = J[:, 0], J[:, 1]
     n0, n1 = norm_rows(r0), norm_rows(r1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -422,15 +422,16 @@ def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
                  step_cap: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Batched Newton on R(X) = 0: the package's one Newton loop.
 
-    system(X) returns (R, J), R of shape (N, m) and J of shape (N, m, d).
-    A square J takes the Newton step J^{-1} R, solved directly to keep J's
-    condition number unsquared (the two-row systems on the sphere are
-    square for a germ in one variable); a wide one the minimum-norm step
-    J^T (J J^T)^{-1} R, in closed form for two rows (_newton_step). Steps
-    repeat until max_i |R_i| / scale_i < tol, at most GN_ITER times. A row
-    stops where it is when its residual is not finite (before the solve)
-    or its step is singular or not finite; the other rows go on. Returns
-    (X, ok) where ok marks rows that converged.
+    system(X) returns (R, J), R of shape (N, m) and J of shape (N, m, d);
+    the system is square (m = d) or has two rows (m = 2). A square J takes
+    the Newton step J^{-1} R, solved directly to keep J's condition number
+    unsquared (the two-row systems on the sphere are square for a germ in
+    one variable); a two-row one the minimum-norm step J^T (J J^T)^{-1} R,
+    in closed form (_newton_step). Steps repeat until max_i |R_i| / scale_i
+    < tol, at most GN_ITER times. A row stops where it is when its residual
+    is not finite (before the solve) or its step is singular or not finite;
+    the other rows go on. Returns (X, ok) where ok marks rows that
+    converged.
     """
     X = np.array(x0, dtype=float, copy=True)
     ok = np.zeros(len(X), dtype=bool)

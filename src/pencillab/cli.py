@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from ._num import (SOBOL_MAXDIM, SobolCountError, canonical_json, prescaled,
                    sobol_unit_sphere, to_complex, to_real)
-from .errors import GermSyntaxError, PencilLabError, ProjectionFailure
+from .errors import (GermSyntaxError, PencilLabError, ProjectionFailure,
+                     UsageError)
 from .flows import (FlowKind, FlowSpec, equivalence_transport, integrate,
                     monodromy_return)
 from .germ import MixedGerm, evaluate, format_germ, parse_germ
@@ -31,9 +32,8 @@ from .pencil import (h_theta, pointcloud_rows, sample_fiber,
 from .regularity import (critical_value_isolation_scan, d_regularity_search,
                          radial_lambda_scan, strong_milnor_check,
                          tube_sphere_transversality)
-from .topology import (brieskorn_exponents, closed_form_mu,
-                       double_fiber_consistency, link_surface_euler,
-                       staircase_mu)
+from .topology import (closed_form_mu, double_fiber_consistency,
+                       link_surface_euler, staircase_mu)
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,14 +96,6 @@ FIELDS = (
 DEFAULTS = {name: default for name, default, *_ in FIELDS}
 
 
-class UsageError(Exception):
-    """Configuration problem; carries the offending field name."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
-
-
 # ---------------------------------------------------------------------------
 # flag and config parsing
 # ---------------------------------------------------------------------------
@@ -150,16 +142,18 @@ def parse_angle(text) -> float:
             if isinstance(nd.op, ast.Mult):
                 return a * b
             return a / b
-        raise ValueError(f"bad angle {text!r}")
+        raise UsageError("theta", f"bad angle {text!r}")
 
     try:
         return ev(ast.parse(str(text).strip(), mode="eval").body)
     except SyntaxError as exc:
-        raise ValueError(f"bad angle {text!r}") from exc
+        raise UsageError("theta", f"bad angle {text!r}") from exc
     except ZeroDivisionError as exc:
-        raise ValueError(f"division by zero in angle {text!r}") from exc
+        raise UsageError("theta",
+                         f"division by zero in angle {text!r}") from exc
     except RecursionError as exc:
-        raise ValueError("angle expression nested too deeply") from exc
+        raise UsageError("theta",
+                         "angle expression nested too deeply") from exc
 
 
 def _number_list(value, field: str, cast) -> list:
@@ -209,10 +203,7 @@ def load_job(args: argparse.Namespace
 
 
 def _normalize(cfg: dict) -> None:
-    try:
-        cfg["theta"] = parse_angle(cfg["theta"])
-    except ValueError as exc:
-        raise UsageError("theta", str(exc))
+    cfg["theta"] = parse_angle(cfg["theta"])
     if cfg["exponents"] is not None:
         cfg["exponents"] = _number_list(cfg["exponents"], "exponents", int)
     for key in ("start", "direction", "pole"):
@@ -247,8 +238,6 @@ def _validate(cfg: dict) -> None:
     if cmd == "mu":
         if not cfg["exponents"]:
             raise UsageError("exponents", "mu needs --exponents")
-        if any(a < 2 for a in cfg["exponents"]):
-            raise UsageError("exponents", "all exponents must be at least 2")
     elif cfg["germ"] is None:
         raise UsageError("germ", f"{cmd} needs a germ")
     for key, _, kind, bound, _ in FIELDS:
@@ -480,9 +469,6 @@ def _cmd_dreg(cfg, germ, warnings):
 
 
 def _cmd_milnor_diag(cfg, germ, warnings):
-    if not germ.is_holomorphic:
-        raise UsageError("germ", "the phase-colinearity diagnostic needs a "
-                                 "holomorphic germ")
     rep = d_regularity_search(
         germ, cfg["radius"], budget=cfg["budget"], seed=cfg["seed"],
         polish_runs=0, newton_tol=cfg["newton_tol"], collect_milnor=True)
@@ -507,10 +493,8 @@ def _cmd_strong_milnor(cfg, germ, warnings):
 
 
 def _cmd_tube_check(cfg, germ, warnings):
-    eta = _default_eta(cfg, germ)
-    if eta >= cfg["radius"]:
-        raise UsageError("eta", "eta must be below the sphere radius")
-    rep = tube_sphere_transversality(germ, cfg["radius"], eta,
+    rep = tube_sphere_transversality(germ, cfg["radius"],
+                                     _default_eta(cfg, germ),
                                      budget=cfg["budget"], seed=cfg["seed"])
     return rep, rep.verdict is True
 
@@ -532,15 +516,6 @@ def _start_points(cfg, germ, quota: int) -> np.ndarray:
                          cfg["seed"], cfg["newton_tol"])
 
 
-def _above_tube(germ: MixedGerm, x0: np.ndarray, eta: float) -> float:
-    """|f| at a tube-flow start, which must lie above the tube level."""
-    f0 = abs(complex(evaluate(germ, np.asarray(x0))))
-    if f0 <= eta:
-        raise UsageError("start", "start point has |f| at or below the tube "
-                                  "level")
-    return f0
-
-
 def _cmd_flow(cfg, germ, warnings):
     kind = FLOW_KINDS[cfg["kind"]]
     spec = FlowSpec(kind=kind, rtol=cfg["rtol"], atol=cfg["atol"])
@@ -556,7 +531,11 @@ def _cmd_flow(cfg, germ, warnings):
             span = -0.75 * r0 * r0
         else:
             eta = _default_eta(cfg, germ)
-            span = math.log(eta / _above_tube(germ, x0, eta))
+            f0 = abs(complex(evaluate(germ, x0)))
+            if f0 <= eta:
+                raise UsageError("start", "start point has |f| at or below "
+                                          "the tube level")
+            span = math.log(eta / f0)
         t1 = t0 + span
         if t1 == t0 and span != 0.0:
             # the flow would not move, yet pass as an empty span
@@ -627,7 +606,6 @@ def _cmd_equivalence(cfg, germ, warnings):
                     atol=cfg["atol"], max_step=0.25)
     if cfg["start"] is not None:
         starts = _start_points(cfg, germ, 1)
-        _above_tube(germ, starts[0], eta)
     else:
         starts = _sphere_starts(germ, cfg["radius"], eta, cfg["count"],
                                 cfg["seed"])
@@ -653,9 +631,6 @@ def _cmd_equivalence(cfg, germ, warnings):
 
 
 def _cmd_euler(cfg, germ, warnings):
-    if germ.n != 2:
-        raise UsageError("germ", "link Euler counting is implemented for "
-                         "n = 2 only")
     inv, chi = link_surface_euler(
         germ, cfg["theta"], cfg["radius"], budget=cfg["budget"],
         seed=cfg["seed"], batch=cfg["batch"],
@@ -667,10 +642,7 @@ def _cmd_euler(cfg, germ, warnings):
 def _cmd_mu(cfg, germ, warnings):
     exps = cfg["exponents"]
     closed = closed_form_mu(exps)
-    try:
-        stair = staircase_mu(exps)
-    except ValueError as exc:  # the enumeration bound of the exponents
-        raise UsageError("exponents", str(exc)) from None
+    stair = staircase_mu(exps)
     agree = closed.mu == stair.mu
     return {
         "exponents": list(closed.exponents),
@@ -681,10 +653,6 @@ def _cmd_mu(cfg, germ, warnings):
 
 
 def _cmd_double_check(cfg, germ, warnings):
-    try:
-        brieskorn_exponents(germ)
-    except ValueError as exc:
-        raise UsageError("germ", str(exc)) from None
     rep = double_fiber_consistency(
         germ, cfg["theta"], cfg["radius"], budget=cfg["budget"],
         seed=cfg["seed"], batch=cfg["batch"],
@@ -774,12 +742,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg, file_vals, overrides = load_job(args)
         report, passed = run_job(cfg, file_vals, overrides)
-    except UsageError as exc:
-        print(f"error: field '{exc.field}': {exc}", file=sys.stderr)
-        return 2
-    except GermSyntaxError as exc:
-        print(f"error: field 'germ': {exc}", file=sys.stderr)
-        return 2
     except PencilLabError as exc:
         inv = getattr(exc, "inventory", None)
         if inv is not None:
@@ -804,7 +766,10 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 3
     except ValueError as exc:
-        print(f"error: field 'config': {exc}", file=sys.stderr)
+        # a UsageError names its field; any other ValueError is no
+        # argument check, so it falls back to the job config
+        field = getattr(exc, "field", "config")
+        print(f"error: field '{field}': {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)

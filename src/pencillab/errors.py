@@ -1,11 +1,20 @@
 """Typed failure taxonomy.
 
-Usage errors (bad grammar, bad parameters) raise GermSyntaxError or
-ValueError; every other PencilLabError marks a numerical condition met at
-runtime, and the command line maps each of them to exit code 3.
+Usage errors raise GermSyntaxError (bad grammar) or UsageError (a bad
+argument), and a UsageError names the field it rejects. Every other
+PencilLabError marks a numerical condition met at runtime, and the command
+line maps each of them to exit code 3.
 """
 
 from __future__ import annotations
+
+
+class UsageError(ValueError):
+    """An argument the library rejects; carries the offending field name."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 class PencilLabError(Exception):

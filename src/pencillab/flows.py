@@ -62,7 +62,8 @@ import numpy as np
 from ._num import to_complex, to_real
 from .errors import (AxisApproach, AxisProximity, BallExit,
                      CompletenessViolation, DegenerateGradient, GramSingular,
-                     PencilLabError, PositivityViolation, StepCollapse)
+                     PencilLabError, PositivityViolation, StepCollapse,
+                     UsageError)
 from .germ import GRAD_FLOOR, MixedGerm, differential_sample, evaluate
 from .pencil import member_gradient, side_indicator
 
@@ -360,7 +361,7 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
     t0, t1 = float(t_span[0]), float(t_span[1])
     span = t1 - t0
     if not math.isfinite(span):
-        raise ValueError("flow span must be finite")
+        raise UsageError("t_span", "flow span must be finite")
     y = to_real(z0).tolist()
     r0 = math.sqrt(_dot(y, y))
     f0 = complex(evaluate(germ, z0))
@@ -474,8 +475,11 @@ def monodromy_return(germ: MixedGerm, x0, revolutions: float = 1.0,
     if spec is None:
         spec = FlowSpec(kind=FlowKind.MONODROMY)
     if spec.kind is not FlowKind.MONODROMY:
-        raise ValueError("monodromy_return needs a monodromy FlowSpec")
-    trace = integrate(germ, spec, x0, (0.0, TWO_PI * float(revolutions)))
+        raise UsageError("spec", "monodromy_return needs a monodromy FlowSpec")
+    span = TWO_PI * float(revolutions)
+    if not math.isfinite(span):
+        raise UsageError("revolutions", "flow span t1 - t0 must be finite")
+    trace = integrate(germ, spec, x0, (0.0, span))
     end = trace.points[-1]
     advance = float(trace.theta[-1] - trace.theta[0])
     winding = int(round(advance / TWO_PI))
@@ -514,16 +518,17 @@ def equivalence_transport(germ: MixedGerm, radius: float, eta: float,
     if spec is None:
         spec = FlowSpec(kind=FlowKind.TUBE_EQUIVALENCE, max_step=0.25)
     if spec.kind is not FlowKind.TUBE_EQUIVALENCE:
-        raise ValueError("equivalence_transport needs a tube FlowSpec")
+        raise UsageError("spec", "equivalence_transport needs a tube FlowSpec")
     if not 0.0 < eta:
-        raise ValueError("eta must be positive")
+        raise UsageError("eta", "eta must be positive")
     Z = np.atleast_2d(np.asarray(starts, dtype=complex))
     out: List[TransportRecord] = []
     norm_cap = radius * (1.0 + 1e-9)
     for z0 in Z:
         f0 = complex(evaluate(germ, z0))
         if abs(f0) <= eta:
-            raise ValueError("start point has |f| at or below the tube level")
+            raise UsageError("start", "start point has |f| at or below the "
+                                      "tube level")
         t_end = math.log(eta / abs(f0))
         try:
             trace = integrate(germ, spec, z0, (0.0, t_end))

@@ -44,7 +44,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ._num import complex_columns, norm_rows, sum_columns, to_complex
-from .errors import AxisProximity, GermSyntaxError
+from .errors import AxisProximity, GermSyntaxError, UsageError
 
 Exponents = Tuple[int, ...]
 TermKey = Tuple[Exponents, Exponents]
@@ -71,20 +71,23 @@ class MixedGerm:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n_vars must be a positive integer")
+            raise UsageError("n", "n_vars must be a positive integer")
         seen = set()
         for c, p, q in self.terms:
             if len(p) != self.n or len(q) != self.n:
-                raise ValueError("exponent rows must have length n_vars")
+                raise UsageError("terms",
+                                 "exponent rows must have length n_vars")
             if any(e < 0 or e > _MAX_EXPONENT for e in p + q):
-                raise ValueError("exponents must be non-negative 63-bit integers")
+                raise UsageError("terms", "exponents must be non-negative "
+                                          "63-bit integers")
             if c == 0:
-                raise ValueError("zero coefficients must be pruned")
+                raise UsageError("terms", "zero coefficients must be pruned")
             if all(e == 0 for e in p + q):
-                raise ValueError("constant term nonzero: germ must vanish at 0")
+                raise UsageError("terms", "constant term nonzero: germ must "
+                                          "vanish at 0")
             key = (p, q)
             if key in seen:
-                raise ValueError("duplicate term key")
+                raise UsageError("terms", "duplicate term key")
             seen.add(key)
 
     @property
@@ -152,7 +155,8 @@ def _germ_from_dict(n: int, terms: Dict[TermKey, complex]) -> MixedGerm:
     pruned = {k: c for k, c in terms.items() if c != 0}
     const_key = ((0,) * n, (0,) * n)
     if const_key in pruned:
-        raise ValueError("constant term nonzero: germ must vanish at 0")
+        raise UsageError("terms", "constant term nonzero: germ must vanish "
+                                  "at 0")
     ordered = tuple((c, p, q) for (p, q), c in sorted(pruned.items(),
                                                       key=_term_sort_key))
     return MixedGerm(n=n, terms=ordered)
@@ -349,7 +353,7 @@ def parse_germ(text: str, n_vars: int) -> MixedGerm:
     rejected. Terms are merged and zero coefficients pruned.
     """
     if n_vars < 1:
-        raise ValueError("n_vars must be a positive integer")
+        raise UsageError("n_vars", "n_vars must be a positive integer")
     try:
         poly = _Parser(_tokenize(text), n_vars).parse()
     except RecursionError:
@@ -489,7 +493,7 @@ def _derivatives(germ: MixedGerm, z, orders):
         return kernel(z, germ.terms)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape[-1] != germ.n:
-        raise ValueError(f"point must have {germ.n} complex coordinates")
+        raise UsageError("z", f"point must have {germ.n} complex coordinates")
     base, ks = z.shape[:-1], [k for k in orders for _ in range(k + 1)]
     if base:
         # point and entry axes first, so z[j] and slots[s][i] span all rows

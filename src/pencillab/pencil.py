@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ._num import gauss_newton, sobol_unit_sphere, to_complex, to_real
-from .errors import ProjectionFailure
+from .errors import ProjectionFailure, UsageError
 from .germ import MixedGerm, evaluate, real_gradients
 
 TWO_PI = 2.0 * math.pi
@@ -63,7 +63,8 @@ def blowup_residual(germ: MixedGerm, x, t: Sequence[float]) -> float:
     """Incidence residual Re(f(x)) * t2 - Im(f(x)) * t1 for normalized t."""
     t1, t2 = float(t[0]), float(t[1])
     if abs(t1 * t1 + t2 * t2 - 1.0) > 1e-9:
-        raise ValueError("projective pair must be normalized to the unit circle")
+        raise UsageError("t", "projective pair must be normalized to the "
+                              "unit circle")
     f = complex(evaluate(germ, np.asarray(x, dtype=complex)))
     return f.real * t2 - f.imag * t1
 

@@ -40,7 +40,7 @@ import numpy as np
 from ._num import (SobolDraw, complex_columns, dot_columns, gauss_newton,
                    map_chunks, norm_columns, norm_rows, prescaled,
                    sobol_unit_sphere, sum_columns)
-from .errors import AxisProximity
+from .errors import AxisProximity, UsageError
 from .germ import (GRAD_FLOOR, MixedGerm, column_gradients, gram_margin,
                    real_gradients)
 
@@ -321,13 +321,16 @@ def d_regularity_search(germ: MixedGerm, radius: float,
     also tallies the phase-colinearity condition: a sample violates it when
     the gradient direction is colinear with the point (colinearity <
     COLINEARITY_TOL) yet |arg| of the diagnostic is at or above
-    pi/4 - ANGLE_MARGIN.
+    pi/4 - ANGLE_MARGIN; collect_milnor=True on a mixed germ is rejected.
     """
     if radius <= 0:
-        raise ValueError("radius must be positive")
+        raise UsageError("radius", "radius must be positive")
     pass_threshold = default_pass_threshold(newton_tol)
     if collect_milnor is None:
         collect_milnor = germ.is_holomorphic
+    elif collect_milnor and not germ.is_holomorphic:
+        raise UsageError("germ", "the phase-colinearity diagnostic needs a "
+                                 "holomorphic germ")
     f_floor = germ.f_floor(radius)
     lift, Qm = _metric_mapper(Q, radius)
     draw = SobolDraw(seed, (0xD4E6, 0), budget, 2 * germ.n)
@@ -503,7 +506,7 @@ def strong_milnor_check(germ: MixedGerm, radius: float, budget: int = 10000,
     must be usable, otherwise the verdict is inconclusive.
     """
     if radius <= 0:
-        raise ValueError("radius must be positive")
+        raise UsageError("radius", "radius must be positive")
     f_floor = germ.f_floor(radius)
     threshold = default_pass_threshold(newton_tol)
     draw = SobolDraw(seed, (0x5713, 0), budget, 2 * germ.n)
@@ -539,9 +542,9 @@ def tube_sphere_transversality(germ: MixedGerm, radius: float, eta: float,
     gradients. A positive minimum is the tube boundary condition.
     """
     if radius <= 0:
-        raise ValueError("radius must be positive")
+        raise UsageError("radius", "radius must be positive")
     if not 0.0 < eta < radius:
-        raise ValueError("eta must satisfy 0 < eta < radius")
+        raise UsageError("eta", "eta must satisfy 0 < eta < radius")
     dim = 2 * germ.n
     seeds = radius * sobol_unit_sphere(seed, (0x70BE, 0), budget, dim)
     eta2 = eta * eta
@@ -586,7 +589,7 @@ def critical_value_isolation_scan(germ: MixedGerm, radius: float,
     the only critical value in the sampled range.
     """
     if radius <= 0:
-        raise ValueError("radius must be positive")
+        raise UsageError("radius", "radius must be positive")
     f_floor = germ.f_floor(radius)
     draw = SobolDraw(seed, (0xC517, 0), budget, 2 * germ.n, radius)
     # dimensional gradient scale: |f| over length at the working radius

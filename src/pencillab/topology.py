@@ -35,7 +35,7 @@ import numpy as np
 
 from ._num import (gauss_newton, sobol_unit_sphere, solve_rows, stream,
                    to_complex)
-from .errors import DegenerateAfterRetries, Unstable
+from .errors import DegenerateAfterRetries, Unstable, UsageError
 from .germ import MixedGerm, stacked_gradients, wirtinger_hessian
 from .pencil import _member, member_gradient, sphere_member_system
 
@@ -58,7 +58,7 @@ def closed_form_mu(exponents: Sequence[int]) -> MilnorNumberResult:
     """Product formula: mu = prod(a_i - 1)."""
     exps = tuple(int(a) for a in exponents)
     if any(a < 2 for a in exps):
-        raise ValueError("exponents must all be at least 2")
+        raise UsageError("exponents", "all exponents must be at least 2")
     mu = 1
     for a in exps:
         mu *= a - 1
@@ -74,12 +74,13 @@ def staircase_mu(exponents: Sequence[int]) -> MilnorNumberResult:
     """
     exps = tuple(int(a) for a in exponents)
     if any(a < 2 for a in exps):
-        raise ValueError("exponents must all be at least 2")
+        raise UsageError("exponents", "all exponents must be at least 2")
     bound = 1
     for a in exps:
         bound *= a - 1
         if bound > 2 ** 31:
-            raise ValueError("staircase enumeration bound exceeds 2^31")
+            raise UsageError("exponents",
+                             "staircase enumeration bound exceeds 2^31")
     count = 0
     for _ in iter_product(*(range(a - 1) for a in exps)):
         count += 1
@@ -248,14 +249,15 @@ def link_surface_euler(germ: MixedGerm, theta: float, radius: float,
     redraw met a degenerate critical point.
     """
     if germ.n != 2:
-        raise ValueError("link Euler counting is implemented for n = 2 only")
+        raise UsageError("germ", "link Euler counting is implemented for "
+                                 "n = 2 only")
     if radius <= 0:
-        raise ValueError("radius must be positive")
+        raise UsageError("radius", "radius must be positive")
     for name, value in (("budget", budget), ("batch", batch),
                         ("stability_batches", stability_batches),
                         ("ell_redraws", ell_redraws)):
         if value < 1:
-            raise ValueError(f"{name} must be positive")
+            raise UsageError(name, f"{name} must be positive")
     theta = float(theta) % TWO_PI
     batch = min(batch, budget)   # a larger batch would overdraw the budget
     max_batches = budget // batch
@@ -353,15 +355,15 @@ class DoubleFiberReport:
 def brieskorn_exponents(germ: MixedGerm) -> Tuple[int, int]:
     """Extract (a1, a2) from a two-term power-sum germ z1^a1 + z2^a2."""
     if germ.n != 2 or len(germ.terms) != 2 or not germ.is_holomorphic:
-        raise ValueError("germ is not a two-variable power sum")
+        raise UsageError("germ", "germ is not a two-variable power sum")
     exps = [0, 0]
     for c, p, q in germ.terms:
         nz = [j for j, e in enumerate(p) if e > 0]
         if c != 1 or len(nz) != 1:
-            raise ValueError("germ is not a two-variable power sum")
+            raise UsageError("germ", "germ is not a two-variable power sum")
         exps[nz[0]] = p[nz[0]]
     if min(exps) < 2:
-        raise ValueError("power-sum exponents must be at least 2")
+        raise UsageError("germ", "power-sum exponents must be at least 2")
     return int(exps[0]), int(exps[1])
 
 

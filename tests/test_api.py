@@ -1,7 +1,7 @@
 """The public API: every exported name, and every public name a module
 defines, is used by the program, the benchmark or the acceptance criteria,
-not only by unit tests; importing the package loads neither scipy.stats nor
-scipy.optimize."""
+not only by unit tests; every argument check raises a UsageError; importing
+the package loads neither scipy.stats nor scipy.optimize."""
 
 import ast
 import json
@@ -60,6 +60,19 @@ def test_every_export_is_used():
     used |= _used_names(ROOT / "tests" / "test_acceptance.py", strings=False)
     unused = sorted(public - used)
     assert unused == [], f"public but unused: {unused}"
+
+
+def test_argument_checks_raise_usage_errors():
+    # a bare ValueError would reach the command line without its field
+    bare = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                bare.append(f"{path.name}:{node.lineno}")
+    assert bare == [], f"raise ValueError at {bare}"
 
 
 IMPORT_PROBE = """

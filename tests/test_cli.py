@@ -138,6 +138,11 @@ NOT_FOUND = "[Errno 2] No such file or directory: '{tmp}/missing.json'"
         ("start-in-tube-equivalence", ("equivalence", "--germ", "z1^2+z2^3",
          "--start", "0.001,0,0,0"), "start",
          "start point has |f| at or below the tube level"),
+        ("tube-check-eta-above-radius", ("tube-check", "--germ", "z1", "--n",
+         "2", "--eta", "0.6"), "eta", "eta must satisfy 0 < eta < radius"),
+        ("milnor-diag-mixed-germ", ("milnor-diag", "--germ",
+         "z1^2*zbar2+z2^2*zbar1"), "germ", "the phase-colinearity "
+         "diagnostic needs a holomorphic germ"),
         ("theta-division-by-zero", ("info", "--germ", "z1", "--theta",
          "1/0"), "theta", "division by zero in angle '1/0'"),
         ("theta-bool", ("info", "--germ", "z1", "--theta", "True"), "theta",
@@ -165,6 +170,9 @@ NOT_FOUND = "[Errno 2] No such file or directory: '{tmp}/missing.json'"
          "--t1=-1e308"), "t1", "flow span t1 - t0 must be finite"),
         ("flow-span-revolutions", ("flow", "--germ", "z1", "--n", "2",
          "--start", "0.5,0,0,0", "--revolutions", "1e308"), "revolutions",
+         "flow span t1 - t0 must be finite"),
+        ("monodromy-span-revolutions", ("monodromy", "--germ", "z1^2+z2^3",
+         "--count", "1", "--revolutions", "1e308"), "revolutions",
          "flow span t1 - t0 must be finite"),
         ("flow-span-lost", ("flow", "--germ", "z1^2+z2^3", "--start",
          "0.5,0,0,0.1", "--t0", "1e17"), "t0",

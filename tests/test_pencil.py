@@ -111,20 +111,23 @@ def test_sample_fiber_deterministic():
 
 
 def _tagged_system(X):
-    # column 0 moves to the target kept in column 1; target 0 tags a row
-    # whose Jacobian vanishes, so its Gram system is singular
+    # column 0 moves to the target kept in column 1, whose own row holds it
+    # in place; target 0 tags a row whose first Jacobian row vanishes, so
+    # its square system is singular
     target = X[:, 1]
     singular = target == 0.0
-    R = np.where(singular, 1.0, X[:, 0] - target)[:, None]
-    J = np.zeros((len(X), 1, 2))
+    R = np.stack([np.where(singular, 1.0, X[:, 0] - target),
+                  np.zeros(len(X))], axis=-1)
+    J = np.zeros((len(X), 2, 2))
     J[~singular, 0, 0] = 1.0
+    J[:, 1, 1] = 1.0
     return R, J
 
 
 @pytest.mark.parametrize("targets", [(1.0, 0.0, 5.0), (0.0, 1.0, 5.0)])
 def test_gauss_newton_singular_row_fails_alone(targets):
     x0 = np.stack([np.zeros(3), targets], axis=1)
-    X, ok = gauss_newton(_tagged_system, x0, np.array([1.0]))
+    X, ok = gauss_newton(_tagged_system, x0, np.ones(2))
     np.testing.assert_array_equal(ok, np.array(targets) != 0.0)
     np.testing.assert_array_equal(X, np.stack([targets, targets], axis=1))
 

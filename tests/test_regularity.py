@@ -10,7 +10,7 @@ from pencillab import _num
 from pencillab import germ as germ_module
 from pencillab._num import (canonical_json, sobol_unit_sphere, to_complex,
                             to_real)
-from pencillab.errors import AxisProximity
+from pencillab.errors import AxisProximity, UsageError
 from pencillab.germ import (differential_sample, evaluate, gram_margin,
                             parse_germ, real_gradients)
 from pencillab import regularity
@@ -584,6 +584,14 @@ def test_critical_value_isolation_positive_minima():
     rep2 = critical_value_isolation_scan(g2, 0.5, budget=2000, seed=0)
     assert rep2.verdict is True
     assert rep2.min_value > 0.0
+
+
+def test_milnor_tally_needs_a_holomorphic_germ():
+    g = parse_germ("z1^2*zbar2 + z2^2*zbar1", 2)
+    with pytest.raises(UsageError) as info:
+        d_regularity_search(g, 0.5, budget=100, polish_runs=0,
+                            collect_milnor=True)
+    assert info.value.field == "germ"
 
 
 def test_milnor_tally_no_violations_for_brieskorn():
