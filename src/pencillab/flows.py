@@ -15,10 +15,14 @@ the constraints instead of their scale mismatch. The systems have two or
 three rows, so they are solved in closed form from the dot products of
 the rows: the normalized Gram has unit diagonal, its condition number is
 (1 + |g|) / (1 - |g|) for two rows and lambda_max / lambda_min for three,
-and the solve runs through its written-out LDL^T factors. A field pass at
-one point stays on Python floats from the germ pass (differential_sample)
-to the velocity, with every dot product a plain sum of products; only a
-caller that passes an array gets arrays back.
+and the solve runs through its written-out LDL^T factors. A three-row solve
+decides from its pivots that it cannot be refused wherever they bound the
+condition well below cond_max, and computes a spectrum only elsewhere; it
+hands back the Gram's off-diagonals, and integrate takes the worst
+condition of a flow from one stacked eigvalsh over all of them. A field
+pass at one point stays on Python floats from the germ pass
+(differential_sample) to the velocity, with every dot product a plain sum
+of products; only a caller that passes an array gets arrays back.
 
 The monodromy Gram system degenerates where the point and the Hermitian
 gradient of log f become complex-colinear; there the tube row is dropped
@@ -96,12 +100,55 @@ class FlowSpec:
                        atol=self.atol * factor)
 
 
+# _solve_min_norm's pivot screen: twice 27 / 4, a bound on cond * det G
+# for a unit-diagonal 3 x 3 Gram
+_SCREEN = 13.5
+
+
+def _three_row_conds(grams) -> np.ndarray:
+    """Condition numbers lambda_max / lambda_min (inf where lambda_min <= 0)
+    of the unit-diagonal 3 x 3 Grams with off-diagonals (g01, g02, g12), one
+    per row of grams, from one stacked np.linalg.eigvalsh. numpy runs LAPACK
+    per matrix, so each condition has the bits of a one-matrix call."""
+    g = np.asarray(grams, dtype=float).reshape(-1, 3)
+    G = np.ones((len(g), 3, 3))
+    G[:, 0, 1] = G[:, 1, 0] = g[:, 0]
+    G[:, 0, 2] = G[:, 2, 0] = g[:, 1]
+    G[:, 1, 2] = G[:, 2, 1] = g[:, 2]
+    lam = np.linalg.eigvalsh(G)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lam[:, 0] > 0.0, lam[:, 2] / lam[:, 0], math.inf)
+
+
+def _pair_cond(g01: float) -> float:
+    """(1 + |g|) / (1 - |g|), the condition of a unit-diagonal 2 x 2 Gram
+    (inf where |g| >= 1 or g is NaN)."""
+    a01 = abs(g01)
+    return (1.0 + a01) / (1.0 - a01) if a01 < 1.0 else math.inf
+
+
+def _worst_cond(grams) -> float:
+    """The largest condition number (0 for none) of the normalized Grams
+    that _solve_min_norm returns as their off-diagonals, (g01,) or (g01,
+    g02, g12), with one stacked eigvalsh for all three-row Grams."""
+    triples = [g for g in grams if len(g) == 3]
+    conds = [_pair_cond(g[0]) for g in grams if len(g) == 1]
+    if triples:
+        conds.append(float(np.max(_three_row_conds(triples))))
+    return max([0.0] + conds)
+
+
 @dataclass
 class FieldDiagnostics:
-    cond: float
+    grams: Tuple[Tuple[float, ...], ...]  # off-diagonals of each solve's Gram
     fallback: bool
     drift: float  # <w, grad_log|f|> on fallback segments, else 0
     corrected: bool = False
+
+    @property
+    def cond(self) -> float:
+        """Worst normalized Gram condition of the field's solves."""
+        return _worst_cond(self.grams)
 
 
 def _dot(u, v) -> float:
@@ -109,7 +156,8 @@ def _dot(u, v) -> float:
     return sum(map(mul, u, v))
 
 
-def _solve_min_norm(rows, d, cond_max: float) -> Tuple[List[float], float]:
+def _solve_min_norm(rows, d, cond_max: float
+                    ) -> Tuple[List[float], Tuple[float, ...]]:
     """Minimum-norm w with <w, rows[i]> = d[i], for two or three rows.
 
     The solution is w = sum_i (y_i / |r_i|) r_i, where G y = d_i / |r_i|
@@ -118,19 +166,27 @@ def _solve_min_norm(rows, d, cond_max: float) -> Tuple[List[float], float]:
     solution is exact while the condition number reflects row dependence
     rather than row scale. Every entry comes from dot products of the rows.
 
-    Rows and d are float sequences (lists or 1-D arrays), and w comes back
-    as a list of floats. The condition number is that of G:
-    (1 + |g_12|) / (1 - |g_12|) for two rows, lambda_max / lambda_min from
-    `np.linalg.eigvalsh` for three. That one call stays on numpy: the
-    trigonometric closed form of a 3 x 3 spectrum loses lambda_min near a
-    double root (cond off by 8e-5 relative at cond 1.45e7), and LAPACK's
-    dsyevd through scipy.linalg, bit for bit the same and faster, would
-    import scipy.linalg, 5-6 MB more resident memory. G is solved by
-    its LDL^T factors written out, pivots 1, 1 - g_12^2 and the Schur
-    complement; for two rows that is the explicit 2 x 2 inverse. The
-    factors are backward stable, so w keeps a relative error of a few
-    eps * cond even when two eigenvalues of G are small; an adjugate solve
-    loses its determinant to cancellation there.
+    Rows and d are float sequences (lists or 1-D arrays). Returns w as a
+    list of floats and the off-diagonals of G, (g_12,) or (g_12, g_13,
+    g_23), whose condition number _worst_cond gives. Raises GramSingular
+    where that condition exceeds cond_max.
+
+    G is solved by its LDL^T factors written out: pivots p1 = 1 - g_12^2
+    and, for three rows, the Schur complement p2, so det G = p1 p2; for two
+    rows that is the explicit 2 x 2 inverse, and the condition is
+    (1 + |g_12|) / (1 - |g_12|). A unit-diagonal 3 x 3 Gram has
+    lambda_max <= 3 and lambda_mid lambda_max <= 9/4, so cond <=
+    27 / (4 det G): positive pivots with p1 p2 cond_max >= 13.5 (a factor 2
+    for rounding) cannot be refused, and no spectrum is computed. Elsewhere
+    the condition is lambda_max / lambda_min from a one-matrix
+    `np.linalg.eigvalsh`, with the bits integrate's stacked call gives it
+    later. That stays on numpy: the trigonometric closed form of a 3 x 3
+    spectrum loses lambda_min near a double root (cond off by 8e-5 relative
+    at cond 1.45e7), and LAPACK's dsyevd through scipy.linalg would import
+    scipy.linalg, 5-6 MB more resident memory. The factors are backward
+    stable, so w keeps a relative error of a few eps * cond even when two
+    eigenvalues of G are small; an adjugate solve loses its determinant to
+    cancellation there.
     """
     nrm = []
     for r in rows:
@@ -144,32 +200,34 @@ def _solve_min_norm(rows, d, cond_max: float) -> Tuple[List[float], float]:
     # dividing by one norm at a time keeps |g| <= 1 from overflowing
     g01 = _dot(r0, r1) / n0 / n1
     a01 = abs(g01)
+    p1 = (1.0 - a01) * (1.0 + a01)
     if len(rows) == 2:
-        cond = (1.0 + a01) / (1.0 - a01) if a01 < 1.0 else math.inf
+        gram = (g01,)
+        cond = _pair_cond(g01)
     else:
         r2, n2 = rows[2], nrm[2]
         g02 = _dot(r0, r2) / n0 / n2
         g12 = _dot(r1, r2) / n1 / n2
-        lam = np.linalg.eigvalsh(np.array(
-            [[1.0, g01, g02], [g01, 1.0, g12], [g02, g12, 1.0]]))
-        cond = float(lam[2] / lam[0]) if lam[0] > 0.0 else math.inf
+        gram = (g01, g02, g12)
+        # p1 <= 0 leaves p2 NaN, so only two positive pivots pass the screen
+        l21 = (g12 - g01 * g02) / p1 if p1 > 0.0 else math.nan
+        p2 = 1.0 - g02 * g02 - l21 * l21 * p1
+        screened = p1 * p2 * cond_max >= _SCREEN
+        cond = 0.0 if screened else float(_three_row_conds(gram)[0])
     if not cond <= cond_max:
         raise GramSingular(
             f"constraint Gram condition {cond:.3e} exceeds {cond_max:.1e}")
-    p1 = (1.0 - a01) * (1.0 + a01)
     z1 = b1 - g01 * b0
     if len(rows) == 2:
         y1 = z1 / p1
         y0 = b0 - g01 * y1
         a0, a1 = y0 / n0, y1 / n1
-        return [a0 * u + a1 * v for u, v in zip(r0, r1)], cond
-    l21 = (g12 - g01 * g02) / p1
-    p2 = 1.0 - g02 * g02 - l21 * l21 * p1
+        return [a0 * u + a1 * v for u, v in zip(r0, r1)], gram
     y2 = (d[2] / n2 - g02 * b0 - l21 * z1) / p2
     y1 = z1 / p1 - l21 * y2
     y0 = b0 - g01 * y1 - g02 * y2
     a0, a1, a2 = y0 / n0, y1 / n1, y2 / n2
-    return [a0 * u + a1 * v + a2 * w for u, v, w in zip(r0, r1, r2)], cond
+    return [a0 * u + a1 * v + a2 * w for u, v, w in zip(r0, r1, r2)], gram
 
 
 def synthesize_field(germ: MixedGerm, spec: FlowSpec, x, axis_floor: float
@@ -201,12 +259,12 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x, axis_floor: float
 
     if spec.kind is FlowKind.MONODROMY:
         try:
-            w, cond = _solve_min_norm([x, gt, gl], [0.0, 1.0, 0.0],
+            w, gram = _solve_min_norm([x, gt, gl], [0.0, 1.0, 0.0],
                                       spec.cond_max)
         except GramSingular:
             # drop the tube row, keep the sphere and unit-rate rows
             try:
-                w, cond = _solve_min_norm([x, gt], [0.0, 1.0], spec.cond_max)
+                w, gram = _solve_min_norm([x, gt], [0.0, 1.0], spec.cond_max)
             except GramSingular as exc:
                 raise GramSingular(f"fallback {exc}") from None
             fallback = True
@@ -215,7 +273,7 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x, axis_floor: float
         radial = spec.kind is FlowKind.RADIAL
         rows = [gt, [2.0 * v for v in x] if radial else gl]
         third = gl if radial else x
-        w, cond = _solve_min_norm(rows, [0.0, 1.0], spec.cond_max)
+        w, gram = _solve_min_norm(rows, [0.0, 1.0], spec.cond_max)
         rate = _dot(w, third)
         if not radial:
             # outward: <w, x> above a floor relative to |w| |x|
@@ -233,7 +291,7 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x, axis_floor: float
         if restore:
             # u keeps both equality rows and moves the rate by one
             try:
-                u, cond3 = _solve_min_norm(rows + [third], [0.0, 0.0, 1.0],
+                u, gram3 = _solve_min_norm(rows + [third], [0.0, 0.0, 1.0],
                                            spec.cond_max)
             except GramSingular:
                 # no u: radial keeps the bare field, tube fails
@@ -245,7 +303,6 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x, axis_floor: float
             else:
                 step = target - rate
                 w = [p + step * q for p, q in zip(w, u)]
-                cond = max(cond, cond3)
                 corrected = True
 
     drift = 0.0
@@ -254,7 +311,8 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x, axis_floor: float
         if abs(drift) >= 1.0:
             raise CompletenessViolation(
                 f"fallback drift |{drift:.6f}| >= 1")
-    dg = FieldDiagnostics(cond=cond, fallback=fallback, drift=drift,
+    grams = (gram, gram3) if corrected else (gram,)
+    dg = FieldDiagnostics(grams=grams, fallback=fallback, drift=drift,
                           corrected=corrected)
     return (w, f, dg) if lone else (np.array(w), np.array(f), dg)
 
@@ -354,7 +412,9 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
     the slope refresh there gives f; the point goes into one record (t,
     state, |x|, f, unwrapped phase), from which _drift measures the drifts
     where the run ends. The axis floor is the one at the start radius.
-    Raises StepCollapse (step below its floor, or MAX_STEPS * max(1, |t1 -
+    max_cond is the worst Gram condition over every field call, the stages
+    of rejected steps included, from one stacked eigvalsh. Raises
+    StepCollapse (step below its floor, or MAX_STEPS * max(1, |t1 -
     t0|) attempts without reaching t1), AxisApproach or BallExit.
     """
     z0 = np.asarray(x0, dtype=complex)
@@ -444,7 +504,8 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
                      n_accepted=len(record) - 1, n_rejected=n_rej,
                      fallback_steps=sum(d.fallback for d in diags),
                      corrected_steps=sum(d.corrected for d in diags),
-                     max_cond=max([0.0] + [d.cond for d in diags]),
+                     max_cond=_worst_cond(
+                         [g for d in diags for g in d.grams]),
                      drift=_drift(spec.kind, ts, rs, abs_f, thetas),
                      termination="completed" if span else "empty-span")
 
@@ -522,14 +583,15 @@ def equivalence_transport(germ: MixedGerm, radius: float, eta: float,
     if not 0.0 < eta:
         raise UsageError("eta", "eta must be positive")
     Z = np.atleast_2d(np.asarray(starts, dtype=complex))
+    # every start is checked before the first transport runs
+    abs_f0 = [abs(complex(evaluate(germ, z0))) for z0 in Z]
+    if any(a <= eta for a in abs_f0):
+        raise UsageError("start", "start point has |f| at or below the tube "
+                                  "level")
     out: List[TransportRecord] = []
     norm_cap = radius * (1.0 + 1e-9)
-    for z0 in Z:
-        f0 = complex(evaluate(germ, z0))
-        if abs(f0) <= eta:
-            raise UsageError("start", "start point has |f| at or below the "
-                                      "tube level")
-        t_end = math.log(eta / abs(f0))
+    for z0, a0 in zip(Z, abs_f0):
+        t_end = math.log(eta / a0)
         try:
             trace = integrate(germ, spec, z0, (0.0, t_end))
         except PencilLabError as exc:  # typed numerical failure per record

@@ -12,7 +12,7 @@ from pencillab._num import canonical_json, to_real
 from pencillab.cli import _fiber_starts, _sphere_starts
 from pencillab.errors import (AxisApproach, AxisProximity, BallExit,
                               CompletenessViolation, GramSingular,
-                              PositivityViolation, StepCollapse)
+                              PositivityViolation, StepCollapse, UsageError)
 from pencillab.flows import (FlowKind, FlowSpec, _solve_min_norm,
                              equivalence_transport, integrate,
                              monodromy_return, synthesize_field)
@@ -124,7 +124,7 @@ def test_radial_corridor_keeps_the_bare_field_without_clamp_direction(
     # restore, the radial field then comes back uncorrected
     monkeypatch.setattr(FlowSpec, "cond_max", 1.1)
     _, gl, gt = differential_sample(BRIESKORN, ADVERSE, ADVERSE_FLOOR)
-    bare, cond = _solve_min_norm([gt, 2.0 * ADVERSE], [0.0, 1.0], 1.1)
+    bare, gram = _solve_min_norm([gt, 2.0 * ADVERSE], [0.0, 1.0], 1.1)
     with pytest.raises(GramSingular):
         _solve_min_norm([gt, 2.0 * ADVERSE, gl], [0.0, 0.0, 1.0], 1.1)
     spec = FlowSpec(FlowKind.RADIAL)
@@ -134,7 +134,7 @@ def test_radial_corridor_keeps_the_bare_field_without_clamp_direction(
     assert not lo <= float(np.dot(bare, gl)) <= hi
     w, _, dg = synthesize_field(BRIESKORN, spec, ADVERSE, ADVERSE_FLOOR)
     assert not dg.corrected and not dg.fallback
-    assert dg.cond == cond
+    assert dg.cond == flows._worst_cond([gram])
     assert w.tolist() == bare
 
 
@@ -317,7 +317,8 @@ def test_min_norm_solver_matches_svd_lu_reference():
             refused += 1
             continue
         w_ref, cond_ref = ref
-        w, cond = _solve_min_norm(rows, d, cond_max)
+        w, gram = _solve_min_norm(rows, d, cond_max)
+        cond = flows._worst_cond([gram])
         tol = 1e-13 * cond_ref
         assert abs(cond - cond_ref) <= tol * cond_ref
         assert np.linalg.norm(w - w_ref) <= tol * np.linalg.norm(w_ref)
@@ -358,13 +359,71 @@ def test_min_norm_solver_cond_max_boundary(k):
                     np.array([g / math.sqrt(2.0), g / math.sqrt(2.0), s])]
         d = np.eye(k)[-1]
         if solves:
-            w, cond = _solve_min_norm(rows, d, cond_max)
+            w, gram = _solve_min_norm(rows, d, cond_max)
+            cond = flows._worst_cond([gram])
             assert cond <= cond_max
             assert cond == pytest.approx(factor * cond_max, rel=1e-7)
             np.testing.assert_allclose([r @ w for r in rows], d, atol=1e-7)
         else:
             with pytest.raises(GramSingular, match="exceeds"):
                 _solve_min_norm(rows, d, cond_max)
+
+
+def _one_matrix_cond(gram):
+    """The condition of the unit-diagonal Gram with off-diagonals gram from
+    the two-row closed form, or from its own one-matrix eigvalsh."""
+    if len(gram) == 1:
+        a = abs(gram[0])
+        return (1.0 + a) / (1.0 - a) if a < 1.0 else math.inf
+    g01, g02, g12 = gram
+    lam = np.linalg.eigvalsh(np.array(
+        [[1.0, g01, g02], [g01, 1.0, g12], [g02, g12, 1.0]]))
+    return float(lam[2] / lam[0]) if lam[0] > 0.0 else math.inf
+
+
+@pytest.fixture(scope="module")
+def screen_systems():
+    """10,000 random three-row systems, each with its Gram's off-diagonals
+    and their one-matrix condition."""
+    rng = np.random.default_rng(41)
+    out = []
+    for _ in range(10000):
+        rows, d = _random_system(rng, 3)
+        nrm = [math.sqrt(flows._dot(r, r)) for r in rows]
+        gram = tuple(flows._dot(rows[i], rows[j]) / nrm[i] / nrm[j]
+                     for i, j in ((0, 1), (0, 2), (1, 2)))
+        out.append((rows, d, gram, _one_matrix_cond(gram)))
+    return out
+
+
+@pytest.mark.parametrize("cond_max", [1.1, 2.0, 1e3, 1e8])
+def test_pivot_screen_never_changes_a_decision(monkeypatch, screen_systems,
+                                               cond_max):
+    # the solve refuses exactly where the one-matrix spectrum of its Gram
+    # exceeds cond_max, with that condition in the message; at cond_max
+    # 1.1 and 2.0 the screen would need det G = 13.5 / cond_max > 1
+    spectra, conds = [], flows._three_row_conds
+
+    def counted(grams):
+        spectra.append(grams)
+        return conds(grams)
+
+    monkeypatch.setattr(flows, "_three_row_conds", counted)
+    refused = accepted = 0
+    for rows, d, gram, cond in screen_systems:
+        if not cond <= cond_max:
+            with pytest.raises(GramSingular) as caught:
+                _solve_min_norm(rows, d, cond_max)
+            assert str(caught.value) == (f"constraint Gram condition "
+                                         f"{cond:.3e} exceeds {cond_max:.1e}")
+            refused += 1
+        else:
+            assert _solve_min_norm(rows, d, cond_max)[1] == gram
+            accepted += 1
+    screened = 10000 - len(spectra)
+    # random Grams all exceed 1.1; the cond_max boundary tests cover it
+    assert refused > 1000 and (accepted > 100 or cond_max < 2.0)
+    assert screened == 0 if cond_max < 10.0 else screened > 1000
 
 
 def test_monodromy_cond_max_boundary_takes_the_fallback():
@@ -494,6 +553,19 @@ def test_equivalence_transport_rejects_points_inside_tube():
             equivalence_transport(g, 0.5, 0.5, np.array([start]))
 
 
+def test_equivalence_transport_checks_every_start_first(monkeypatch):
+    # the third start is in the tube, so nothing is transported
+    eta = 1e-3 * BRIESKORN.scale(0.5)
+    good = _sphere_starts(BRIESKORN, 0.5, eta, 2, 4)
+    bad = np.array([1e-3, 0.0j])
+    calls = []
+    monkeypatch.setattr(flows, "integrate",
+                        lambda *args: calls.append(args))
+    with pytest.raises(UsageError, match="at or below the tube level") as ei:
+        equivalence_transport(BRIESKORN, 0.5, eta, [*good, bad])
+    assert ei.value.field == "start" and calls == []
+
+
 def test_flow_trace_csv_row_contract(tmp_path):
     tr = integrate(BRIESKORN, FlowSpec(FlowKind.MONODROMY),
                    np.array([0.4 + 0.1j, 0.2 + 0.0j]), (0.0, 1.0))
@@ -533,15 +605,15 @@ def test_radial_transport_tracks_affine_radius():
     assert tr.drift["affine"] < 1e-8
 
 
-def _fiber_flow(kind):
+def _fiber_flow(kind, g=BRIESKORN):
     """A fiber start at r = 0.5 and the end time of its default CLI flow:
     one revolution, r^2 down by 0.75 r0^2, or |f| down to the tube level."""
-    z0 = _fiber_starts(BRIESKORN, 0.0, 0.5, 1, 0, 1e-10)[0]
-    eta = 1e-3 * BRIESKORN.scale(0.5)
+    z0 = _fiber_starts(g, 0.0, 0.5, 1, 0, 1e-10)[0]
+    eta = 1e-3 * g.scale(0.5)
     t1 = {FlowKind.MONODROMY: 2.0 * math.pi,
           FlowKind.RADIAL: -0.75 * 0.5 ** 2,
           FlowKind.TUBE_EQUIVALENCE: math.log(
-              eta / abs(complex(evaluate(BRIESKORN, z0))))}[kind]
+              eta / abs(complex(evaluate(g, z0))))}[kind]
     return z0, t1
 
 
@@ -654,3 +726,40 @@ def test_failed_transport_fails_only_its_own_record(monkeypatch):
     assert canonical_json(recs[1].start) == canonical_json(starts[1])
     assert [canonical_json(r) for r in recs[::2]] == [
         canonical_json(r) for r in solo]
+
+
+@pytest.mark.parametrize("g", [BRIESKORN, MIXED], ids=["a2a3", "mixed"])
+@pytest.mark.parametrize("kind", [FlowKind.MONODROMY,
+                                  FlowKind.TUBE_EQUIVALENCE])
+def test_flow_max_cond_is_the_worst_one_matrix_condition(monkeypatch, g,
+                                                         kind):
+    # integrate's one stacked spectrum keeps the bits of a one-matrix
+    # eigvalsh per Gram
+    grams = []
+
+    def recorded(*args):
+        out = synthesize_field(*args)
+        grams.extend(out[2].grams)
+        return out
+
+    monkeypatch.setattr(flows, "synthesize_field", recorded)
+    z0, t1 = _fiber_flow(kind, g)
+    tr = integrate(g, FlowSpec(kind), z0, (0.0, t1))
+    assert tr.termination == "completed" and tr.n_accepted > 10
+    if kind is FlowKind.MONODROMY:
+        assert sum(len(gram) == 3 for gram in grams) > 100
+    assert tr.max_cond == max(map(_one_matrix_cond, grams))
+
+
+def test_one_eigvalsh_call_per_monodromy_return(monkeypatch):
+    z0, _ = _fiber_flow(FlowKind.MONODROMY)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    ret = flows.monodromy_return(BRIESKORN, z0, 1.0)
+    assert ret.winding == 1
+    assert len(calls) <= 1

@@ -81,6 +81,8 @@ JOBS = {
                            "2", "--start", "0.5,0,0,0"],
     "flow_tube_a2a3": ["flow", "--kind", "tube", "--germ", A2A3, "--seed",
                        "3"],
+    "flow_monodromy_a2a3": ["flow", "--kind", "monodromy", "--germ", A2A3,
+                            "--seed", "1"],
     "monodromy_a2a3": ["monodromy", "--germ", A2A3, "--count", "2", "--seed",
                        "1"],
     "equivalence_a2a3": ["equivalence", "--germ", A2A3, "--count", "3",
