@@ -6,8 +6,8 @@ phase-monodromy and tube flows, and link-surface Euler characteristics.
 from .errors import (AxisApproach, AxisProximity, BallExit,
                      CompletenessViolation, DegenerateAfterRetries,
                      DegenerateGradient, GermSyntaxError, GramSingular,
-                     PencilLabError, PositivityViolation, ProjectionFailure,
-                     StepCollapse, Unstable, UsageError)
+                     KernelOverflow, PencilLabError, PositivityViolation,
+                     ProjectionFailure, StepCollapse, Unstable, UsageError)
 from .flows import (FlowKind, FlowSpec, MonodromyReturn, TransportRecord,
                     equivalence_transport, integrate, monodromy_return,
                     synthesize_field)
@@ -30,8 +30,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AxisApproach", "AxisProximity", "BallExit", "CompletenessViolation",
     "DegenerateAfterRetries", "DegenerateGradient", "DoubleFiberReport",
-    "FiberSample", "FlowKind", "FlowSpec",
-    "GermSyntaxError", "GramSingular", "MilnorNumberResult", "MixedGerm",
+    "FiberSample", "FlowKind", "FlowSpec", "GermSyntaxError", "GramSingular",
+    "KernelOverflow", "MilnorNumberResult", "MixedGerm",
     "MonodromyReturn", "MorseInventory", "PencilLabError",
     "PositivityViolation", "ProjectionFailure", "RadialScanEntry",
     "ScanReport", "StepCollapse", "TransportRecord", "TransversalityReport",

@@ -27,15 +27,13 @@ from .errors import (GermSyntaxError, PencilLabError, ProjectionFailure,
 from .flows import (FlowKind, FlowSpec, equivalence_transport, integrate,
                     monodromy_return)
 from .germ import MixedGerm, evaluate, format_germ, parse_germ
-from .pencil import (h_theta, pointcloud_rows, sample_fiber,
+from .pencil import (TWO_PI, h_theta, pointcloud_rows, sample_fiber,
                      stereographic_project)
 from .regularity import (critical_value_isolation_scan, d_regularity_search,
                          radial_lambda_scan, strong_milnor_check,
                          tube_sphere_transversality)
 from .topology import (closed_form_mu, double_fiber_consistency,
                        link_surface_euler, staircase_mu)
-
-TWO_PI = 2.0 * math.pi
 
 # report and .partial schema; "3" prints result objects field by field
 SCHEMA = "3"
@@ -434,7 +432,9 @@ def _sphere_starts(germ: MixedGerm, radius: float, eta: float, quota: int,
     for factor in (8, 32, 128):
         U = sobol_unit_sphere(seed, (0xE9, 0), factor * quota, 2 * germ.n)
         Z = to_complex(radius * U)
-        absf = np.abs(evaluate(germ, Z))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a germ scale that overflows leaves no start above its floor
+            absf = np.abs(evaluate(germ, Z))
         keep = Z[absf > floor]
         if len(keep) >= quota:
             return keep[:quota]

@@ -57,6 +57,10 @@ class BallExit(PencilLabError):
     """Trajectory left the working ball."""
 
 
+class KernelOverflow(PencilLabError):
+    """A power in the germ kernel overflowed at a lone point."""
+
+
 class StepCollapse(PencilLabError):
     """Adaptive step fell below the representable floor for the tolerance."""
 

@@ -20,9 +20,9 @@ decides from its pivots that it cannot be refused wherever they bound the
 condition well below cond_max, and computes a spectrum only elsewhere; it
 hands back the Gram's off-diagonals, and integrate takes the worst
 condition of a flow from one stacked eigvalsh over all of them. A field
-pass at one point stays on Python floats from the germ pass
-(differential_sample) to the velocity, with every dot product a plain sum
-of products; only a caller that passes an array gets arrays back.
+pass takes its point as a list of floats and stays on Python floats from
+the germ pass (differential_sample) to the velocity, which comes back as a
+list, with every dot product a plain sum of products.
 
 The monodromy Gram system degenerates where the point and the Hermitian
 gradient of log f become complex-colinear; there the tube row is dropped
@@ -69,9 +69,7 @@ from .errors import (AxisApproach, AxisProximity, BallExit,
                      PencilLabError, PositivityViolation, StepCollapse,
                      UsageError)
 from .germ import GRAD_FLOOR, MixedGerm, differential_sample, evaluate
-from .pencil import member_gradient, side_indicator
-
-TWO_PI = 2.0 * math.pi
+from .pencil import TWO_PI, member_gradient, side_indicator
 
 
 class FlowKind(enum.Enum):
@@ -144,11 +142,6 @@ class FieldDiagnostics:
     fallback: bool
     drift: float  # <w, grad_log|f|> on fallback segments, else 0
     corrected: bool = False
-
-    @property
-    def cond(self) -> float:
-        """Worst normalized Gram condition of the field's solves."""
-        return _worst_cond(self.grams)
 
 
 def _dot(u, v) -> float:
@@ -231,7 +224,7 @@ def _solve_min_norm(rows, d, cond_max: float
 
 
 def synthesize_field(germ: MixedGerm, spec: FlowSpec, x, axis_floor: float
-                     ) -> Tuple[np.ndarray, complex, FieldDiagnostics]:
+                     ) -> Tuple[List[float], complex, FieldDiagnostics]:
     """Minimum-norm velocity satisfying the kind's constraint system at x.
 
     Monodromy solves its three rows and drops the third on GramSingular
@@ -239,15 +232,10 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x, axis_floor: float
     rate along the third leaves the kind's bound, add the restore direction
     u of [rows; third] u = (0, 0, 1) (corrected); without u radial keeps the
     bare field and tube raises PositivityViolation. x and the velocity are
-    stacked real vectors (2n,). Returns the velocity, f at x from the same
-    germ pass, and the diagnostics. AxisProximity where |f| <= axis_floor.
-    As for differential_sample, a list x stays in Python numbers: the
-    velocity comes back as a list of floats and f as a complex; an array x
-    gets arrays.
+    stacked real vectors, lists of 2n floats, as for differential_sample.
+    Returns the velocity, f at x (a complex) from the same germ pass, and
+    the diagnostics. AxisProximity where |f| <= axis_floor.
     """
-    lone = isinstance(x, list)
-    if not lone:
-        x = x.tolist()
     f, gl, gt = differential_sample(germ, x, axis_floor)
     r2 = _dot(x, x)
     x_norm = math.sqrt(r2)
@@ -314,7 +302,7 @@ def synthesize_field(germ: MixedGerm, spec: FlowSpec, x, axis_floor: float
     grams = (gram, gram3) if corrected else (gram,)
     dg = FieldDiagnostics(grams=grams, fallback=fallback, drift=drift,
                           corrected=corrected)
-    return (w, f, dg) if lone else (np.array(w), np.array(f), dg)
+    return w, f, dg
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +330,6 @@ MAX_STEPS = 2000
 
 @dataclass
 class FlowTrace:
-    kind: str
     t: np.ndarray
     points: np.ndarray            # complex (N, n)
     norms: np.ndarray
@@ -499,9 +486,8 @@ def integrate(germ: MixedGerm, spec: FlowSpec, x0, t_span: Tuple[float, float]
     ts, ys, rs, fs, thetas = zip(*record)
     ts, rs, thetas = np.array(ts), np.array(rs), np.array(thetas)
     abs_f = np.array([abs(f) for f in fs])   # complex abs, not numpy's
-    return FlowTrace(kind=spec.kind.value, t=ts, points=to_complex(ys),
-                     norms=rs, abs_f=abs_f, theta=thetas,
-                     n_accepted=len(record) - 1, n_rejected=n_rej,
+    return FlowTrace(t=ts, points=to_complex(ys), norms=rs, abs_f=abs_f,
+                     theta=thetas, n_accepted=len(record) - 1, n_rejected=n_rej,
                      fallback_steps=sum(d.fallback for d in diags),
                      corrected_steps=sum(d.corrected for d in diags),
                      max_cond=_worst_cond(

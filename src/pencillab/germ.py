@@ -25,10 +25,10 @@ so a lone point and a batch row can differ in the last bits.
 
 Point layout: the complex kernels (evaluate, value_and_gradient and the
 wirtinger_* ones) take complex points z (..., n). The real ones (real_*,
-differential_sample, the rank margins) take the stacked real points x
-(..., 2n) the package computes with, and make the kernel's complex copy.
-real_gradients and differential_sample also take one point as a list of
-floats and then return Python numbers: f complex, gradients float lists.
+the rank margins) take the stacked real points x (..., 2n) the package
+computes with, and make the kernel's complex copy. A lone point is a list
+of floats in and Python numbers out: differential_sample takes only that
+form, and real_gradients takes it too (f complex, gradients float lists).
 column_gradients takes coordinate-major points (2n, ...), the layout of the
 cover kernels, and fills the kernel's slots as contiguous (n, ...) arrays.
 """
@@ -44,7 +44,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ._num import complex_columns, norm_rows, sum_columns, to_complex
-from .errors import AxisProximity, GermSyntaxError, UsageError
+from .errors import (AxisProximity, GermSyntaxError, KernelOverflow,
+                     UsageError)
 
 Exponents = Tuple[int, ...]
 TermKey = Tuple[Exponents, Exponents]
@@ -105,34 +106,25 @@ class MixedGerm:
         degs = [sum(p) + sum(q) for _, p, q in self.terms]
         return min(degs), max(degs)
 
-    def scale(self, radius: float) -> float:
-        """max |c| * radius^deg over terms: the size of f on the sphere."""
-        r = float(radius)
-        return max((abs(c) * r ** (sum(p) + sum(q)) for c, p, q in self.terms),
-                   default=0.0)
+    def scale(self, radius):
+        """max |c| * radius^deg over terms, the size of f on the sphere: a
+        numpy float for a float radius, its power rounded as Python rounds
+        it, or one value per entry of an array of radii; inf past overflow."""
+        r = np.asarray(radius, dtype=float)[()]
+        with np.errstate(over="ignore"):
+            return np.max([abs(c) * r ** (sum(p) + sum(q))
+                           for c, p, q in self.terms], axis=0, initial=0.0)
 
-    def axis_floor(self, radius: float) -> float:
+    def axis_floor(self, radius):
         return AXIS_FLOOR * self.scale(radius)
 
-    def f_floor(self, radius: float) -> float:
+    def f_floor(self, radius):
         return F_FLOOR * self.scale(radius)
 
     def on_axis(self, x, f) -> np.ndarray:
         """True where |f| <= axis_floor(|x|), row by row over the stacked
         real points x (..., 2n) and their values f (...)."""
-        r = norm_rows(x)
-        scale = np.max([abs(c) * r ** (sum(p) + sum(q))
-                        for c, p, q in self.terms], axis=0, initial=0.0)
-        return np.abs(f) <= AXIS_FLOOR * scale
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [{"re": c.real, "im": c.imag, "p": list(p), "q": list(q)}
-                      for c, p, q in self.terms],
-        }
+        return np.abs(f) <= self.axis_floor(norm_rows(x))
 
     @staticmethod
     def from_json_dict(d: dict) -> "MixedGerm":
@@ -142,9 +134,6 @@ class MixedGerm:
             terms[key] = terms.get(key, 0j) + complex(t["re"], t["im"])
         return _germ_from_dict(int(d["n"]), terms)
 
-    def __str__(self) -> str:
-        return format_germ(self)
-
 
 def _term_sort_key(item):
     (p, q), _ = item
@@ -153,10 +142,6 @@ def _term_sort_key(item):
 
 def _germ_from_dict(n: int, terms: Dict[TermKey, complex]) -> MixedGerm:
     pruned = {k: c for k, c in terms.items() if c != 0}
-    const_key = ((0,) * n, (0,) * n)
-    if const_key in pruned:
-        raise UsageError("terms", "constant term nonzero: germ must vanish "
-                                  "at 0")
     ordered = tuple((c, p, q) for (p, q), c in sorted(pruned.items(),
                                                       key=_term_sort_key))
     return MixedGerm(n=n, terms=ordered)
@@ -253,7 +238,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                poly = _poly_mul(poly, self.factor(), self.n)
+                poly = _poly_mul(poly, self.factor())
             else:
                 return poly
 
@@ -324,7 +309,7 @@ def _poly_scale(a, s):
     return {k: c * s for k, c in a.items()}
 
 
-def _poly_mul(a, b, n):
+def _poly_mul(a, b):
     out: Dict[TermKey, complex] = {}
     for (pa, qa), ca in a.items():
         for (pb, qb), cb in b.items():
@@ -338,7 +323,7 @@ def _poly_pow(a, k, n):
     zero = (0,) * n
     out = {(zero, zero): 1.0 + 0j}
     for _ in range(k):
-        out = _poly_mul(out, a, n)
+        out = _poly_mul(out, a)
     return out
 
 
@@ -486,23 +471,29 @@ def _derivatives(germ: MixedGerm, z, orders):
     orders is a subset of (0, 1, 2), in increasing order; the requested
     slots come back in that order: f for 0, (d_z, d_zbar) for 1 and
     (A, B, C) for 2. A list z is a lone point in Python complex numbers,
-    and its slots come back as lists of Python numbers, row-major.
+    and its slots come back as lists of Python numbers, row-major; where a
+    power overflows there, KernelOverflow (a batch row gets inf or NaN).
     """
     kernel = _kernel(germ.n, germ.terms, orders)
-    if isinstance(z, list):
-        return kernel(z, germ.terms)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if z.shape[-1] != germ.n:
-        raise UsageError("z", f"point must have {germ.n} complex coordinates")
-    base, ks = z.shape[:-1], [k for k in orders for _ in range(k + 1)]
-    if base:
-        # point and entry axes first, so z[j] and slots[s][i] span all rows
-        axes = (len(base), *range(len(base)))
-        slots = [np.zeros(base + (germ.n ** k,), dtype=complex) for k in ks]
-        kernel(z.transpose(axes), germ.terms,
-               [s.transpose(axes) for s in slots])
-    else:
-        slots = kernel(z.tolist(), germ.terms)
+    try:
+        if isinstance(z, list):
+            return kernel(z, germ.terms)
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        if z.shape[-1] != germ.n:
+            raise UsageError("z",
+                             f"point must have {germ.n} complex coordinates")
+        base, ks = z.shape[:-1], [k for k in orders for _ in range(k + 1)]
+        if base:
+            # point and entry axes first: z[j] and slots[s][i] span all rows
+            axes = (len(base), *range(len(base)))
+            slots = [np.zeros(base + (germ.n ** k,), dtype=complex)
+                     for k in ks]
+            kernel(z.transpose(axes), germ.terms,
+                   [s.transpose(axes) for s in slots])
+        else:
+            slots = kernel(z.tolist(), germ.terms)
+    except OverflowError as exc:  # Python's complex power, at a lone point
+        raise KernelOverflow(f"lone-point germ kernel: {exc}") from None
     return tuple(np.asarray(s).reshape(base + (germ.n,) * k)
                  for s, k in zip(slots, ks))
 
@@ -594,19 +585,16 @@ def _float_gradients(germ: MixedGerm, x: list):
     return f, [w.real for w in g], [w.imag for w in g]
 
 
-def differential_sample(germ: MixedGerm, x, axis_floor: float):
+def differential_sample(germ: MixedGerm, x: list, axis_floor: float):
     """(f, grad_log_rho, grad_theta) at one stacked real point x (2n,).
 
     grad_log_rho is the real gradient of log|f| and grad_theta the real
     gradient of the (local) phase angle of f, both in the stacked [Re ; Im]
     layout; AxisProximity if |f| is at or below axis_floor, where neither is
-    defined. It runs on Python numbers from the float pass of
-    real_gradients; a list x stays in them, f complex and the gradients
-    lists of floats.
+    defined. x is a list of floats, and the float pass of real_gradients
+    keeps it on Python numbers: f complex, the gradients float lists.
     """
-    lone = isinstance(x, list)
-    f, ga, gb = _float_gradients(
-        germ, x if lone else np.asarray(x, dtype=float).tolist())
+    f, ga, gb = _float_gradients(germ, x)
     a, b = f.real, f.imag
     rho2 = a * a + b * b
     rho = math.sqrt(rho2)
@@ -614,7 +602,7 @@ def differential_sample(germ: MixedGerm, x, axis_floor: float):
         raise AxisProximity(f"|f| = {rho:.3e} at or below the axis floor")
     lr = [(a * p + b * q) / rho2 for p, q in zip(ga, gb)]
     th = [(a * q - b * p) / rho2 for p, q in zip(ga, gb)]
-    return (f, lr, th) if lone else (np.array(f), np.array(lr), np.array(th))
+    return f, lr, th
 
 
 def jacobian_rank_margin(germ: MixedGerm, x) -> float:

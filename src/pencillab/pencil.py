@@ -79,9 +79,6 @@ class FiberSample:
     the sphere of the requested radius."""
 
     points: np.ndarray          # complex (k, n)
-    theta: float
-    radius: float
-    attempted: int
     converged: int
     wrong_side: int
 
@@ -129,7 +126,6 @@ def sample_fiber(germ: MixedGerm, theta: float, radius: float, count: int,
     theta = float(theta) % TWO_PI
     if count <= 0:
         return FiberSample(points=np.empty((0, germ.n), dtype=complex),
-                           theta=theta, radius=radius, attempted=0,
                            converged=0, wrong_side=0)
     dim = 2 * germ.n
     seeds = radius * sobol_unit_sphere(seed, (0x0F1B, 0), count, dim)
@@ -145,9 +141,7 @@ def sample_fiber(germ: MixedGerm, theta: float, radius: float, count: int,
     side = side_indicator(germ, theta, Z)
     floor = germ.axis_floor(radius)
     keep = side > floor
-    pts = Z[keep]
-    return FiberSample(points=pts, theta=theta, radius=radius,
-                       attempted=count, converged=converged,
+    return FiberSample(points=Z[keep], converged=converged,
                        wrong_side=int(np.count_nonzero(~keep)))
 
 

@@ -57,7 +57,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-TWO_PI = 2.0 * math.pi
 DEFAULT_NEWTON_TOL = 1e-10
 HIST_BINS = 32
 assert HIST_BINS & (HIST_BINS - 1) == 0, "HIST_BINS must be a power of two"

@@ -37,9 +37,8 @@ from ._num import (gauss_newton, sobol_unit_sphere, solve_rows, stream,
                    to_complex)
 from .errors import DegenerateAfterRetries, Unstable, UsageError
 from .germ import MixedGerm, stacked_gradients, wirtinger_hessian
-from .pencil import _member, member_gradient, sphere_member_system
+from .pencil import TWO_PI, _member, member_gradient, sphere_member_system
 
-TWO_PI = 2.0 * math.pi
 DEGENERACY_TOL = 1e-9   # on |det| of a critical point's projected Hessian
 
 
@@ -50,7 +49,6 @@ DEGENERACY_TOL = 1e-9   # on |det| of a critical point's projected Hessian
 @dataclass(frozen=True)
 class MilnorNumberResult:
     mu: int
-    method: str                  # "closed-form" | "staircase"
     exponents: Tuple[int, ...]
 
 
@@ -62,7 +60,7 @@ def closed_form_mu(exponents: Sequence[int]) -> MilnorNumberResult:
     mu = 1
     for a in exps:
         mu *= a - 1
-    return MilnorNumberResult(mu=mu, method="closed-form", exponents=exps)
+    return MilnorNumberResult(mu=mu, exponents=exps)
 
 
 def staircase_mu(exponents: Sequence[int]) -> MilnorNumberResult:
@@ -84,7 +82,7 @@ def staircase_mu(exponents: Sequence[int]) -> MilnorNumberResult:
     count = 0
     for _ in iter_product(*(range(a - 1) for a in exps)):
         count += 1
-    return MilnorNumberResult(mu=count, method="staircase", exponents=exps)
+    return MilnorNumberResult(mu=count, exponents=exps)
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +370,11 @@ def double_fiber_consistency(germ: MixedGerm, theta: float, radius: float,
                              **euler_kwargs) -> DoubleFiberReport:
     """Check chi(link of the member) = 2 * (1 - mu) for a power-sum germ.
 
-    chi comes from the Morse enumeration, mu from the two independent
-    Milnor-number computations (which must agree); the genus is derived
-    from chi for the connected link surface.
+    chi comes from the Morse enumeration and mu from the closed form; the
+    genus is derived from chi for the connected link surface.
     """
     a = brieskorn_exponents(germ)
     mu_closed = closed_form_mu(a).mu
-    mu_stair = staircase_mu(a).mu
-    if mu_closed != mu_stair:
-        raise AssertionError(
-            f"Milnor number mismatch: {mu_closed} != {mu_stair}")
     _, chi = link_surface_euler(germ, theta, radius, budget=budget,
                                 seed=seed, **euler_kwargs)
     expected = 2 * (1 - mu_closed)

@@ -1,7 +1,8 @@
-"""The public API: every exported name, and every public name a module
-defines, is used by the program, the benchmark or the acceptance criteria,
-not only by unit tests; every argument check raises a UsageError; importing
-the package loads neither scipy.stats nor scipy.optimize."""
+"""The public API: every exported name, every public name a module defines
+and every public method or property of its classes is used by the program,
+the benchmark or the acceptance criteria, not only by unit tests; every
+argument check raises a UsageError; importing the package loads neither
+scipy.stats nor scipy.optimize."""
 
 import ast
 import json
@@ -59,6 +60,39 @@ def test_every_export_is_used():
         used |= _used_names(path, strings=True)
     used |= _used_names(ROOT / "tests" / "test_acceptance.py", strings=False)
     unused = sorted(public - used)
+    assert unused == [], f"public but unused: {unused}"
+
+
+def _attributes_read(path: Path, strings: bool) -> set:
+    """Names the file reads as an attribute (x.name); with strings, also its
+    string constants."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            used.add(node.value)
+    return used
+
+
+def test_every_public_member_is_used():
+    # a method or property is reached as an attribute: by the program, the
+    # benchmark (whose tracer also names what it reads) or the acceptance
+    # criteria; dataclass fields are data, not members
+    members, used = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        used |= _attributes_read(path, strings=False)
+        members |= {f"{path.stem}.{node.name}.{item.name}"
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.ClassDef) for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")}
+    for path in sorted(BENCH.glob("*.py")):
+        used |= _attributes_read(path, strings=True)
+    used |= _attributes_read(ROOT / "tests" / "test_acceptance.py",
+                             strings=False)
+    unused = sorted(m for m in members if m.rsplit(".", 1)[1] not in used)
     assert unused == [], f"public but unused: {unused}"
 
 

@@ -251,6 +251,30 @@ def test_bad_point_is_usage_error(capsys, tmp_path, argv, field, message):
                    f"{message.replace('{tmp}', str(tmp_path))}\n")
 
 
+@pytest.mark.parametrize("argv,code,err", [
+    pytest.param(("info", "--germ", "z1^3", "--radius", "1e200"), 0, "",
+                 id="info-scale"),
+    pytest.param(("equivalence", "--germ", "z1^1000+z2^2", "--radius", "3",
+                  "--count", "2"), 3,
+                 "error: numerical failure (ProjectionFailure): collected "
+                 "0/2 sphere start points off the tube\n",
+                 id="equivalence-scale"),
+    pytest.param(("flow", "--germ", "z1^1000+z2^2", "--start", "3,0,0,0.1"),
+                 3, "error: numerical failure (KernelOverflow): lone-point "
+                    "germ kernel: complex exponentiation\n",
+                 id="flow-lone-point")])
+def test_overflow_ends_in_a_report_or_one_error_line(capsys, argv, code,
+                                                     err):
+    # a germ scale past the float range is an inf floor, and a lone-point
+    # kernel power that overflows is a typed failure
+    got, out, stderr = run(capsys, *argv)
+    assert (got, stderr) == (code, err)
+    if code == 0:
+        result = report_of(out)["result"]
+        assert [result[k] for k in ("scale_at_radius", "axis_floor",
+                                    "f_floor")] == ["inf"] * 3
+
+
 def test_flow_with_t1_given_equal_to_t0_is_an_empty_span(capsys):
     code, out, err = run(capsys, "flow", "--germ", "z1^2+z2^3", "--start",
                          "0.5,0,0,0.1", "--t0", "1e17", "--t1", "1e17")

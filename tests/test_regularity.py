@@ -72,8 +72,8 @@ def test_defect_matches_angle_oracle():
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
         x = to_real(z)
         _, _, grad_theta = differential_sample(
-            g, x, g.axis_floor(float(np.linalg.norm(x))))
-        gt = grad_theta / np.linalg.norm(grad_theta)
+            g, x.tolist(), g.axis_floor(float(np.linalg.norm(x))))
+        gt = np.array(grad_theta) / np.linalg.norm(grad_theta)
         nx = x / np.linalg.norm(x)
         cosang = float(np.clip(gt @ nx, -1.0, 1.0))
         want = abs(math.cos(math.acos(cosang) - math.pi / 2))
@@ -521,9 +521,9 @@ def test_every_axis_test_decides_alike(factor, unit):
     floor = g.axis_floor(float(np.linalg.norm(x)))
     if axis:
         with pytest.raises(AxisProximity):
-            differential_sample(g, x, floor)
+            differential_sample(g, x.tolist(), floor)
     else:
-        differential_sample(g, x, floor)
+        differential_sample(g, x.tolist(), floor)
     [entry] = radial_lambda_scan(g, x, [np.linalg.norm(z)])
     assert (entry.error == AxisProximity.__name__) == axis
 

@@ -30,7 +30,6 @@ from pencillab.topology import (_lagrange_newton, brieskorn_exponents,
 def test_closed_form_mu_examples(exps, mu):
     r = closed_form_mu(exps)
     assert r.mu == mu
-    assert r.method == "closed-form"
     assert r.exponents == tuple(exps)
 
 
