@@ -4,9 +4,9 @@ batched Newton driver, canonical JSON.
 
 Points come as rows (..., 2n) or, in the cover kernels, coordinate-major as
 columns (2n, ...), one contiguous array per coordinate. Sums over the
-coordinates of columns are written out (sum_columns, dot_columns) in the
-orders np.sum and einsum take over a row, so a point has the same bits in
-either layout."""
+coordinates of columns, dots included as sums of products, are written out
+(sum_columns) in the order np.sum takes over a row, so a point has the same
+bits in either layout."""
 
 from __future__ import annotations
 
@@ -68,23 +68,6 @@ def sum_columns(p) -> np.ndarray:
     for q in p[1:]:
         s += q
     return s
-
-
-def dot_columns(u, v) -> np.ndarray:
-    """sum_i u[i] v[i] over the first axis in einsum's order. Its two-lane
-    loop (no fused multiply-add) gives the even i to lane 0 and the odd to
-    lane 1; a lane adds from 0.0 its 8-entry blocks back to front, then the
-    rest front to back. Lane 0 plus lane 1 is the result: (p0 + p2 + p4) +
-    (p1 + p3 + p5) for 6 entries."""
-    m, k, acc = len(u), len(u) - len(u) % 8, []
-    for lane in (0, 1):
-        idx = [b + i + lane for b in range(0, k, 8) for i in (6, 4, 2, 0)]
-        idx += range(k + lane, m, 2)
-        s = u[idx[0]] * v[idx[0]] + 0.0
-        for i in idx[1:]:
-            s += u[i] * v[i]
-        acc.append(s)
-    return acc[0] + acc[1]
 
 
 def norm_columns(v: np.ndarray) -> np.ndarray:
@@ -442,7 +425,9 @@ def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     for _ in range(GN_ITER):
         if idx.size == 0:
             break
-        R, J = system(Xa)
+        # a row whose residual overflows stops below, alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            R, J = system(Xa)
         res = np.abs(R[:, 0]) / scale[0]
         for j in range(1, R.shape[1]):
             np.maximum(res, np.abs(R[:, j]) / scale[j], out=res)

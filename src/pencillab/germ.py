@@ -43,7 +43,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ._num import complex_columns, norm_rows, sum_columns, to_complex
+from ._num import complex_columns, sum_columns, to_complex
 from .errors import (AxisProximity, GermSyntaxError, KernelOverflow,
                      UsageError)
 
@@ -106,25 +106,20 @@ class MixedGerm:
         degs = [sum(p) + sum(q) for _, p, q in self.terms]
         return min(degs), max(degs)
 
-    def scale(self, radius):
-        """max |c| * radius^deg over terms, the size of f on the sphere: a
-        numpy float for a float radius, its power rounded as Python rounds
-        it, or one value per entry of an array of radii; inf past overflow."""
-        r = np.asarray(radius, dtype=float)[()]
+    def scale(self, radius: float):
+        """max |c| * radius^deg over terms, the size of f on the sphere of a
+        float radius: a numpy float, its power rounded as Python rounds it;
+        inf past overflow."""
+        r = np.float64(float(radius))
         with np.errstate(over="ignore"):
             return np.max([abs(c) * r ** (sum(p) + sum(q))
-                           for c, p, q in self.terms], axis=0, initial=0.0)
+                           for c, p, q in self.terms], initial=0.0)
 
-    def axis_floor(self, radius):
+    def axis_floor(self, radius: float):
         return AXIS_FLOOR * self.scale(radius)
 
-    def f_floor(self, radius):
+    def f_floor(self, radius: float):
         return F_FLOOR * self.scale(radius)
-
-    def on_axis(self, x, f) -> np.ndarray:
-        """True where |f| <= axis_floor(|x|), row by row over the stacked
-        real points x (..., 2n) and their values f (...)."""
-        return np.abs(f) <= self.axis_floor(norm_rows(x))
 
     @staticmethod
     def from_json_dict(d: dict) -> "MixedGerm":

@@ -24,9 +24,9 @@ worker count.
 
 The kernels are coordinate-major: points, gradients and normals are
 (2n, ...) arrays and a lone (2n,) point is a column. Norms and sums take
-np.sum's order (_num.sum_columns); dots and the metric normal take the
-order of einsum's loop, two interleaved accumulators (_num.dot_columns),
-written out, so they no longer follow einsum's SIMD dispatch.
+np.sum's order (_num.sum_columns), dots and the metric normal as sums of
+products, so a point has the same bits alone, in any cover and in the
+row-major layout.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._num import (SobolDraw, complex_columns, dot_columns, gauss_newton,
+from ._num import (SobolDraw, complex_columns, gauss_newton,
                    map_chunks, norm_columns, norm_rows, prescaled,
                    sobol_unit_sphere, sum_columns)
 from .errors import AxisProximity, UsageError
@@ -87,8 +87,8 @@ def defect_from_directions(grad_theta: np.ndarray, normal: np.ndarray
     """
     g = np.asarray(grad_theta, dtype=float)
     nrm = np.asarray(normal, dtype=float)
-    perp = g - (dot_columns(g, nrm) / dot_columns(nrm, nrm)) * nrm
-    return np.minimum(np.sqrt(dot_columns(perp, perp) / dot_columns(g, g)),
+    perp = g - (sum_columns(g * nrm) / sum_columns(nrm * nrm)) * nrm
+    return np.minimum(np.sqrt(sum_columns(perp * perp) / sum_columns(g * g)),
                       1.0)
 
 
@@ -127,9 +127,13 @@ def _defects(germ: MixedGerm, X: np.ndarray, floor: float,
 
 
 def _metric_normal(Q: Optional[np.ndarray], X: np.ndarray) -> np.ndarray:
-    """Q x (x itself for the identity); not a BLAS product, whose rounding
+    """Q x at the columns of X (x itself for the identity), each entry a sum
+    of products over the coordinates; not a BLAS product, whose rounding
     depends on the number of points."""
-    return X if Q is None else np.array([dot_columns(q, X) for q in Q])
+    if Q is None:
+        return X
+    return sum_columns(np.expand_dims(Q.T, tuple(range(2, X.ndim + 1)))
+                       * X[:, None])
 
 
 def _bin_counts(values: np.ndarray) -> np.ndarray:
@@ -179,15 +183,7 @@ def _metric_mapper(Q: Optional[np.ndarray], radius: float):
         return lambda U: radius * U, None
     Q = np.asarray(Q, dtype=float)
     Lt = np.linalg.inv(np.linalg.cholesky(Q)).T
-
-    def lift(U):
-        # BLAS takes a one-column product down its matrix-vector path,
-        # which rounds differently from the columns of a larger product; so
-        # a lone point (a witness, a 1-row tail chunk) goes in twice
-        if U.shape[1] == 1:
-            return radius * (Lt @ np.hstack([U, U]))[:, :1]
-        return radius * (Lt @ U)
-    return lift, Q
+    return lambda U: radius * _metric_normal(Lt, U), Q
 
 
 POLISH_ITER = 60
@@ -302,6 +298,17 @@ def _smallest_first(values: np.ndarray, k: int) -> np.ndarray:
     return cand[np.argsort(values[cand], kind="stable")[:k]]
 
 
+def _minimum(values: np.ndarray) -> Tuple[float, int]:
+    """(the minimum of values, its witness row): the lowest row index among
+    the rows within 8 eps relative of the minimum, so that rows which tie
+    with it up to rounding cannot move the witness. A NaN minimum keeps
+    np.argmin's row."""
+    k = int(np.argmin(values))
+    low = float(values[k])
+    ties = np.flatnonzero(values <= low + 8.0 * _EPS * abs(low))
+    return low, int(ties[0]) if ties.size else k
+
+
 def d_regularity_search(germ: MixedGerm, radius: float,
                         Q: Optional[np.ndarray] = None,
                         budget: int = 10000, seed: int = 0,
@@ -374,13 +381,14 @@ def d_regularity_search(germ: MixedGerm, radius: float,
                                     **common)
 
     # the witness and the polish starts, redrawn by index
-    order = _smallest_first(defects, max(1, polish_runs))
-    Xo = lift(draw.at(order).T).T
-    min_defect, witness = float(defects[order[0]]), Xo[0]
+    runs = max(0, polish_runs)
+    order = _smallest_first(defects, max(1, runs))[:runs]
+    min_defect, best = _minimum(defects)
+    Xo = lift(draw.at(np.concatenate([[best], order])).T).T
+    witness = Xo[0]
 
     # local polishing from the worst (smallest-defect) usable samples
-    runs = max(0, polish_runs)
-    starts = Xo[:runs][np.isfinite(defects[order[:runs]])]
+    starts = Xo[1:][np.isfinite(defects[order])]
     if len(starts):
         values, Xp = _polish(germ, starts, radius, Qm, f_floor)
         f = real_gradients(germ, Xp)[0]
@@ -444,19 +452,14 @@ def radial_lambda_scan(germ: MixedGerm, direction, radii: Sequence[float]
     direction a stacked real (2n,) vector; per-radius axis hits are
     recorded, not raised."""
     d = prescaled(direction)
-    n = d.size // 2
-    # rounded as the complex quotient d / |d| is (|Re d|^2 + |Im d|^2, then
-    # a reciprocal), so the scan reads the same bits as on complex points
-    unit = d * (1.0 / np.sqrt(d[:n] @ d[:n] + d[n:] @ d[n:]))
     t = np.asarray(radii, dtype=float)
-    X = t[:, None] * unit
+    X = t[:, None] * (d / norm_rows(d))
     f, ga, _ = real_gradients(germ, X)
     colin, _, arg, violated = _colinearity(f, ga.T, X.T)
-    hits = germ.on_axis(X, f)
-    return [RadialScanEntry(float(r), None, None, AxisProximity.__name__)
-            if hit else RadialScanEntry(float(r), float(c), float(a),
-                                        condition_ok=not v)
-            for r, hit, c, a, v in zip(t, hits, colin, arg, violated)]
+    return [RadialScanEntry(r, None, None, AxisProximity.__name__)
+            if abs(fr) <= germ.axis_floor(r)
+            else RadialScanEntry(r, float(c), float(a), condition_ok=not v)
+            for r, fr, c, a, v in zip(t.tolist(), f, colin, arg, violated)]
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +493,9 @@ def _scan_report(kind: str, radius: float, budget: int, seed: int,
     if not conclusive:
         return ScanReport(min_value=float("inf"), witness=(),
                           verdict="inconclusive", **common)
-    best = int(np.argmin(values))
-    return ScanReport(min_value=float(values[best]),
-                      witness=tuple(row_at(best)),
-                      verdict=bool(values[best] > threshold), **common)
+    low, best = _minimum(values)
+    return ScanReport(min_value=low, witness=tuple(row_at(best)),
+                      verdict=bool(low > threshold), **common)
 
 
 def strong_milnor_check(germ: MixedGerm, radius: float, budget: int = 10000,

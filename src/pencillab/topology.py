@@ -180,9 +180,10 @@ def _morse_data(system, scale, X: np.ndarray, L: np.ndarray):
     stacked QR of the frame and the identity.
     """
     Y = np.concatenate([X, L], axis=-1)
-    dY = solve_rows(*system(Y)[::-1])
-    Y -= np.where(np.isfinite(dY).all(axis=-1, keepdims=True), dY, 0.0)
-    F, J = system(Y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dY = solve_rows(*system(Y)[::-1])
+        Y -= np.where(np.isfinite(dY).all(axis=-1, keepdims=True), dY, 0.0)
+        F, J = system(Y)
     X, L = Y[:, :4], Y[:, 4:]
     frame = np.stack([X / np.linalg.norm(X, axis=-1, keepdims=True),
                       J[:, 5, :4]], axis=-1)

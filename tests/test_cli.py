@@ -3,6 +3,7 @@
 import json
 import os
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,24 @@ def test_overflow_ends_in_a_report_or_one_error_line(capsys, argv, code,
         result = report_of(out)["result"]
         assert [result[k] for k in ("scale_at_radius", "axis_floor",
                                     "f_floor")] == ["inf"] * 3
+
+
+def test_overflowing_seeds_stop_alone_without_warnings(capsys, tmp_path,
+                                                       monkeypatch):
+    # seeds whose residual overflows stop in the Newton loop, one row each,
+    # so stderr holds the partial-inventory line and the error line only
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        # as the command line prints them
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "double-check", "--germ",
+                             "z1^1000^47+z2^2", "--budget", "2000")
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (3, "")
+    assert err == ("partial inventory -> pencillab-double-check.partial\n"
+                   "error: numerical failure (Unstable): no stability after "
+                   "2000 seeds (9/20 quiet batches)\n")
+    assert (tmp_path / "pencillab-double-check.partial").is_file()
 
 
 def test_flow_with_t1_given_equal_to_t0_is_an_empty_span(capsys):

@@ -13,7 +13,7 @@ from pencillab.germ import (GRAD_FLOOR, column_gradients, gram_margin,
                             parse_germ, real_gradients)
 from pencillab.regularity import (ANGLE_MARGIN, COLINEARITY_TOL, HIST_BINS,
                                   _bin_counts, _colinearity, _defects,
-                                  _metric_mapper)
+                                  _metric_mapper, _metric_normal)
 
 # the metric of tests/test_regularity.py
 METRIC_Q = np.array([[2.0, 0.3, 0.0, 0.1],
@@ -28,9 +28,10 @@ GERMS = [("z1^2 + z2^3", 2), ("z1^2 + z2^3 + z3^5", 3),
 
 def _row_defects(g, X, floor, Q=None):
     """The row-major defect kernel the column one replaced, kept as its
-    reference: (defect, axis, degenerate, f, grad_a) at the rows X."""
+    reference: (defect, axis, degenerate, f, grad_a) at the rows X, its
+    dots and metric normal np.sum's sums of products over each row."""
     def dot(u, v):
-        return np.einsum("...i,...i->...", u, v)
+        return np.sum(u * v, axis=-1)
 
     f, ga, gb = real_gradients(g, X)
     a, b = f.real, f.imag
@@ -39,7 +40,7 @@ def _row_defects(g, X, floor, Q=None):
     grad_theta = gts / (f.real ** 2 + f.imag ** 2)[..., None]
     axis = rho <= floor
     usable = ~axis & (norm_rows(grad_theta) * norm_rows(X) >= GRAD_FLOOR)
-    normal = X if Q is None else np.einsum("ij,...j->...i", Q, X)
+    normal = X if Q is None else np.sum(Q * X[..., None, :], axis=-1)
     gu, nu = grad_theta[usable], normal[usable]
     perp = gu - (dot(gu, nu) / dot(nu, nu))[..., None] * nu
     defect = np.full(rho.shape, np.inf)
@@ -132,15 +133,14 @@ def test_degenerate_rows_are_the_row_kernels_bit_for_bit():
 def test_metric_cover_is_the_row_cover_bit_for_bit(text, n):
     g = parse_germ(text, n)
     lift, Q = _metric_mapper(METRIC_Q, 0.5)
-    Linv = np.linalg.inv(np.linalg.cholesky(METRIC_Q))
+    Lt = np.linalg.inv(np.linalg.cholesky(METRIC_Q)).T
     U = SobolDraw(1, (0xD4E6, 0), 9000, 4).rows(0, 9000)
-    X = 0.5 * (U @ Linv)
+    X = 0.5 * np.sum(Lt * U[:, None, :], axis=-1)
     assert lift(np.ascontiguousarray(U.T)).T.tobytes() == X.tobytes()
     _same_kernels(g, np.vstack([X, _special_rows(4)]), g.f_floor(0.5), Q)
-    # a 1-row tail chunk is lifted alone, as the row lift did
-    one = 0.5 * (np.vstack([U[-1:], U[-1:]]) @ Linv)[:1]
-    assert lift(U[-1:].T).T.tobytes() == one.tobytes()
-    _same_kernels(g, one, g.f_floor(0.5), Q)
+    # a 1-row tail chunk is lifted alone
+    assert lift(U[-1:].T).T.tobytes() == X[-1:].tobytes()
+    _same_kernels(g, X[-1:], g.f_floor(0.5), Q)
 
 
 def test_column_sums_take_the_order_of_numpy_row_sums():
@@ -150,14 +150,9 @@ def test_column_sums_take_the_order_of_numpy_row_sums():
         A[:3] = -0.0
         At = np.ascontiguousarray(A.T)
         assert sum_columns(At).tobytes() == np.sum(A, axis=-1).tobytes()
-        if m < 2:
-            continue
-        B = rng.normal(size=(400, m))
         Q = rng.normal(size=(m, m))
-        assert _num.dot_columns(At, B.T).tobytes() == np.einsum(
-            "...i,...i->...", A, B).tobytes()
-        assert np.array([_num.dot_columns(q, At) for q in Q]).T.tobytes() \
-            == np.einsum("ij,...j->...i", Q, A).tobytes()
+        assert _metric_normal(Q, At).T.tobytes() == np.sum(
+            Q * A[:, None, :], axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("radius", [None, 0.7])

@@ -529,3 +529,14 @@ def test_scale_and_floors():
     g = parse_germ("z1^2 + z2^3", 2)
     assert abs(g.scale(0.5) - 0.25) < 1e-15
     assert 0.0 < g.axis_floor(0.5) < g.f_floor(0.5)
+
+
+def test_scale_takes_a_float_radius_only():
+    # one power path: the floors of a radius are Python's powers of it
+    g = parse_germ("z1^2 - 3*z2^3 + 0.5*z1*z2^4", 2)
+    for r in np.random.default_rng(5).uniform(1e-3, 3.0, 2000).tolist():
+        assert g.scale(r) == max(abs(c) * r ** (sum(p) + sum(q))
+                                 for c, p, q in g.terms)
+    assert g.scale(1e200) == math.inf
+    with pytest.raises(TypeError):
+        g.scale(np.array([0.5, 0.6]))

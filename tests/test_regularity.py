@@ -159,12 +159,13 @@ def test_cover_reports_do_not_depend_on_chunk_size_or_threads(monkeypatch):
 
 def test_metric_lift_of_a_lone_row_is_its_row_in_a_cover():
     # a witness and a 1-row tail chunk are lifted alone; the lift takes
-    # coordinate-major points, and a point is lifted as in the row-major
-    # BLAS product U @ L^-1
+    # coordinate-major points, and a point is lifted as np.sum sums the
+    # products of a row of U with those of L^-T
     lift, _ = regularity._metric_mapper(METRIC_Q, 0.5)
     U = sobol_unit_sphere(0, (1,), 2000, 4)
     whole = lift(U.T)
-    rows = 0.5 * (U @ np.linalg.inv(np.linalg.cholesky(METRIC_Q)))
+    Lt = np.linalg.inv(np.linalg.cholesky(METRIC_Q)).T
+    rows = 0.5 * np.sum(Lt * U[:, None, :], axis=-1)
     assert whole.T.tobytes() == rows.tobytes()
     for k in range(len(U)):
         assert lift(U[k:k + 1].T).T.tobytes() == whole.T[k:k + 1].tobytes()
@@ -517,7 +518,6 @@ def test_every_axis_test_decides_alike(factor, unit):
     axis = factor < 1.0
     assert (abs(z[0]) <= 1e-12 * np.linalg.norm(z)) == axis
     x = to_real(z)
-    assert bool(g.on_axis(x, evaluate(g, z))) == axis
     floor = g.axis_floor(float(np.linalg.norm(x)))
     if axis:
         with pytest.raises(AxisProximity):
@@ -526,6 +526,28 @@ def test_every_axis_test_decides_alike(factor, unit):
         differential_sample(g, x.tolist(), floor)
     [entry] = radial_lambda_scan(g, x, [np.linalg.norm(z)])
     assert (entry.error == AxisProximity.__name__) == axis
+
+
+def test_radial_scan_reads_the_float_floor_of_each_radius(monkeypatch):
+    # an entry is an axis hit by the floor of its own radius, a Python
+    # float, whatever numpy's power loops would round on an array of radii
+    g = parse_germ("z1^2 + z2^3", 2)
+    radii = [0.5 * 0.9 ** k for k in range(40)]
+    seen, floor = [], germ_module.MixedGerm.axis_floor
+    monkeypatch.setattr(germ_module.MixedGerm, "axis_floor",
+                        lambda self, r: seen.append(r) or floor(self, r))
+    radial_lambda_scan(g, np.array([1.0, 0.5, 0.2, -0.3]), radii)
+    assert seen == radii and all(type(r) is float for r in seen)
+
+
+def test_witness_is_the_lowest_row_tied_with_the_minimum():
+    eps = np.finfo(float).eps
+    values = np.array([3.0, 1.0 + 9 * eps, 1.0 + 8 * eps, 2.0, 1.0, 1.0])
+    assert regularity._minimum(values) == (1.0, 2)
+    assert regularity._minimum(values[3:]) == (1.0, 1)
+    assert regularity._minimum(np.array([0.5, 0.0, 0.0])) == (0.0, 1)
+    low, k = regularity._minimum(np.array([2.0, np.nan, 1.0]))
+    assert math.isnan(low) and k == 1
 
 
 def test_phase_margin_closed_form_rows():
