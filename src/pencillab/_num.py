@@ -1,6 +1,6 @@
 """Shared numerical plumbing: real/complex layout, deterministic sampling
-(scrambled Sobol draws made chunk by chunk), the row-range worker pool, the
-batched Newton driver, canonical JSON.
+(scrambled Sobol draws made chunk by chunk), the draw-ahead chunk
+pipeline, the batched Newton driver, canonical JSON.
 
 Points come as rows (..., 2n) or, in the cover kernels, coordinate-major as
 columns (2n, ...), one contiguous array per coordinate. Sums over the
@@ -311,43 +311,48 @@ def sobol_ball(seed: int, key: Tuple[int, ...], count: int, dim: int, radius: fl
 
 
 # ---------------------------------------------------------------------------
-# worker pool
+# the draw-ahead pipeline
 # ---------------------------------------------------------------------------
 
 # rows per cover chunk: one chunk's points and kernel temporaries are what
-# a worker holds at a time. A power of two, so that chunk starts are
+# the scorer holds at a time. A power of two, so that chunk starts are
 # aligned with the blocks of a SobolDraw.
 CHUNK_ROWS = 8192
 assert CHUNK_ROWS & (CHUNK_ROWS - 1) == 0, "CHUNK_ROWS must be a power of two"
 
 def worker_count() -> int:
-    cap = os.environ.get("PENCILLAB_THREADS", "")
+    """Threads a cover runs on: 2, the caller and its draw-ahead helper, or
+    1 under PENCILLAB_THREADS=1 or on one core."""
     try:
-        cap_n = int(cap)
+        cap = int(os.environ.get("PENCILLAB_THREADS", ""))
     except ValueError:
-        cap_n = 0
-    hw = os.cpu_count() or 1
-    if cap_n > 0:
-        return max(1, min(cap_n, hw))
-    return max(1, min(4, hw))
+        cap = 0
+    return 1 if cap == 1 or (os.cpu_count() or 1) < 2 else 2
 
 
-def map_chunks(fn: Callable[[int, int], object], count: int) -> List[object]:
-    """fn(start, stop) over the CHUNK_ROWS-row ranges of range(count), in
-    index order.
+def map_chunks(score: Callable[[np.ndarray], object], count: int,
+               draw: Callable[[int, int], np.ndarray]) -> List[object]:
+    """score(draw(start, stop)) over the CHUNK_ROWS-row ranges of
+    range(count), in range order.
 
-    Results come back in range order regardless of worker count, so any
-    min/concat reduction over them is deterministic.
+    Unless worker_count() is 1, one helper thread draws the next range
+    while the caller scores this one, never more than one range ahead: the
+    draw is mostly the GIL-free ndtri, the score is not. So at most two
+    ranges of points and one set of scoring temporaries exist at a time.
     """
-    starts = range(0, count, CHUNK_ROWS)
-    stops = [min(a + CHUNK_ROWS, count) for a in starts]
-    if not stops:
-        return []
-    nw = worker_count()
-    if nw <= 1 or len(stops) <= 1:
-        return [fn(a, b) for a, b in zip(starts, stops)]
-    with ThreadPoolExecutor(max_workers=nw) as pool:
-        return list(pool.map(fn, starts, stops))
+    ranges = [(a, min(a + CHUNK_ROWS, count)) for a in range(0, count,
+                                                            CHUNK_ROWS)]
+    if worker_count() <= 1 or len(ranges) <= 1:
+        return [score(draw(a, b)) for a, b in ranges]
+    out = []
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(draw, *ranges[0])
+        for a, b in ranges[1:]:
+            points = ahead.result()
+            ahead = helper.submit(draw, a, b)
+            out.append(score(points))
+        out.append(score(ahead.result()))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +379,10 @@ def solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 GN_ITER = 60
+# Jacobian entries per block of gauss_newton: 1,024 rows of a 6x6 system.
+# Block-sized temporaries stay on the heap instead of being mapped and
+# faulted in afresh on every call.
+GN_BLOCK_ENTRIES = 36 * 1024
 
 
 def _newton_step(J: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -411,10 +420,12 @@ def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     unsquared (the two-row systems on the sphere are square for a germ in
     one variable); a two-row one the minimum-norm step J^T (J J^T)^{-1} R,
     in closed form (_newton_step). Steps repeat until max_i |R_i| / scale_i
-    < tol, at most GN_ITER times. A row stops where it is when its residual
-    is not finite (before the solve) or its step is singular or not finite;
-    the other rows go on. Returns (X, ok) where ok marks rows that
-    converged.
+    < tol, at most GN_ITER times. Each step evaluates the system and solves
+    on blocks of at most GN_BLOCK_ENTRIES / d^2 rows; no arithmetic mixes
+    rows, so a row has the same bits in any block. A row stops where it is
+    when its residual is not finite (before the solve) or its step is
+    singular or not finite; the other rows go on. Returns (X, ok) where ok
+    marks rows that converged.
     """
     X = np.array(x0, dtype=float, copy=True)
     ok = np.zeros(len(X), dtype=bool)
@@ -422,19 +433,24 @@ def gauss_newton(system: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     # the moving rows Xa = X[idx]; the max runs column by column, in one
     # pass over the rows each
     idx, Xa = np.arange(len(X)), X
+    block = max(1, GN_BLOCK_ENTRIES // X.shape[-1] ** 2)
     for _ in range(GN_ITER):
         if idx.size == 0:
             break
-        # a row whose residual overflows stops below, alone
-        with np.errstate(over="ignore", invalid="ignore"):
-            R, J = system(Xa)
-        res = np.abs(R[:, 0]) / scale[0]
-        for j in range(1, R.shape[1]):
-            np.maximum(res, np.abs(R[:, j]) / scale[j], out=res)
-        ok[idx[res < tol]] = True
-        move = np.isfinite(res) & (res >= tol)
+        move = np.zeros(len(idx), dtype=bool)
         dx = np.full(Xa.shape, np.nan)
-        dx[move] = _newton_step(J[move], R[move])
+        for a in range(0, len(idx), block):
+            rows = slice(a, a + block)
+            # a row whose residual overflows stops below, alone
+            with np.errstate(over="ignore", invalid="ignore"):
+                R, J = system(Xa[rows])
+            res = np.abs(R[:, 0]) / scale[0]
+            for j in range(1, R.shape[1]):
+                np.maximum(res, np.abs(R[:, j]) / scale[j], out=res)
+            ok[idx[rows][res < tol]] = True
+            mv = move[rows]
+            mv[...] = np.isfinite(res) & (res >= tol)
+            dx[rows][mv] = _newton_step(J[mv], R[mv])
         if step_cap is not None:
             with np.errstate(divide="ignore", invalid="ignore"):
                 dx *= np.minimum(1.0, step_cap / norm_rows(dx))[:, None]

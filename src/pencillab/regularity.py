@@ -13,14 +13,14 @@ of the radius-times-phase map (restricted-phase fibration evidence), the
 tube boundary transversality residual, and the critical-value isolation
 scan of the (Re f, Im f) Jacobian.
 
-The sphere and ball covers are streamed: _cover hands each worker of
-_num.map_chunks a row range, and the worker draws those rows of the
-cover's _num.SobolDraw, scores them and keeps only the per-row values and
-its histogram counts. The witness and the polish starts are redrawn by
-index. So no cover array larger than a chunk exists, and since a drawn row
-has the same bits however the draw is cut (the chunk size is a power of
-two, see _num), the reports depend neither on the chunk size nor on the
-worker count.
+The sphere and ball covers are streamed: _cover runs _num.map_chunks's
+two stages over the cover's row ranges, a helper thread drawing the rows
+of the next range from the cover's _num.SobolDraw while the caller scores
+this one and keeps only the per-row values and its histogram counts. The
+witness and the polish starts are redrawn by index. So no cover array
+larger than a chunk exists, and since a drawn row has the same bits
+however the draw is cut (the chunk size is a power of two, see _num), the
+reports depend neither on the chunk size nor on the thread count.
 
 The kernels are coordinate-major: points, gradients and normals are
 (2n, ...) arrays and a lone (2n,) point is a column. Norms and sums take
@@ -145,11 +145,12 @@ def _bin_counts(values: np.ndarray) -> np.ndarray:
                                   HIST_BINS - 1), minlength=HIST_BINS)
 
 
-def _cover(fn, count: int):
-    """fn(start, stop) over the row ranges of a count-row cover, each of its
-    outputs concatenated over the ranges. fn draws and scores its own rows,
-    so no more than a chunk of cover points exists at a time."""
-    parts = map_chunks(fn, count) or [fn(0, 0)]
+def _cover(score, count: int, draw):
+    """score(draw(start, stop)) over the row ranges of a count-row cover,
+    each of its outputs concatenated over the ranges. The draw runs at most
+    one range ahead of the score, so no more than two chunks of cover
+    points exist at a time."""
+    parts = map_chunks(score, count, draw) or [score(draw(0, 0))]
     return [np.concatenate(column) for column in zip(*parts)]
 
 
@@ -341,8 +342,8 @@ def d_regularity_search(germ: MixedGerm, radius: float,
     lift, Qm = _metric_mapper(Q, radius)
     draw = SobolDraw(seed, (0xD4E6, 0), budget, 2 * germ.n)
 
-    def cover_rows(start: int, stop: int):
-        Xc = lift(draw.columns(start, stop))
+    def cover_rows(U):
+        Xc = lift(U)
         defect, axis, degenerate, f, ga = _defects(germ, Xc, f_floor, Qm)
         # unusable rows read inf and fall outside every bin
         counts = _bin_counts(defect)
@@ -351,7 +352,8 @@ def d_regularity_search(germ: MixedGerm, radius: float,
         colin, _, arg, violated = _colinearity(f, ga, Xc)
         return defect, axis, degenerate, counts, colin, np.abs(arg), violated
 
-    defects, axis, degenerate, counts, *tally = _cover(cover_rows, budget)
+    defects, axis, degenerate, counts, *tally = _cover(cover_rows, budget,
+                                                       draw.columns)
     usable_mask = ~axis & ~degenerate
     usable = int(np.count_nonzero(usable_mask))
     milnor = None
@@ -512,8 +514,8 @@ def strong_milnor_check(germ: MixedGerm, radius: float, budget: int = 10000,
     threshold = default_pass_threshold(newton_tol)
     draw = SobolDraw(seed, (0x5713, 0), budget, 2 * germ.n)
 
-    def cover_rows(start: int, stop: int):
-        Xc = radius * draw.columns(start, stop)
+    def cover_rows(U):
+        Xc = radius * U
         _, _, rho, gts = _phase_fields(germ, Xc)
         r = norm_columns(Xc)
         # the second singular value of the differential of the
@@ -526,7 +528,7 @@ def strong_milnor_check(germ: MixedGerm, radius: float, budget: int = 10000,
         usable = rho > f_floor
         return np.where(usable, margins, np.inf), usable
 
-    margins, usable_mask = _cover(cover_rows, budget)
+    margins, usable_mask = _cover(cover_rows, budget, draw.columns)
     usable = int(np.count_nonzero(usable_mask))
     return _scan_report("phase-submersion", radius, budget, seed, usable,
                         usable >= max(1, budget // 10), margins,
@@ -597,12 +599,12 @@ def critical_value_isolation_scan(germ: MixedGerm, radius: float,
     grad_scale = max(germ.scale(radius) / radius, 1e-300)
     threshold = default_pass_threshold(newton_tol) * grad_scale
 
-    def cover_rows(start: int, stop: int):
-        f, ga, gb = column_gradients(germ, draw.columns(start, stop))
+    def cover_rows(P):
+        f, ga, gb = column_gradients(germ, P)
         usable = np.abs(f) > f_floor
         return np.where(usable, gram_margin(ga, gb), np.inf), usable
 
-    margins, usable_mask = _cover(cover_rows, budget)
+    margins, usable_mask = _cover(cover_rows, budget, draw.columns)
     usable = int(np.count_nonzero(usable_mask))
     return _scan_report("critical-value-isolation", radius, budget, seed,
                         usable, usable > 0, margins,

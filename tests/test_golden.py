@@ -198,7 +198,7 @@ def test_every_command_has_a_golden_job():
 
 
 def test_scan_report_is_byte_identical_across_thread_counts(monkeypatch):
-    # 70000 rows make several pool chunks
+    # 70000 rows make several cover chunks
     outs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("PENCILLAB_THREADS", threads)

@@ -1,7 +1,10 @@
-"""The quasi-random samplers, the batched Newton driver gauss_newton and
-the report serializer canonical_json."""
+"""The quasi-random samplers, the draw-ahead pipeline map_chunks, the
+batched Newton driver gauss_newton and the report serializer
+canonical_json."""
 
 import math
+import threading
+import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -9,10 +12,13 @@ import numpy as np
 import pytest
 from scipy.stats import norm, qmc
 
-from pencillab import _num
-from pencillab._num import (SobolDraw, _newton_step, canonical_json,
-                            gauss_newton, sobol_ball, sobol_unit_sphere,
+from pencillab import _num, topology
+from pencillab._num import (CHUNK_ROWS, SobolDraw, _newton_step,
+                            canonical_json, gauss_newton, map_chunks,
+                            norm_columns, sobol_ball, sobol_unit_sphere,
                             solve_rows, stream)
+from pencillab.germ import parse_germ
+from pencillab.pencil import sphere_member_system
 
 
 def _norm_ppf_directions(seed, key, count, dim, extra=0):
@@ -186,6 +192,116 @@ def test_wide_singular_and_non_finite_rows_stop_alone():
     np.testing.assert_array_equal(X[bad], x02[bad])
     np.testing.assert_array_equal(X[rest], alone[0])
     np.testing.assert_array_equal(ok[rest], alone[1])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("count", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS,
+                                   CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5])
+def test_map_chunks_is_the_serial_loop(monkeypatch, threads, count):
+    # and the draw never runs more than one chunk ahead of the score, even
+    # when the score is slow enough for a free-running draw to finish
+    monkeypatch.setenv("PENCILLAB_THREADS", threads)
+    draw = SobolDraw(3, (0xC0, 1), count, 4)
+
+    def summary(P):
+        return P.shape[1], norm_columns(P).tobytes(), P.tobytes()
+
+    drawn, scored = [], []
+
+    def ahead(a, b):
+        drawn.append(a)
+        return draw.columns(a, b)
+
+    def score(P):
+        time.sleep(0.005)
+        assert len(drawn) <= len(scored) + 2
+        scored.append(P.shape[1])
+        return summary(P)
+
+    serial = [summary(draw.columns(a, min(a + CHUNK_ROWS, count)))
+              for a in range(0, count, CHUNK_ROWS)]
+    assert map_chunks(score, count, ahead) == serial
+    assert drawn == list(range(0, count, CHUNK_ROWS))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("stage", ["draw", "score"])
+def test_map_chunks_raises_a_stage_error_and_leaves_no_thread(
+        monkeypatch, threads, stage):
+    monkeypatch.setenv("PENCILLAB_THREADS", threads)
+    monkeypatch.setattr(_num, "CHUNK_ROWS", 16)
+
+    def draw(a, b):
+        if stage == "draw" and a == 32:
+            raise RuntimeError("draw at chunk 2")
+        return np.arange(a, b)
+
+    def score(points):
+        if stage == "score" and points[0] == 32:
+            raise RuntimeError("score at chunk 2")
+        return points.sum()
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{stage} at chunk 2"):
+        map_chunks(score, 100, draw)
+    assert threading.active_count() == before
+
+
+def _euler_lagrange_start(monkeypatch):
+    """(system, Y0, scale) of the first Lagrange-Newton solve of an euler
+    job on z1^2 + z2^3 at r = 0.5, Y0 its stacked (x, multiplier) starts."""
+    seen = []
+
+    def capture(system, x0, scale, **kw):
+        if len(scale) == 6 and not seen:
+            seen.append((system, x0, scale))
+        return gauss_newton(system, x0, scale, **kw)
+
+    monkeypatch.setattr(topology, "gauss_newton", capture)
+    topology.link_surface_euler(parse_germ("z1^2 + z2^3", 2), 0.0, 0.5,
+                                seed=1)
+    return seen[0]
+
+
+@pytest.mark.parametrize("which", ["lagrange", "sphere-member"])
+def test_newton_blocks_keep_every_row_bit_for_bit(monkeypatch, which):
+    # rows 8 and 10, one NaN and one whose residual overflows, share a
+    # block of 7 rows and the first default block; the starts outnumber
+    # the default block, so it splits too
+    if which == "lagrange":
+        system, Y0, scale = _euler_lagrange_start(monkeypatch)
+        Y0 = Y0[:1100]
+        # a multiplier of 1e308 overflows the stationarity rows
+        huge = np.r_[Y0[0, :4], 1e308, 1e308]
+        kw = {"tol": 1e-10}
+    else:
+        g, radius = parse_germ("z1^2*zbar2 + z2^2*zbar1", 2), 0.5
+        system = sphere_member_system(g, 0.3, radius)
+        Y0 = radius * sobol_unit_sphere(4, (0xB10C,), 2400, 4)
+        scale = np.array([radius ** 2, g.scale(radius)])
+        huge = np.full(4, 1e200)
+        kw = {"tol": 1e-12, "step_cap": 0.5 * radius}
+    Y0 = np.insert(Y0, [8, 9], [np.full(Y0.shape[1], np.nan), huge], axis=0)
+    d2 = Y0.shape[1] ** 2
+    assert len(Y0) > _num.GN_BLOCK_ENTRIES // d2
+    calls = []
+
+    def counted(Y):
+        calls.append(len(Y))
+        return system(Y)
+
+    runs = []
+    for block in (1, 7, _num.GN_BLOCK_ENTRIES // d2, len(Y0) + 1):
+        monkeypatch.setattr(_num, "GN_BLOCK_ENTRIES", block * d2)
+        calls.clear()
+        runs.append(gauss_newton(counted, Y0, scale, **kw))
+        assert max(calls) == min(block, len(Y0))
+    X, ok = runs[-1]
+    assert not ok[[8, 10]].any() and ok.sum() > len(Y0) // 2
+    np.testing.assert_array_equal(X[[8, 10]], Y0[[8, 10]])
+    for Xb, okb in runs[:-1]:
+        assert Xb.tobytes() == X.tobytes()
+        assert okb.tobytes() == ok.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 4])

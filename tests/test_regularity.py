@@ -172,8 +172,9 @@ def test_metric_lift_of_a_lone_row_is_its_row_in_a_cover():
 
 
 def test_cover_memory_stays_within_a_few_chunks(monkeypatch):
-    # a streamed cover holds one chunk of points and kernel temporaries
-    # per worker; the whole 1e5-row cover held at once peaks at about 27 MB
+    # a streamed cover holds the chunk being scored, with its kernel
+    # temporaries, and the chunk being drawn ahead: about 6 MB at 8,192
+    # rows. The whole 1e5-row cover held at once peaks at about 27 MB
     monkeypatch.setenv("PENCILLAB_THREADS", "2")
     g = parse_germ("z1^2 + z2^3 + z3^5", 3)
     tracemalloc.start()
